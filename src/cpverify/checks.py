@@ -10,12 +10,14 @@ never happen.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from . import diffop, moments, quadrature, radial, weyl
+from .errors import UsageError
 from .exact import RatFun, as_rat, session_registry
 
 FAMS = ("II", "III", "IV", "V", "VI")
@@ -380,7 +382,9 @@ def run_table1(
             hb_list = (Fraction(1),) if mode == "ungauged" else hbar_values
             for hb in hb_list:
                 for N in N_values:
+                    start = time.perf_counter()
                     rep = table1_resolve(J, mode, hb, m, N)
+                    ms = int((time.perf_counter() - start) * 1000)
                     resolved = rep["ok"] and not rep["exact_as_printed"]
                     bits = []
                     if rep["time_reflected"]:
@@ -400,6 +404,7 @@ def run_table1(
                             rep["ok"],
                             resolved=resolved,
                             detail="; ".join(bits) if bits else "exact as printed",
+                            ms=ms,
                         )
                     )
     return out
@@ -526,6 +531,8 @@ def run_pde_numeric(
 
 def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, seed: int = 11) -> list[CheckRecord]:
     """Validate every divergence relation against high-precision quadrature."""
+    if kmax < 2:
+        raise UsageError(f"kmax must be at least 2: k = 0..{kmax} holds no recursion to check")
     rng = random.Random(seed)
     reg = session_registry(1, seeds=("nu0", "nu1"))
     out = []

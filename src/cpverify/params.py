@@ -54,6 +54,14 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"malformed rational {text!r} (expected p/q or integer)") from exc
 
 
+def parse_hbar(text: str) -> Fraction:
+    """A ``--hbar`` value: a rational that is not zero."""
+    hbar = parse_rational(text)
+    if hbar == 0:
+        raise UsageError("hbar must be nonzero")
+    return hbar
+
+
 def parse_params(text: str) -> ParamSet:
     """Parse ``b=-1/3,c=-1/5`` style parameter lists into a ParamSet.
 
@@ -77,11 +85,9 @@ def parse_params(text: str) -> ParamSet:
             except ValueError as exc:
                 raise UsageError(f"{key} must be an integer, got {value!r}") from exc
         elif key in RATIONAL_KEYS:
-            setattr(ps, key, parse_rational(value))
+            setattr(ps, key, parse_hbar(value) if key == "hbar" else parse_rational(value))
         elif key == "family":
             ps.family = value.strip()
         else:
             raise UsageError(f"unknown parameter key {key!r}")
-    if ps.hbar is not None and ps.hbar == 0:
-        raise UsageError("hbar must be nonzero")
     return ps

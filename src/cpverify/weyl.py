@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import UnsupportedModeError, UsageError
 from .exact import MPoly, RatFun, Registry, as_rat
+from .params import parse_rational
 
 WEYL_REGISTRY = Registry(("hbar", "t", "th", "th0", "th1", "th2", "tht", "k"))
 FREE_REGISTRY = Registry(("zeta", "t", "th0", "th1", "tht", "k"))
@@ -688,6 +689,12 @@ def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
         pos[0] += 1
         return tok
 
+    def take_int():
+        tok = take()
+        if tok is None or not tok.isdigit():
+            raise UsageError(f"expected an integer, found {tok!r}")
+        return int(tok)
+
     def mul(a, b):
         if isinstance(a, NCMatrix) and isinstance(b, NCMatrix):
             return a * b
@@ -716,7 +723,7 @@ def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
             power = 1
             if peek() == "^":
                 take()
-                power = int(take())
+                power = take_int()
             word += tok * power
             if peek() == "*":
                 take()
@@ -750,14 +757,14 @@ def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
         if tok is None:
             raise UsageError("unexpected end of expression")
         if tok[0].isdigit():
-            return alg.scalar(Fraction(tok))
+            return alg.scalar(parse_rational(tok))
         if tok in ("p", "q"):
             if peek() == "[":
                 take()
-                i = int(take())
+                i = take_int()
                 take("]")
                 take("[")
-                j = int(take())
+                j = take_int()
                 take("]")
                 return alg.letter(tok, i, j)
             return alg.matrix(tok)

@@ -183,6 +183,7 @@ def test_criterion_9_symbolic_pde():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_numeric_pde():
     with Budget("criterion 10", 600):
         worst = mpmath.mpf(0)
@@ -200,6 +201,7 @@ def test_criterion_10_numeric_pde():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_cross_path():
     with Budget("criterion 11", 300):
         worst = mpmath.mpf(0)

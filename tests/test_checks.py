@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,7 @@ def test_run_n1():
     assert ok_all(checks.run_n1())
 
 
+@pytest.mark.slow
 def test_final_theorem_n3():
     # conjugated identification at N = 3 for every family (the VI resolve
     # dominates the runtime; hbar = 1/3 is exercised by the gauge sweep)
@@ -125,3 +127,17 @@ def test_parse_params():
         parse_params("zz=1")
     with pytest.raises(UsageError):
         parse_params("b=1/x")
+
+
+@pytest.mark.parametrize("kmax", [-1, 0, 1])
+def test_oracle_moments_rejects_kmax_below_two(kmax):
+    with pytest.raises(UsageError):
+        checks.run_oracle_moments("VI", kmax=kmax, prec=64, points=1)
+
+
+def test_table1_records_carry_their_own_time():
+    start = time.perf_counter()
+    recs = checks.run_table1(("II",), ("ungauged",), (Fraction(1),), (2, 2))
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    assert len(recs) == 2 and all(r.ms > 0 for r in recs)
+    assert sum(r.ms for r in recs) <= elapsed_ms  # not the block's cumulative time

@@ -59,3 +59,25 @@ def test_verify_pde_symbolic_cli():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["status"] in ("pass", "resolved-with-correction")
+
+
+def assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+def test_zero_hbar_is_a_usage_error():
+    assert_usage_error(run_cli("verify", "gauge", "--hbar", "0"))
+
+
+def test_malformed_weyl_index_is_a_usage_error():
+    assert_usage_error(run_cli("verify", "weyl", "--expr", "p[a][1]"))
+    assert_usage_error(run_cli("verify", "weyl", "--expr", "1/0*p"))
+
+
+def test_oracle_kmax_below_two_is_a_usage_error():
+    # k = 0..1 holds no recursion: the check would pass with nothing checked
+    assert_usage_error(run_cli("oracle", "moments", "--family", "VI", "--kmax", "1"))

@@ -1,11 +1,15 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpverify import diffop, radial
+from cpverify.cli import main
 from cpverify.errors import ExactDivisionError, UsageError
 from cpverify.exact import (
+    MAX_EXPONENT,
     MPoly,
     RatFun,
     Registry,
@@ -27,11 +31,18 @@ def rationals():
     return st.fractions(min_value=-10, max_value=10, max_denominator=7)
 
 
+# exponents this close to the field width still leave room for a product of three
+WIDE = MAX_EXPONENT // 3
+
+
 @st.composite
-def mpolys(draw, max_terms=5, max_exp=3):
+def mpolys(draw, max_terms=5, max_exp=3, wide=True):
+    exps = st.integers(0, max_exp)
+    if wide:
+        exps = st.one_of(exps, st.integers(WIDE - 2, WIDE))
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
-        exp = tuple(draw(st.integers(0, max_exp)) for _ in REG.names)
+        exp = tuple(draw(exps) for _ in REG.names)
         terms[exp] = draw(rationals())
     return MPoly(REG, terms)
 
@@ -100,7 +111,7 @@ def test_ratfun_equal_examples():
 
 
 @settings(max_examples=40)
-@given(mpolys(), mpolys(), mpolys())
+@given(mpolys(wide=False), mpolys(wide=False), mpolys(wide=False))
 def test_ratfun_equivalence_relation(a, b, c):
     den = v("t") + 1
     ra, rb, rc = (RatFun(p, den) for p in (a, b, c))
@@ -159,7 +170,7 @@ def test_eval_and_subs():
 
 
 @settings(max_examples=40)
-@given(mpolys(), rationals(), rationals())
+@given(mpolys(wide=False), rationals(), rationals())
 def test_subs_matches_eval(p, a, b):
     # the rational fast path must agree with full evaluation
     partial = p.subs({"z1": a, "t": b})
@@ -181,3 +192,152 @@ def test_solve_linear():
     assert solve_linear(rows, rhs) == [Fraction(2), Fraction(1)]
     with pytest.raises(UsageError):
         solve_linear([[1, 1], [2, 2]], [1, 3])
+
+
+# -- the packed/int kernel against a schoolbook tuple/Fraction reference ------
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def ref_div(a: dict, b: dict) -> dict:
+    """Lex-leading-term division over Q; ExactDivisionError on a remainder."""
+    quot = {}
+    rem = dict(a)
+    lead_e, lead_c = max(b.items())
+    while rem:
+        e, c = max(rem.items())
+        de = tuple(x - y for x, y in zip(e, lead_e))
+        if any(k < 0 for k in de):
+            raise ExactDivisionError("remainder")
+        q = c / lead_c
+        quot[de] = quot.get(de, 0) + q
+        for be, bc in b.items():
+            ke = tuple(x + y for x, y in zip(de, be))
+            s = rem.get(ke, 0) - q * bc
+            if s:
+                rem[ke] = s
+            else:
+                rem.pop(ke, None)
+    return quot
+
+
+def assert_same_terms(p: MPoly, ref: dict):
+    assert dict(p.terms) == ref
+    assert list(p.terms) == list(ref)  # the same term order, not only the same terms
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@settings(max_examples=80)
+@given(mpolys(), mpolys())
+def test_mul_matches_schoolbook(a, b):
+    assert_same_terms(a * b, ref_mul(dict(a.terms), dict(b.terms)))
+
+
+@settings(max_examples=80)
+@given(mpolys(), mpolys(), rationals())
+def test_add_matches_schoolbook(a, b, c):
+    assert_same_terms(a + b, ref_add(dict(a.terms), dict(b.terms)))
+    assert_same_terms(a - b, ref_add(dict(a.terms), {e: -v for e, v in b.terms.items()}))
+    assert_same_terms(a * c, {e: v * c for e, v in a.terms.items() if v * c})
+
+
+@settings(max_examples=80)
+@given(mpolys(), mpolys(max_terms=3), mpolys(max_terms=2))
+def test_exact_div_matches_schoolbook(q, b, r):
+    if b.is_zero() or b.is_constant():
+        return
+    for a in (q * b, q * b + r):
+        try:
+            ref = ref_div(dict(a.terms), dict(b.terms))
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                exact_div(a, b)
+        else:
+            assert_same_terms(exact_div(a, b), ref)
+    assert exact_div(q * b, b) == q
+
+
+def test_exponent_overflow_raises():
+    z1, z2 = v("z1"), v("z2")
+    top = z1**MAX_EXPONENT
+    assert top.degree_in("z1") == MAX_EXPONENT
+    assert top.to_str() == f"1*z1^{MAX_EXPONENT}"
+    with pytest.raises(UsageError):
+        top * z1
+    with pytest.raises(UsageError):
+        (top + z2) ** 2
+    with pytest.raises(UsageError):
+        (top * z2**MAX_EXPONENT).permute_vars({"z1": "z2"})
+    with pytest.raises(UsageError):
+        MPoly(REG, {(MAX_EXPONENT + 1, 0, 0, 0, 0): Fraction(1)})
+    with pytest.raises(UsageError):
+        parse_mpoly(REG, f"z1^{MAX_EXPONENT + 1}")
+
+
+def test_terms_view_is_read_only():
+    p = v("z1") * Fraction(3, 2) + 1
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 0, 0, 0)] = Fraction(5)
+    assert p.terms == {(1, 0, 0, 0, 0): Fraction(3, 2), (0, 0, 0, 0, 0): Fraction(1)}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_vandermonde_conjugation_iv_n3():
+    # table1 IV gauged at N = 3, hbar = 2: the 1998-term over 972-term swell
+    reg = session_registry(3)
+    family = {"a": Fraction(2, 7), "b": Fraction(-1, 3), "c": Fraction(-1, 5), "d": Fraction(3, 11)}
+    maps = diffop.table_params("IV", Fraction(2), "gauged", 2, 3, **family)
+    thetas = {k: v for k, v in maps.items() if k in ("th", "th0", "th1", "th2", "tht", "k2")}
+    ht = radial.build_radial_hamiltonian(reg, "IV", 3, Fraction(2), maps["kappa_choices"][0], **thetas)
+    conj = diffop.conjugate_by_vandermonde(ht, maps["R"])
+    c = conj.C
+    assert (len(c.num.terms), len(c.den.terms), c.den.total_degree()) == (1998, 972, 53)
+    text = "".join(x.to_str() + "\n" for x in [*conj.A, *conj.B, conj.C])
+    assert _sha(text) == "b5733c56576b3f5c6bcd8b439fbc85bd54a9f10624f6797a2c7219e428bcb9c9"
+
+
+def test_golden_print_hamiltonian_iv_n3(capsys):
+    argv = ["print", "hamiltonian", "--family", "IV", "--kind", "cp", "--N", "3", "--m", "2", "--hbar", "2", "--params", "b=-1/3"]
+    assert main(argv) == 0
+    assert _sha(capsys.readouterr().out) == "ae45b2a99376cd3056df2c23371a6eee2cce213d631ad012b7d16731b5bbfc9c"
+
+
+@settings(max_examples=40, deadline=None)
+@given(mpolys(wide=False), mpolys(wide=False))
+def test_mul_and_div_against_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(REG.names)
+
+    def to_sympy(p):
+        coeffs = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs or {(0,) * len(syms): 0}, *syms, domain="QQ")
+
+    assert to_sympy(a * b) == to_sympy(a) * to_sympy(b)
+    assert to_sympy(a + b) == to_sympy(a) + to_sympy(b)
+    if not b.is_zero():
+        assert to_sympy(exact_div(a * b, b)) == to_sympy(a)
