@@ -513,9 +513,13 @@ def run_pde_numeric(
     prec: int = 64,
     level: int = 4,
 ) -> list[CheckRecord]:
+    # a missing t or missing params is defaulted alone; what was given is kept
     if t is None or params is None:
-        t, base = NUMERIC_POINTS[J][0]
-        params = numeric_pde_params(J, m, hbar, base)
+        if J not in NUMERIC_POINTS:
+            raise UsageError(f"family {J} has no default numeric point: give both t and params")
+        default_t, base = NUMERIC_POINTS[J][0]
+        t = default_t if t is None else t
+        params = numeric_pde_params(J, m, hbar, base) if params is None else params
     rep = quadrature.pde_residual_numeric(J, N, m, hbar, t, params, prec=prec, level=level)
     ok = rep["residual"] < mpmath.mpf("1e-6") and rep["dt_agreement"] < mpmath.mpf("1e-8")
     return [
@@ -540,14 +544,18 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
     for _ in range(points):
         t, params = _random_admissible(J, rng)
         mf = moments.MasterFunction(J, reg, params)
-        cache: dict = {}
+        relations = [(moments.ibp_relation(mf, n), False) for n in range(0, kmax - 1)]
+        if J == "VI":
+            relations += [(moments.ibp_relation_partial_vi(mf, n), True) for n in range(0, kmax - 1)]
 
-        def nu(k, s=0):
-            if (k, s) not in cache:
-                cache[(k, s)] = quadrature.moment_numeric(J, k, s, t, params, prec=prec)[0]
-            return cache[(k, s)]
+        def moment_key(kind, k, with_rho):
+            return k, 1 if (with_rho and kind == "rho") else 0
 
-        def residual(rel, with_rho=False):
+        # every moment the relations reference, evaluated in one pass
+        keys = sorted({moment_key(kind, k, with_rho) for rel, with_rho in relations for ((kind, k),) in rel.terms})
+        nu = {key: value for key, (value, _) in quadrature.moments_numeric(J, keys, t, params, prec=prec).items()}
+
+        def residual(rel, with_rho):
             # normalized by sum|c_k| * max|moment|: degenerate relations whose
             # only surviving term itself vanishes then score ~0, as they should
             total = mpmath.mpf(0)
@@ -556,18 +564,15 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
             for key, coeff in rel.terms.items():
                 ((kind, k),) = key
                 cv = coeff.eval({"t": t, "nu0": 0, "nu1": 0})
-                mom = nu(k, 1 if (with_rho and kind == "rho") else 0)
+                mom = nu[moment_key(kind, k, with_rho)]
                 total += (mpmath.mpf(cv.numerator) / cv.denominator) * mom
                 coeff_sum += abs(mpmath.mpf(cv.numerator) / cv.denominator)
                 mom_max = max(mom_max, abs(mom))
             return abs(total) / (coeff_sum * mom_max)
 
         with mpmath.mp.workprec(prec):
-            for n in range(0, kmax - 1):
-                worst = max(worst, residual(moments.ibp_relation(mf, n)))
-            if J == "VI":
-                for n in range(0, kmax - 1):
-                    worst = max(worst, residual(moments.ibp_relation_partial_vi(mf, n), with_rho=True))
+            for rel, with_rho in relations:
+                worst = max(worst, residual(rel, with_rho))
     out.append(
         _rec(
             f"moment recursions {J}, k = 0..{kmax}, {points} admissible points",

@@ -229,6 +229,7 @@ def run(args) -> int:
 
     # verify subcommands
     t = args.task
+    precision = getattr(args, "prec", None)
     if t == "weyl":
         recs = checks.run_weyl(args.N, expr=getattr(args, "expr", None))
         task_echo.update({"N": args.N})
@@ -270,12 +271,11 @@ def run(args) -> int:
             if ps.b is not None:
                 base = {"b": ps.b, "c": ps.c if ps.c is not None else Fraction(-1, 5)}
                 params = checks.numeric_pde_params(args.family, args.m, hbar, base)
-            recs = checks.run_pde_numeric(
-                args.family, args.N, args.m, hbar, t_point, params, prec=min(args.prec, 128), level=args.level
-            )
+            precision = min(args.prec, 128)
+            recs = checks.run_pde_numeric(args.family, args.N, args.m, hbar, t_point, params, prec=precision, level=args.level)
     else:
         raise UsageError(f"unknown task {t!r}")
-    return _emit(args, build_report(task_echo, recs, precision=getattr(args, "prec", None), timings=args.timings))
+    return _emit(args, build_report(task_echo, recs, precision=precision, timings=args.timings))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
 """High-precision numerical evaluation of the beta-integral wave functions.
 
 This is the oracle for the moment relations and the only verification path at
-non-integer coupling.  One-dimensional moments use mpmath's adaptive
-quadrature at high precision; the m-fold wave-function coefficients use a
-nested tanh-sinh grid over the ordered simplex u_1 > ... > u_m, where the
-coupling factor prod (u_i - u_j)^{2 hbar} is positive and single valued.
+non-integer coupling.  Each evaluation computes the weight once per node and
+serves every t, k and s that needs it.  The m-fold wave-function coefficients
+come from one nested tanh-sinh sweep over the ordered simplex u_1 > ... > u_m,
+where the coupling prod (u_i - u_j)^{2 hbar} is positive and single valued;
+only the weight's t-dependent factor is evaluated per t, so the Schroedinger
+residual takes t and its four finite-difference shifts from one sweep.
+One-dimensional moments for a set of (k, s) take one pass: on [0, 1] one
+tanh-sinh grid whose coarse error sum reuses the fine nodes, elsewhere one
+mpmath.quad per k with the weight memoized per node.
 
 Contour conventions (with their admissibility constraints):
   II  : polyline from infinity * e^{-2 pi i/3} through 0 to +infinity
@@ -17,36 +22,20 @@ Contour conventions (with their admissibility constraints):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fzero, mpf_add as add, mpf_mul as mul, round_nearest
 
 from .diffop import apply_op, build_cp_hamiltonian, zvars
 from .errors import DomainError, QuadratureError, UsageError
 from .exact import RatFun, Registry, as_rat, exact_div
+from .moments import _cp_kwargs
 
 mp = mpmath.mp
 
 DEFAULT_PREC = 192
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Canonical contour of one family with its admissibility constraints."""
-
-    family: str
-    description: str
-    constraints: str
-
-
-CONTOURS = {
-    "II": ContourSpec("II", "polyline from inf * exp(-2 pi i/3) through 0 to +inf", "none"),
-    "III": ContourSpec("III", "(0, inf)", "t < 0"),
-    "IV": ContourSpec("IV", "(0, inf)", "Re b < 0"),
-    "V": ContourSpec("V", "[0, 1]", "Re b < 0, Re c < 0"),
-    "VI": ContourSpec("VI", "[0, 1]", "Re(a+b) < 0, Re c < 0, t > 1"),
-}
 
 
 def _to_mpf(x):
@@ -82,20 +71,39 @@ def theta(J: str, u, t, params: dict, omu=None):
     ``omu`` optionally passes 1-u computed without cancellation; the factors
     (1-u) and (t-u) = (t-1)+(1-u) are singular or near-singular at u -> 1.
     """
-    p = params
-    if omu is None:
-        omu = 1 - u
+    static, (dynamic,) = _theta_parts(J, u, [t], params, 1 - u if omu is None else omu)
+    return static * dynamic
+
+
+def _theta_parts(J: str, u, ts, p: dict, omu):
+    """The weight's t-free power factor and its t-dependent factor at each t in ``ts``.
+
+    Their product is the weight's own left-to-right product, bit for bit.
+    """
     if J == "II":
-        return mpmath.exp(-(u * t + 2 * u**3 / 3))
+        return 1, [mpmath.exp(-(u * t + 2 * u**3 / 3)) for t in ts]
     if J == "III":
-        return u ** (-p["b"] - 1) * mpmath.exp(t / u - u)
+        return u ** (-p["b"] - 1), [mpmath.exp(t / u - u) for t in ts]
     if J == "IV":
-        return u ** (-p["b"] - 1) * mpmath.exp(-(u * t + u * u / 2))
+        return u ** (-p["b"] - 1), [mpmath.exp(-(u * t + u * u / 2)) for t in ts]
     if J == "V":
-        return u ** (-p["b"] - 1) * omu ** (-p["c"] - 1) * mpmath.exp(u * t)
+        return u ** (-p["b"] - 1) * omu ** (-p["c"] - 1), [mpmath.exp(u * t) for t in ts]
     if J == "VI":
-        return u ** (-p["a"] - p["b"] - 1) * omu ** (-p["c"] - 1) * ((t - 1) + omu) ** (-p["d"])
+        return u ** (-p["a"] - p["b"] - 1) * omu ** (-p["c"] - 1), [((t - 1) + omu) ** (-p["d"]) for t in ts]
     raise UsageError(f"unknown family {J!r}")
+
+
+def _theta_memo(J: str, tv, p: dict):
+    """theta at a fixed t, memoized per node and precision (mpmath.quad reuses its nodes)."""
+    memo = {}
+
+    def th(u, omu=None):
+        key = (u, omu, mp.prec)
+        if key not in memo:
+            memo[key] = theta(J, u, tv, p, omu=omu)
+        return memo[key]
+
+    return th
 
 
 def dt_log_theta(J: str, u, t, params: dict, omu=None):
@@ -115,62 +123,77 @@ def _mp_params(params):
 
 
 def moment_numeric(J: str, k: int, s: int, t, params: dict, prec: int = DEFAULT_PREC):
-    """int u^k (t-u)^{-s} Theta_J(u) du on the canonical contour, with error.
+    """int u^k (t-u)^{-s} Theta_J(u) du on the canonical contour, with error: one key of ``moments_numeric``."""
+    return moments_numeric(J, [(k, s)], t, params, prec)[(k, s)]
+
+
+def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> dict:
+    """{(k, s): (value, error)} for int u^k (t-u)^{-s} Theta_J(u) du, all keys in one pass.
 
     s = 1 is the rho-moment and is meaningful for family VI only.
     """
-    if s not in (0, 1):
+    if any(s not in (0, 1) for _, s in keys):
         raise UsageError("s must be 0 or 1")
-    if s == 1 and J != "VI":
+    if J != "VI" and any(s for _, s in keys):
         raise UsageError("(t-u)^{-1} moments are defined for family VI only")
     check_domain(J, t, params)
     with mp.workprec(prec):
         tv = _to_mpf(as_rat(t))
         p = _mp_params(params)
 
-        if J == "II":
-            omega = mpmath.exp(-2j * mpmath.pi / 3)
-
-            def f(x):
-                g1 = x**k * theta(J, x, tv, p)
-                u2 = x * omega
-                g2 = u2**k * theta(J, u2, tv, p)
-                return g1 - omega * g2
-
-            val, err = mpmath.quad(f, [0, mpmath.inf], error=True, maxdegree=10)
-            return val, err
-
         if J in ("V", "VI"):
             # own tanh-sinh grid: nodes carry (u, 1-u) stably and extend far
-            # enough into the corners for the singular endpoint exponents
-            tp = _tail_power(J, params)
-            level = max(6, (prec // 32) + 3)
+            # enough into the corners for the singular endpoint exponents.  The
+            # coarser grid is the even fine nodes at twice the weight, plus the
+            # tail past the fine list, so its sum is twice the sum of their terms.
+            pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(J, params))
+            fine, coarse = dict.fromkeys(keys, mpmath.mpf(0)), dict.fromkeys(keys, mpmath.mpf(0))
+            for u, omu, w, on_coarse, on_fine in [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]:
+                th = theta(J, u, tv, p, omu=omu)
+                terms = {k: w * u**k * th for k in {k for k, _ in keys}}
+                for key in keys:
+                    v = terms[key[0]] / ((tv - 1) + omu) if key[1] else terms[key[0]]
+                    if on_fine:
+                        fine[key] += v
+                    if on_coarse:
+                        coarse[key] += v
+            return {key: (fine[key], abs(fine[key] - 2 * coarse[key])) for key in keys}
 
-            def total(lv):
-                acc = mpmath.mpf(0)
-                for u, omu, w in _grid_points(lv, prec, tp):
-                    v = w * u**k * theta(J, u, tv, p, omu=omu)
-                    if s:
-                        v = v / ((tv - 1) + omu)
-                    acc += v
-                return acc
+        th = _theta_memo(J, tv, p)
+        omega = mpmath.exp(-2j * mpmath.pi / 3)
 
-            val = total(level)
-            err = abs(val - total(level - 1))
-            return val, err
+        def f(u, k):
+            if J != "II":
+                return u**k * th(u)
+            u2 = u * omega
+            return u**k * th(u) - omega * (u2**k * th(u2))
 
-        def f(u):
-            return u**k * theta(J, u, tv, p)
-
-        val, err = mpmath.quad(f, [0, mpmath.inf], error=True, maxdegree=10)
-        return val, err
+        return {(k, s): mpmath.quad(lambda u, k=k: f(u, k), [0, mpmath.inf], error=True, maxdegree=10) for k, s in keys}
 
 
 # ---------------------------------------------------------------------------
 # Tanh-sinh nodes and simplex grids
 # ---------------------------------------------------------------------------
 
-_NODE_CACHE: dict = {}
+_NODE_CACHE: dict = {}  # (level, prec) -> the nodes j = 0, 1, ... computed so far
+
+
+def _shared_nodes(level: int, prec: int, count: int) -> list:
+    """The node list of (level, prec), extended to at least ``count`` nodes."""
+    nodes = _NODE_CACHE.setdefault((level, prec), [])
+    if len(nodes) < count:
+        with mp.workprec(prec + 20):
+            h = mpmath.mpf(1) / (1 << level)
+            pi2 = mpmath.pi / 2
+            while len(nodes) < count:
+                th = len(nodes) * h
+                sh = pi2 * mpmath.sinh(th)
+                # (1 + tanh(sh))/2 = 1/(1 + e^{-2 sh}); complement analogously
+                u_pos = 1 / (1 + mpmath.exp(-2 * sh))
+                u_neg = 1 / (1 + mpmath.exp(2 * sh))
+                w = h * pi2 * mpmath.cosh(th) / mpmath.cosh(sh) ** 2
+                nodes.append((u_pos, u_neg, w / 2))
+    return nodes
 
 
 def ts_nodes(level: int, prec: int, tail_power: float = 5.0):
@@ -182,40 +205,38 @@ def ts_nodes(level: int, prec: int, tail_power: float = 5.0):
     ``tail_power`` controls the truncation: with an endpoint behavior
     u^beta (beta > -1), the discarded tail is of order delta^(1+beta), so the
     node list is extended until the endpoint distance is below
-    2^(-prec*tail_power) with tail_power >= 1/(1+beta).
+    2^(-prec*tail_power) with tail_power >= 1/(1+beta).  The nodes do not
+    depend on the cutoff: one list per (level, prec) is shared, and each call
+    returns the prefix its cutoff needs.
     """
-    key = (level, prec, tail_power)
-    if key in _NODE_CACHE:
-        return _NODE_CACHE[key]
     with mp.workprec(prec + 20):
-        h = mpmath.mpf(1) / (1 << level)
-        pi2 = mpmath.pi / 2
         eps = mpmath.mpf(2) ** (-int((prec + 10) * tail_power))
-        out = []
-        j = 0
-        while True:
-            th = j * h
-            sh = pi2 * mpmath.sinh(th)
-            # (1 + tanh(sh))/2 = 1/(1 + e^{-2 sh}); complement analogously
-            u_pos = 1 / (1 + mpmath.exp(-2 * sh))
-            u_neg = 1 / (1 + mpmath.exp(2 * sh))
-            w = h * pi2 * mpmath.cosh(th) / mpmath.cosh(sh) ** 2
-            out.append((u_pos, u_neg, w / 2))
-            if u_neg < eps:
-                break
-            j += 1
-    _NODE_CACHE[key] = out
-    return out
+    j = 0
+    while _shared_nodes(level, prec, j + 1)[j][1] >= eps:
+        j += 1
+    return _NODE_CACHE[(level, prec)][: j + 1]
 
 
-def _grid_points(level, prec, tail_power: float = 5.0):
-    """Flattened (u, 1-u, w) list on (0,1); node j=0 is shared, others mirrored."""
-    pts = []
-    for i, (up, un, w) in enumerate(ts_nodes(level, prec, tail_power)):
-        pts.append((up, un, w))
-        if i:
-            pts.append((un, up, w))
-    return pts
+def _grid(level: int, prec: int, tail_power: float):
+    """The level's points (u, 1-u, w, on_coarse) on (0, 1), and the coarse-only tail.
+
+    Node j = 0 is shared, the others are mirrored.  A fine node j sits on the
+    next coarser grid iff j is even (indices, not values: deep-tail nodes can
+    round to identical mpfs).  The coarser list can reach one node past the
+    fine one; the tail holds its points as (u, 1-u, w) at the fine weight.
+    """
+    nodes = ts_nodes(level, prec, tail_power)
+    ncoarse = len(ts_nodes(level - 1, prec, tail_power)) if level > 1 else 0
+    pts, tail = [], []
+    for j, (up, un, w) in enumerate(nodes):
+        isc = (j % 2 == 0) and (j // 2) < ncoarse
+        pts.append((up, un, w, isc))
+        if j:
+            pts.append((un, up, w, isc))
+    for j in range(2 * ((len(nodes) + 1) // 2), 2 * ncoarse, 2):
+        up, un, w = _shared_nodes(level, prec, j + 1)[j]
+        tail += [(up, un, w), (un, up, w)]
+    return pts, tail
 
 
 def _tail_power(J: str, params: dict) -> float:
@@ -250,109 +271,108 @@ def simplex_phi_coeffs(J: str, N: int, m: int, hbar, t, params: dict, prec: int 
     coarser level, taken over the largest coefficient.  dt_coeffs are the
     t-derivatives computed by differentiating under the integral.
     """
+    accs, acc_dt, err = _simplex_sweep(J, N, m, hbar, [t], params, prec, level, with_dt)
+    return accs[0], acc_dt, err
+
+
+def _coupling(chain, beta):
+    """prod_{i<j} (x_i - x_j)^beta along a chain x_{i+1} = x_i v_{i+1}, or None for m = 1.
+
+    The differences are composed stably from the complements 1 - v:
+    x_1 - x_3 = x_1 ((1 - v_2) + v_2 (1 - v_3)).
+    """
+    if len(chain) == 1:
+        return None
+    (x1, _, _, _), (x2, _, v2, omv2) = chain[:2]
+    if len(chain) == 2:
+        return (x1 * omv2) ** beta
+    omv3 = chain[2][3]
+    d12, d23, d13 = x1 * omv2, x2 * omv3, x1 * (omv2 + v2 * omv3)
+    return (d12 * d13 * d23) ** beta
+
+
+def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, level: int, with_dt: bool):
+    """One simplex sweep for every t in ``ts``: (coeffs per t, dt_coeffs, err).
+
+    dt_coeffs (None unless ``with_dt``) and err belong to ts[0].  Node
+    positions, the coupling, the elementary products, the weights and the
+    t-free factor of theta are computed once per integration window (V and VI
+    share one across all t; III and IV have one per t) and serve each t in it.
+    A key's value is the prefix product (base * e_k1) * e_k2 ..., skipping the
+    factors e_0 = 1.
+    """
     if m > 3:
         raise UsageError("desk scale: m <= 3")
     if J == "II":
         raise UsageError("family II uses a complex polyline; the real simplex grid does not apply")
-    check_domain(J, t, params)
-    hb = as_rat(hbar)
+    for t in ts:
+        check_domain(J, t, params)
     with mp.workprec(prec):
-        tv = _to_mpf(as_rat(t))
+        tvs = [_to_mpf(as_rat(t)) for t in ts]
         p = _mp_params(params)
-        window = _to_mpf(_window(J, tv))
-        on_unit = J in ("V", "VI")
-        beta = 2 * _to_mpf(hb)
-        tp = _tail_power(J, params)
-        nodes = ts_nodes(level, prec, tp)
-        ncoarse = len(ts_nodes(level - 1, prec, tp)) if level > 1 else 0
-        pts = []
-        for j, (up, un, w) in enumerate(nodes):
-            # a fine node j sits on the coarser grid iff j is even (indices,
-            # not values: deep-tail nodes can round to identical mpfs)
-            isc = (j % 2 == 0) and (j // 2) < ncoarse
-            pts.append((up, un, w, isc))
-            if j:
-                pts.append((un, up, w, isc))
-
+        beta = 2 * _to_mpf(as_rat(hbar))
+        pts, _ = _grid(level, prec, _tail_power(J, params))
         keys = list(itertools.product(range(m + 1), repeat=N))
-        acc = {k: mpmath.mpf(0) for k in keys}
-        acc_dt = {k: mpmath.mpf(0) for k in keys}
-        acc_coarse = {k: mpmath.mpf(0) for k in keys}
+        one, rnd = mpmath.mpf(1), round_nearest
+        # the key products and sums run on raw mpf tuples, rounded as mpf * and + round
+        accs = [[fzero] * len(keys) for _ in ts]
+        acc_dt, acc_coarse = [fzero] * len(keys), [fzero] * len(keys)
 
-        def visit(us, theta_prod, dt_factor, coupling, weight, on_coarse):
-            base = weight * theta_prod * coupling
-            if not mpmath.isfinite(base):
-                raise QuadratureError(f"non-finite integrand near {us}")
-            es = _elementary(us, m)
-            for k in keys:
-                val = base
-                for kr in k:
-                    val *= es[kr]
-                acc[k] += val
-                if with_dt:
-                    acc_dt[k] += val * dt_factor
-                if on_coarse:
-                    acc_coarse[k] += val
+        def leaf(chain, wprod, ths, dt, isc):
+            xs = tuple(link[0] for link in chain)
+            weight = wprod * window
+            for x in xs[:-1]:
+                weight *= x
+            coupling = _coupling(chain, beta)
+            es = [e._mpf_ for e in _elementary(xs, m)]
+            for i, th in zip(idx, ths):
+                base = weight * th if coupling is None else weight * th * coupling
+                if not mpmath.isfinite(base):
+                    raise QuadratureError(f"non-finite integrand near {xs}")
+                vals = [base._mpf_]
+                for _ in range(N):
+                    vals = [val if r == 0 else mul(val, es[r], prec, rnd) for val in vals for r in range(m + 1)]
+                accs[i] = [add(a, val, prec, rnd) for a, val in zip(accs[i], vals)]
+                if i == 0 and with_dt:
+                    acc_dt[:] = [add(a, mul(val, dt._mpf_, prec, rnd), prec, rnd) for a, val in zip(acc_dt, vals)]
+                if i == 0 and isc:
+                    acc_coarse[:] = [add(a, val, prec, rnd) for a, val in zip(acc_coarse, vals)]
 
         # ordered simplex u_1 > u_2 > ... via u_i = u_{i-1} v_i; differences and
         # complements composed stably: 1 - x1 v = (1 - x1) + x1 (1 - v)
-        one = mpmath.mpf(1)
-        if m == 1:
-            for u, omu, w, isc in pts:
-                x = u * window
-                omx = omu if on_unit else one - x
-                visit((x,), theta(J, x, tv, p, omu=omx), dt_log_theta(J, x, tv, p, omu=omx), one, w * window, isc)
-        elif m == 2:
-            for u1, omu1, w1, isc1 in pts:
-                x1 = u1 * window
-                omx1 = omu1 if on_unit else one - x1
-                th1 = theta(J, x1, tv, p, omu=omx1)
-                dt1 = dt_log_theta(J, x1, tv, p, omu=omx1)
-                for v, omv, w2, isc2 in pts:
-                    x2 = x1 * v
-                    omx2 = omx1 + x1 * omv
-                    th2 = theta(J, x2, tv, p, omu=omx2)
-                    dt2 = dt_log_theta(J, x2, tv, p, omu=omx2)
-                    visit(
-                        (x1, x2),
-                        th1 * th2,
-                        dt1 + dt2,
-                        (x1 * omv) ** beta,
-                        w1 * w2 * window * x1,
-                        isc1 and isc2,
-                    )
-        else:
-            for u1, omu1, w1, isc1 in pts:
-                x1 = u1 * window
-                omx1 = omu1 if on_unit else one - x1
-                th1 = theta(J, x1, tv, p, omu=omx1)
-                dt1 = dt_log_theta(J, x1, tv, p, omu=omx1)
-                for v2, omv2, w2, isc2 in pts:
-                    x2 = x1 * v2
-                    omx2 = omx1 + x1 * omv2
-                    th2 = theta(J, x2, tv, p, omu=omx2)
-                    dt2 = dt_log_theta(J, x2, tv, p, omu=omx2)
-                    for v3, omv3, w3, isc3 in pts:
-                        x3 = x2 * v3
-                        omx3 = omx2 + x2 * omv3
-                        th3 = theta(J, x3, tv, p, omu=omx3)
-                        dt3 = dt_log_theta(J, x3, tv, p, omu=omx3)
-                        d12, d23, d13 = x1 * omv2, x2 * omv3, x1 * (omv2 + v2 * omv3)
-                        visit(
-                            (x1, x2, x3),
-                            th1 * th2 * th3,
-                            dt1 + dt2 + dt3,
-                            (d12 * d13 * d23) ** beta,
-                            w1 * w2 * w3 * window * x1 * x2,
-                            isc1 and isc2 and isc3,
-                        )
+        def descend(chain, wprod, ths, dt, isc):
+            for v, omv, w, isc_v in pts:
+                if chain:
+                    x_prev, omx_prev = chain[-1][:2]
+                    x, omx, wn = x_prev * v, omx_prev + x_prev * omv, wprod * w
+                else:
+                    x, wn = v * window, w
+                    omx = omv if J in ("V", "VI") else one - x
+                static, dynamic = _theta_parts(J, x, tws, p, omx)
+                thn = [static * d for d in dynamic]
+                dtn = dt_log_theta(J, x, tvs[0], p, omu=omx) if with_dt and idx[0] == 0 else None
+                iscn = isc_v
+                if chain:
+                    thn = [a * b for a, b in zip(ths, thn)]
+                    dtn = None if dtn is None else dt + dtn
+                    iscn = isc and isc_v
+                (descend if len(chain) + 1 < m else leaf)(chain + ((x, omx, v, omv),), wn, thn, dtn, iscn)
 
-        scale = max(abs(v) for v in acc.values())
-        if scale == 0:
+        windows: dict = {}
+        for i, tv in enumerate(tvs):
+            windows.setdefault(_window(J, tv), []).append(i)
+        for win, idx in windows.items():
+            window, tws = _to_mpf(win), [tvs[i] for i in idx]
+            descend((), None, None, None, None)
+
+        raw = mp.make_mpf
+        coeffs = [dict(zip(keys, map(raw, acc))) for acc in accs]
+        scales = [max(abs(v) for v in c.values()) for c in coeffs]
+        if min(scales) == 0:
             raise QuadratureError("wave function vanished identically on the grid")
         # the coarse sum uses the same weights * 2 (h doubled)
-        err = max(abs(acc[k] - 2 ** (m) * acc_coarse[k]) for k in keys) / scale
-        return acc, (acc_dt if with_dt else None), err
+        err = max(abs(coeffs[0][k] - 2 ** (m) * raw(c)) for k, c in zip(keys, acc_coarse)) / scales[0]
+        return coeffs, (dict(zip(keys, map(raw, acc_dt))) if with_dt else None), err
 
 
 def _elementary(us, m):
@@ -406,16 +426,6 @@ def _formal_phi(reg: Registry, N: int, m: int):
     return phi
 
 
-def _cp_param_kwargs(J, params):
-    if J == "II":
-        return {}
-    if J in ("III", "IV"):
-        return {"b": params["b"]}
-    if J == "V":
-        return {"b": params["b"], "c": params["c"]}
-    return {k: params[k] for k in ("a", "b", "c", "d")}
-
-
 def pde_residual_numeric(
     J: str,
     N: int,
@@ -443,19 +453,17 @@ def pde_residual_numeric(
     cnames = sorted({"c" + "_".join(map(str, sorted(k))) for k in itertools.product(range(m + 1), repeat=N)})
     reg = Registry(names + cnames)
     phi_formal = _formal_phi(reg, N, m)
-    op = build_cp_hamiltonian(reg, J, N, m, hb, **_cp_param_kwargs(J, params))
+    op = build_cp_hamiltonian(reg, J, N, m, hb, **_cp_kwargs(J, params))
     hphi = apply_op(op, phi_formal)
     hpoly = exact_div(hphi.num.subs({"t": t}), hphi.den.subs({"t": t}))
 
-    # numeric coefficient data
-    coeffs, dt_exact, err_grid = simplex_phi_coeffs(J, N, m, hb, t, params, prec, level)
+    # numeric coefficient data: t and its four shifts from one sweep
+    mults = (1, -1, Fraction(1, 2), Fraction(-1, 2))
+    ts = [t] + [t + Fraction(mult) * Fraction(1, 512) for mult in mults]
+    accs, dt_exact, err_grid = _simplex_sweep(J, N, m, hb, ts, params, prec, level, True)
+    coeffs, shifts = accs[0], dict(zip(mults, accs[1:]))
     with mp.workprec(prec):
-        tv = _to_mpf(t)
         hstep = mpmath.mpf(1) / 512
-        shifts = {}
-        for mult in (1, -1, Fraction(1, 2), Fraction(-1, 2)):
-            ts = t + Fraction(mult if isinstance(mult, int) else mult) * Fraction(1, 512)
-            shifts[mult], _, _ = simplex_phi_coeffs(J, N, m, hb, ts, params, prec, level, with_dt=False)
         dt_fd = {}
         for k in coeffs:
             d1 = (shifts[1][k] - shifts[-1][k]) / (2 * hstep)
@@ -487,9 +495,7 @@ def pde_residual_numeric(
             rhs[zmono] = rhs.get(zmono, mpmath.mpf(0)) + val
         monos = set(lhs) | set(rhs)
         diffs = [abs(lhs.get(mn, mpmath.mpf(0)) - rhs.get(mn, mpmath.mpf(0))) for mn in monos]
-        scale = max(
-            max(abs(v) for v in lhs.values()), max(abs(v) for v in rhs.values())
-        )
+        scale = max(max(abs(v) for v in lhs.values()), max(abs(v) for v in rhs.values()))
         residual = max(diffs) / scale
         return {
             "residual": residual,
@@ -509,17 +515,18 @@ def andreief_phi(J: str, z, t, m: int, params: dict, prec: int = DEFAULT_PREC):
     """Full-domain Phi(z) via m! det of one-dimensional modified moments.
 
     Valid at hbar = 1 where the coupling is the squared Vandermonde; the
-    returned value equals m! times the ordered-simplex integral.
+    returned value equals m! times the ordered-simplex integral.  The weight
+    is memoized per node across the 2m-1 moments.
     """
     check_domain(J, t, params)
     with mp.workprec(prec):
         tv = _to_mpf(as_rat(t))
-        p = _mp_params(params)
+        th = _theta_memo(J, tv, _mp_params(params))
         zv = [_to_mpf(as_rat(x)) for x in z]
 
         def modified_moment(k):
             def core(u, omu):
-                prod = theta(J, u, tv, p, omu=omu) * u**k
+                prod = th(u, omu) * u**k
                 for x in zv:
                     prod *= x - u
                 return prod
@@ -536,11 +543,4 @@ def andreief_phi(J: str, z, t, m: int, params: dict, prec: int = DEFAULT_PREC):
         for i in range(m):
             for j in range(m):
                 mat[i, j] = mom[i + j]
-        return mpmath.mpf(_factorial(m)) * mpmath.det(mat)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+        return mpmath.mpf(math.factorial(m)) * mpmath.det(mat)

@@ -81,3 +81,29 @@ def test_malformed_weyl_index_is_a_usage_error():
 def test_oracle_kmax_below_two_is_a_usage_error():
     # k = 0..1 holds no recursion: the check would pass with nothing checked
     assert_usage_error(run_cli("oracle", "moments", "--family", "VI", "--kmax", "1"))
+
+
+def test_pde_numeric_without_a_default_point_is_a_usage_error():
+    # III and IV have no built-in numeric point: t and params must both be given
+    for family in ("III", "IV"):
+        assert_usage_error(run_cli("verify", "pde", "--family", family, "--mode", "numeric", "--hbar", "1/2"))
+
+
+def test_pde_numeric_keeps_the_given_params():
+    # only the missing t is defaulted; b = 1/3 is outside the V domain
+    assert_usage_error(run_cli("verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--params", "b=1/3"))
+
+
+def test_pde_numeric_keeps_the_given_t():
+    # only the missing params are defaulted; VI needs t > 1
+    assert_usage_error(run_cli("verify", "pde", "--family", "VI", "--mode", "numeric", "--hbar", "1/2", "--t", "1/2"))
+
+
+def test_pde_numeric_echoes_the_precision_used():
+    proc = run_cli(
+        "verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--t", "5/4", "--level", "2", "--prec", "192"
+    )
+    assert proc.returncode in (0, 1)
+    rep = json.loads(proc.stdout)
+    assert rep["environment"]["precision_bits"] == 128  # the numeric PDE path caps the precision at 128 bits
+    assert rep["checks"][0]["name"].endswith("t=5/4")

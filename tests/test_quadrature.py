@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath
@@ -5,15 +6,18 @@ import pytest
 
 from cpverify.errors import DomainError, UsageError
 from cpverify.exact import session_registry
+from cpverify import quadrature
 from cpverify.moments import MasterFunction, ibp_relation, ibp_relation_partial_vi
 from cpverify.quadrature import (
     andreief_phi,
     check_domain,
     moment_numeric,
+    moments_numeric,
     pde_residual_numeric,
     phi_numeric,
     phi_value,
     simplex_phi_coeffs,
+    ts_nodes,
 )
 
 REG = session_registry(1, seeds=("nu0", "nu1"))
@@ -139,3 +143,160 @@ def test_andreief_m1_trivial():
     nu0 = moment_numeric("IV", 0, 0, t, params, prec=96)[0]
     nu1 = moment_numeric("IV", 1, 0, t, params, prec=96)[0]
     assert abs(det_val - (2 * nu0 - nu1)) / abs(det_val) < mpmath.mpf("1e-12")
+
+
+# ---------------------------------------------------------------------------
+# Bit identity: each weight value is computed once per node and reused for
+# every t, k and s, with the same arithmetic as one evaluation per (t, k, s).
+# The digests hash the full-precision mpf tuples of values taken from the
+# one-evaluation-per-(t, k, s) implementation.
+# ---------------------------------------------------------------------------
+
+
+def _bits(x):
+    if isinstance(x, mpmath.mpf):
+        return ("mpf",) + tuple(int(f) for f in x._mpf_)
+    if isinstance(x, mpmath.mpc):
+        return ("mpc", _bits(x.real), _bits(x.imag))
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(v) for v in x)
+    return repr(x)
+
+
+def digest(x):
+    return hashlib.sha256(repr(_bits(x)).encode()).hexdigest()[:16]
+
+
+T_V, P_V = ADMISSIBLE["V"]
+SHIFTS = [T_V, T_V + Fraction(1, 512), T_V - Fraction(1, 512), T_V + Fraction(1, 1024), T_V - Fraction(1, 1024)]
+
+# (N, m, level) -> t -> digests of (coeffs, dt_coeffs, err) of family V at hbar = 1/2, 64 bits
+GOLDEN_SIMPLEX_V = {
+    (2, 2, 3): {
+        "3/2": ("e507854b68f82ddd", "f89db25c75df602f", "02b3b9069788b640"),
+        "769/512": ("da6a5215e2dfd6e8", "4299e8f215774d5a", "1dbf3d3d3434ae8e"),
+        "767/512": ("b11a8f8410cd728a", "33a0542811b7f1cc", "8dbf20755b26c534"),
+        "1537/1024": ("0def90d4b2a98d83", "bb052cd2a282539f", "93994d89dfe82ca6"),
+        "1535/1024": ("feb405e26697896a", "76d7fd3f8d98651a", "dc1252673070037b"),
+    },
+    # m = 3: the deepest branch of the simplex recursion
+    (1, 3, 1): {
+        "3/2": ("72667ed17aa3f3be", "dc7ab280e7f7cfac", "23595d577ba590f5"),
+        "769/512": ("eab1f4379bd713e8", "d763dfb8cc35bd86", "23595d577ba590f5"),
+        "767/512": ("c07f2e8ec1fa774e", "69a89d723c314180", "23595d577ba590f5"),
+        "1537/1024": ("e824cae5220f5293", "99f0c317c58f84cd", "23595d577ba590f5"),
+        "1535/1024": ("60d60c45346ab562", "195b8b01ef1e83f8", "23595d577ba590f5"),
+    },
+}
+
+# families on a finite window (0, L(t)), N = 2, level 2, hbar = 1/2, 64 bits
+GOLDEN_SIMPLEX_WINDOW = {
+    ("IV", 1): ("bc2a2c2f051b1d32", "629d9c3d6c46c148", "8b97feda41e09be9"),
+    ("IV", 2): ("797ac5feb4cb5224", "858e7371d7d5f594", "6d8cab00983495b4"),
+    ("III", 1): ("6449edcc1d417c5a", "067beacb6efa8d1d", "cb5c6366b9a84095"),
+    ("III", 2): ("b5b46c0443e5d9d4", "1e0519c771bda078", "f561c68fdb4e9215"),
+}
+
+# VI with tail power 2.2: at 128 bits the fine list has 628 nodes and the
+# coarse list 315, whose last node lies one index past the fine list
+VI_TAIL = (Fraction(7, 4), {"a": Fraction(-1, 2), "b": Fraction(-1, 2), "c": Fraction(-5, 6), "d": Fraction(2, 7)})
+
+# name -> (family, point, s values, kmax, digest of [(value, error) per key]) at 128 bits
+GOLDEN_MOMENTS = {
+    "II": ("II", (Fraction(1, 2), {}), (0,), 4, "00db88b570633f95"),
+    "IV": ("IV", ADMISSIBLE["IV"], (0,), 2, "3612038774ec3a4b"),
+    "V": ("V", ADMISSIBLE["V"], (0,), 4, "45e112aa8af37929"),
+    "VI": ("VI", ADMISSIBLE["VI"], (0, 1), 4, "3e73a4eef503bf4f"),
+    "VI_TAIL": ("VI", VI_TAIL, (0, 1), 4, "39bf5873b9eb93b5"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SIMPLEX_V))
+@pytest.mark.parametrize("t", SHIFTS, ids=str)
+def test_simplex_phi_coeffs_bit_identical(shape, t):
+    N, m, level = shape
+    coeffs, dt, err = simplex_phi_coeffs("V", N, m, Fraction(1, 2), t, P_V, prec=64, level=level)
+    assert (digest(coeffs), digest(dt), digest(err)) == GOLDEN_SIMPLEX_V[shape][str(t)]
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SIMPLEX_V))
+def test_fused_sweep_bit_identical_at_every_shift(shape):
+    # one sweep for t and its four shifts gives each t's coefficients exactly
+    N, m, level = shape
+    golden = GOLDEN_SIMPLEX_V[shape]
+    accs, dt, err = quadrature._simplex_sweep("V", N, m, Fraction(1, 2), SHIFTS, P_V, 64, level, True)
+    assert [digest(acc) for acc in accs] == [golden[str(t)][0] for t in SHIFTS]
+    assert (digest(dt), digest(err)) == golden[str(T_V)][1:]
+
+
+@pytest.mark.parametrize("J, m", sorted(GOLDEN_SIMPLEX_WINDOW))
+def test_simplex_window_families_bit_identical(J, m):
+    t, params = ADMISSIBLE[J]
+    coeffs, dt, err = simplex_phi_coeffs(J, 2, m, Fraction(1, 2), t, params, prec=64, level=2)
+    assert (digest(coeffs), digest(dt), digest(err)) == GOLDEN_SIMPLEX_WINDOW[(J, m)]
+
+
+def test_pde_residual_report_bit_identical():
+    rep = pde_residual_numeric("V", 2, 2, Fraction(1, 2), T_V, P_V, prec=64, level=3)
+    assert digest([rep["residual"], rep["dt_agreement"], rep["grid_error"]]) == "c15684e9a141a2d7"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MOMENTS))
+def test_moments_bit_identical(name):
+    J, (t, params), s_values, kmax, golden = GOLDEN_MOMENTS[name]
+    keys = [(k, s) for s in s_values for k in range(kmax + 1)]
+    out = moments_numeric(J, keys, t, params, prec=128)
+    assert digest([out[key] for key in keys]) == golden
+    # the one-key evaluator is the same pass
+    assert moment_numeric(J, kmax, s_values[-1], t, params, prec=128) == out[(kmax, s_values[-1])]
+
+
+def test_vi_tail_point_reaches_past_the_fine_list():
+    t, params = VI_TAIL
+    tp = quadrature._tail_power("VI", params)
+    fine, coarse = quadrature.ts_nodes(7, 128, tp), quadrature.ts_nodes(6, 128, tp)
+    assert (len(fine), len(coarse)) == (628, 315)
+    # coarse node j is fine node 2j at twice the weight, the last one included
+    _, tail = quadrature._grid(7, 128, tp)
+    assert len(tail) == 2 and tail[0] == quadrature._shared_nodes(7, 128, 629)[628]
+    with mpmath.mp.workprec(400):  # doubling is exact above the nodes' 148 bits
+        for j, (u, omu, w) in enumerate(coarse):
+            fu, fomu, fw = quadrature._shared_nodes(7, 128, 2 * j + 1)[2 * j]
+            assert (fu, fomu, 2 * fw) == (u, omu, w)
+
+
+@pytest.mark.parametrize("J, digest_value", [("IV", "daaa0955993e5ee6"), ("V", "852b6ff12ded22d0")])
+def test_andreief_bit_identical(J, digest_value):
+    t, params = ADMISSIBLE[J]
+    val = andreief_phi(J, [Fraction(3, 2), Fraction(-2, 3)], t, 2, params, prec=96)
+    assert digest(val) == digest_value
+
+
+def direct_ts_nodes(level, prec, tail_power):
+    """The node list built from scratch for one cutoff (the reference)."""
+    with mpmath.mp.workprec(prec + 20):
+        h = mpmath.mpf(1) / (1 << level)
+        pi2 = mpmath.pi / 2
+        eps = mpmath.mpf(2) ** (-int((prec + 10) * tail_power))
+        out = []
+        j = 0
+        while True:
+            sh = pi2 * mpmath.sinh(j * h)
+            u_neg = 1 / (1 + mpmath.exp(2 * sh))
+            w = h * pi2 * mpmath.cosh(j * h) / mpmath.cosh(sh) ** 2
+            out.append((1 / (1 + mpmath.exp(-2 * sh)), u_neg, w / 2))
+            if u_neg < eps:
+                return out
+            j += 1
+
+
+def test_ts_nodes_share_one_list_per_level_and_precision():
+    level, prec = 4, 80  # a key no other test uses
+    short = ts_nodes(level, prec, 2.2)
+    long = ts_nodes(level, prec, 6.0)
+    assert _bits(short) == _bits(direct_ts_nodes(level, prec, 2.2))
+    assert _bits(long) == _bits(direct_ts_nodes(level, prec, 6.0))
+    assert len(short) < len(long) and _bits(long[: len(short)]) == _bits(short)
+    assert _bits(ts_nodes(level, prec, 2.2)) == _bits(short)
