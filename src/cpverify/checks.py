@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import mpmath
 
-from . import diffop, moments, quadrature, radial, weyl
+from . import diffop, families, moments, quadrature, radial, weyl
 from .errors import UsageError
 from .exact import RatFun, as_rat, session_registry
 
-FAMS = ("II", "III", "IV", "V", "VI")
+FAMS = families.WEIGHTED
 
 
 @dataclass
@@ -288,20 +288,11 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
     hb = as_rat(hbar)
     if family is None:
         family = {"a": Fraction(2, 7), "b": Fraction(-1, 3), "c": Fraction(-1, 5), "d": Fraction(3, 11)}
-    family = {k: v for k, v in family.items() if k in ("a", "b", "c", "d")}
     reg = session_registry(N)
-    cp_kwargs = {
-        "II": {},
-        "III": {"b": family["b"]},
-        "IV": {"b": family["b"]},
-        "V": {"b": family["b"], "c": family["c"]},
-        "VI": family,
-    }[J]
-    cp = diffop.build_cp_hamiltonian(reg, J, N, m, hb, **cp_kwargs)
+    cp = diffop.build_cp_hamiltonian(reg, J, N, m, hb, **family)
     maps = diffop.table_params(J, hb, mode, m, N, **family)
-    theta_kwargs = {k: v for k, v in maps.items() if k in ("th", "th0", "th1", "th2", "tht", "k2")}
-    if J == "II":
-        theta_kwargs = {"th": maps["theta"]}
+    # the table names II's th "theta"
+    theta_kwargs = {k: maps["theta" if k == "th" else k] for k in families.weighted(J).radial_keys}
     corr = None
     if J == "VI":
         corr, rep = resolved_radial_corrections("VI", N, hb)
@@ -334,7 +325,7 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
                 else:
                     solved["theta"] = maps["theta"] + delta
             elif J == "VI":
-                k2c = _ratfun_constant(beta * 4 * t * (t - 1) * (1 if not reflected else 1))
+                k2c = _ratfun_constant(beta * 4 * t * (t - 1))
                 if k2c is None:
                     ok = False
                 else:
@@ -391,7 +382,7 @@ def run_table1(
                         bits.append("needs the time reflection t -> -t (with H -> -H)")
                     if rep["solved"]:
                         bits.append(
-                            "; ".join(f"{k} solved = {v} (printed {rep['printed'].get(k if k != 'theta' else 'theta')})" for k, v in rep["solved"].items())
+                            "; ".join(f"{k} solved = {v} (printed {rep['printed'].get(k)})" for k, v in rep["solved"].items())
                         )
                     if rep["scalar_residual"]:
                         bits.append(f"scalar gauge residual {rep['scalar_residual']}")
@@ -419,17 +410,10 @@ def run_n1(m: int = 2, hbar=Fraction(1, 2)) -> list[CheckRecord]:
     hb = as_rat(hbar)
     reg = session_registry(1)
     out = []
-    b, c = Fraction(-1, 3), Fraction(-1, 5)
+    full = moments.pde_params("VI", m, hb)
     for J in FAMS:
-        a = m * hb
-        kwargs = {"II": {}, "III": {"b": b}, "IV": {"b": b}, "V": {"b": b, "c": c}}.get(J)
-        if J == "VI":
-            d = (m - 1) * hb - b - c
-            kwargs = {"a": a, "b": b, "c": c, "d": d}
-            nag = diffop.build_nagoya_single(reg, J, hb, a=a, b=b, c=c, d=d)
-        else:
-            nag = diffop.build_nagoya_single(reg, J, hb, a=a, b=b, c=c)
-        cp = diffop.build_cp_hamiltonian(reg, J, 1, m, hb, **kwargs)
+        nag = diffop.build_nagoya_single(reg, J, hb, **full)
+        cp = diffop.build_cp_hamiltonian(reg, J, 1, m, hb, **full)
         ok = diffop.operator_equal(cp, nag)
         cond = "a = m hbar" + (" and b+c+d = (m-1) hbar" if J == "VI" else "")
         out.append(
@@ -440,8 +424,9 @@ def run_n1(m: int = 2, hbar=Fraction(1, 2)) -> list[CheckRecord]:
             )
         )
     # negative control: family VI without the extra condition must differ
-    bad = diffop.build_cp_hamiltonian(reg, "VI", 1, m, hb, a=m * hb, b=b, c=c, d=b + c)
-    nag = diffop.build_nagoya_single(reg, "VI", hb, a=m * hb, b=b, c=c, d=b + c)
+    skew = dict(full, d=full["b"] + full["c"])
+    bad = diffop.build_cp_hamiltonian(reg, "VI", 1, m, hb, **skew)
+    nag = diffop.build_nagoya_single(reg, "VI", hb, **skew)
     out.append(
         _rec(
             "N=1 reduction negative control: family VI without b+c+d = (m-1) hbar differs",
@@ -496,11 +481,7 @@ NUMERIC_POINTS = {
 
 
 def numeric_pde_params(J: str, m: int, hbar, base: dict) -> dict:
-    p = dict(base)
-    if J == "VI":
-        p["a"] = m * as_rat(hbar)
-        p["d"] = (m - 1) * as_rat(hbar) - p["b"] - p["c"]
-    return p
+    return moments.pde_params(J, m, hbar, **base)
 
 
 def run_pde_numeric(
@@ -542,7 +523,7 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
     out = []
     worst = mpmath.mpf(0)
     for _ in range(points):
-        t, params = _random_admissible(J, rng)
+        t, params = families.weighted(J).sample(rng)
         mf = moments.MasterFunction(J, reg, params)
         relations = [(moments.ibp_relation(mf, n), False) for n in range(0, kmax - 1)]
         if J == "VI":
@@ -582,27 +563,6 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
         )
     )
     return out
-
-
-def _random_admissible(J: str, rng: random.Random):
-    def neg():
-        return -Fraction(rng.randint(1, 6), rng.randint(2, 9))
-
-    if J == "II":
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)), {}
-    if J == "III":
-        return -Fraction(rng.randint(1, 5), rng.randint(1, 3)), {"b": neg()}
-    if J == "IV":
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)), {"b": neg()}
-    if J == "V":
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)), {"b": neg(), "c": neg()}
-    a = neg()
-    return 1 + Fraction(rng.randint(1, 5), rng.randint(1, 4)), {
-        "a": a,
-        "b": neg() / 2,
-        "c": neg(),
-        "d": Fraction(rng.randint(1, 5), rng.randint(2, 7)),
-    }
 
 
 def run_andreief(prec: int = 96) -> list[CheckRecord]:

@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import checks, diffop, moments, radial
+from . import checks, diffop, families, moments, radial
 from .errors import DomainError, UsageError
 from .exact import session_registry
 from .params import parse_hbar, parse_params, parse_rational
@@ -49,7 +49,7 @@ def build_parser():
         if name == "weyl":
             p.add_argument("--expr", help="evaluate an operator expression, e.g. 'Tr(p*q*p*q)' or '[Tr(p*p), q]'")
         if name == "radial":
-            p.add_argument("--family", default="VI", choices=("I",) + checks.FAMS)
+            p.add_argument("--family", default="VI", choices=families.NAMES)
             p.add_argument("--trials", type=int, default=5)
         if name == "table1":
             p.add_argument("--family", default=None, choices=checks.FAMS)
@@ -61,7 +61,6 @@ def build_parser():
             p.add_argument("--m", type=int, default=2)
             p.add_argument("--hbar", default="1/2")
         if name == "gauge":
-            p.add_argument("--a", type=int, default=None, help="restrict to one power 0..3")
             p.add_argument("--N", type=int, default=None)
             p.add_argument("--hbar", default=None)
         if name == "pde":
@@ -164,7 +163,7 @@ def acceptance_suite(seed: int, prec: int, fast: bool, timings: bool):
         timed("weyl", lambda n=N: checks.run_weyl(n))
     timed("eom", lambda: checks.run_eom(2))
     timed("zero-curvature", checks.run_zero_curvature)
-    for J in ("I",) + checks.FAMS:
+    for J in families.NAMES:
         for N in (2, 3):
             timed("radial", lambda j=J, n=N: checks.run_radial(j, n, trials=5, seed=seed))
     timed("gauge-scalar", checks.run_gauge_transformation)
@@ -210,6 +209,11 @@ def _emit(args, report) -> int:
 
 
 def run(args) -> int:
+    # the smallest size and precision any task accepts
+    for name, low in (("N", 1), ("m", 1), ("prec", 53)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{name} must be at least {low}, got {value}")
     task_echo = {"verb": args.verb, "task": getattr(args, "task", None)}
     ps = parse_params(getattr(args, "params", "") or "")
     if args.verb == "print":
@@ -263,14 +267,13 @@ def run(args) -> int:
                 raise UsageError("the symbolic path needs a positive integer hbar; use --mode numeric")
             params = None
             if ps.family_kwargs():
-                params = dict(moments.pde_params(args.family, args.m, hbar, b=ps.b, c=ps.c))
+                params = moments.pde_params(args.family, args.m, hbar, b=ps.b, c=ps.c)
             recs = checks.run_pde_symbolic(args.family, args.N, args.m, int(hbar), params, controls=args.controls)
         else:
             t_point = parse_rational(args.t) if args.t else None
             params = None
             if ps.b is not None:
-                base = {"b": ps.b, "c": ps.c if ps.c is not None else Fraction(-1, 5)}
-                params = checks.numeric_pde_params(args.family, args.m, hbar, base)
+                params = moments.pde_params(args.family, args.m, hbar, b=ps.b, c=ps.c)
             precision = min(args.prec, 128)
             recs = checks.run_pde_numeric(args.family, args.N, args.m, hbar, t_point, params, prec=precision, level=args.level)
     else:

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError, UsageError
 from .exact import MPoly, RatFun, Registry, as_rat, session_registry
-
-FAMS = ("II", "III", "IV", "V", "VI")
+from .families import weighted
 
 
 def zvars(reg: Registry):
@@ -240,8 +239,7 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
 
     Returns H_J itself (printed t / t(t-1) prefactors divided out).
     """
-    if J not in FAMS:
-        raise UsageError(f"unknown family {J!r}")
+    weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
     zs = zvars(reg)[:N]
@@ -312,8 +310,7 @@ def _f6(reg: Registry):
 
 def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
     """Printed single-particle Hamiltonians (N = 1)."""
-    if J not in FAMS:
-        raise UsageError(f"unknown family {J!r}")
+    weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
     zn = zvars(reg)[0]
@@ -485,8 +482,7 @@ def table_params(J: str, hbar, mode: str, m: int, N: int, **family) -> dict:
     is a square root whose sign never enters).
     """
     hb = as_rat(hbar)
-    if J not in FAMS:
-        raise UsageError(f"unknown family {J!r}")
+    weighted(J)
     if mode not in ("ungauged", "gauged"):
         raise UsageError("mode must be 'ungauged' or 'gauged'")
     if mode == "ungauged" and hb != 1:
@@ -497,34 +493,31 @@ def table_params(J: str, hbar, mode: str, m: int, N: int, **family) -> dict:
     if mode == "gauged":
         out["R"] = 1 / hb - 1
 
-    def need(*names):
-        return _want(family, *names)
-
     if J == "II":
         if mode == "ungauged":
             out["theta"] = Fraction(1, 2) - N - m
         else:
             out["theta"] = hb * (1 - m) + N * (1 - 2 * hb) - Fraction(1, 2)
     elif J == "III":
-        (b,) = need("b")
+        (b,) = _want(family, "b")
         if mode == "ungauged":
             out["th0"], out["th1"] = b - m + 1, Fraction(-N - m)
         else:
             out["th0"], out["th1"] = b + hb * (1 - m), -hb * (m + 1) - N + 1
     elif J == "IV":
-        (b,) = need("b")
+        (b,) = _want(family, "b")
         if mode == "ungauged":
             out["th0"], out["th1"] = -b - 1, b + 1 - m - N
         else:
             out["th0"], out["th1"] = -b - hb, b + 1 - N - m * hb
     elif J == "V":
-        b, c = need("b", "c")
+        b, c = _want(family, "b", "c")
         if mode == "ungauged":
             out["th0"], out["th1"], out["th2"] = -c - 1, -N - m + c + 1, b + 1
         else:
             out["th0"], out["th1"], out["th2"] = -c - hb, c + 1 - N - m * hb, b + hb
     else:
-        a, b, c, d = need("a", "b", "c", "d")
+        a, b, c, d = _want(family, "a", "b", "c", "d")
         if mode == "ungauged":
             out["th0"], out["th1"], out["tht"] = a + b + 1, c + 1, Fraction(d + N)
             theta = out["th0"] + out["th1"] + out["tht"]

@@ -1,0 +1,247 @@
+"""The Painleve families I-VI: one record per family, each fact stated once.
+
+Hamiltonian coefficients use only ``+``, ``-`` and ``*``, so one list renders
+to an NCPoly (``weyl``) and to a jet spec (``radial``); the empty trace word
+is Tr(Id) = N.  The weight data take exact or mpf arguments alike.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+import mpmath
+
+from .errors import UsageError
+
+HALF = Fraction(1, 2)
+
+# weight contours: the polyline from infinity * e^{-2 pi i/3} through 0 to
+# +infinity, (0, inf) cut to a finite window, and [0, 1]
+POLYLINE, HALF_LINE, UNIT = "polyline", "half-line", "unit"
+
+
+@dataclass(frozen=True)
+class Family:
+    """One Painleve family.
+
+    ``hamiltonian(t, p)`` is ``prefactor(t)`` * H with ``p`` keyed by
+    ``radial_keys``; ``cp_keys`` are the multi-particle operator's parameters.
+    Families II-VI carry a weight Theta(u) on ``contour``: Theta'/Theta =
+    logd_num/clearing, u-polynomials {power: coefficient} given by
+    ``log_derivative(t, p)``, with divergence indices from ``min_n``;
+    d/dt log Theta = coeff u^shift (t-u)^{-s} for (coeff, shift, s) =
+    ``dt_log(p)``; Theta = u^b0 (1-u)^b1 ``factor(u, t, p, 1-u)`` with
+    (b0, b1) = ``exponents(p)``, None for an absent factor, and all
+    t-dependence in ``factor``.  ``window(t)`` cuts a half-line contour;
+    ``sample(rng)`` draws (t, params) that meet ``admissible``.
+    """
+
+    name: str
+    hamiltonian: Callable
+    prefactor: Callable
+    cp_keys: tuple
+    radial_keys: tuple
+    contour: str | None = None
+    log_derivative: Callable | None = None
+    min_n: int = 0
+    dt_log: Callable | None = None
+    exponents: Callable = lambda p: (None, None)
+    factor: Callable | None = None
+    window: Callable = lambda t: 1.0
+    admissible: Callable = lambda t, p: True
+    requirement: str = ""
+    sample: Callable | None = None
+
+    def random_thetas(self, rng) -> dict:
+        return {k: Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for k in self.radial_keys}
+
+    def parts(self, u, ts, p: dict, omu):
+        """Theta's t-free power factor and its t-dependent factor at each t in ``ts``.
+
+        Their product is the weight's own left-to-right product, bit for bit.
+        """
+        b0, b1 = self.exponents(p)
+        static = 1 if b0 is None else u**b0
+        if b1 is not None:
+            static = static * omu**b1
+        return static, [self.factor(u, t, p, omu) for t in ts]
+
+    def theta(self, u, t, p: dict, omu):
+        static, (dynamic,) = self.parts(u, (t,), p, omu)
+        return static * dynamic
+
+    def dt_log_at(self, u, t, p: dict, omu):
+        """d/dt log Theta at u by the ``dt_log`` rule, with t - u taken as (t - 1) + (1 - u)."""
+        coeff, shift, s = self.dt_log(p)
+        if s:
+            return coeff / ((t - 1) + omu)
+        return coeff * u if shift == 1 else coeff / u
+
+
+def _neg(rng):
+    return -Fraction(rng.randint(1, 6), rng.randint(2, 9))
+
+
+def _any_t(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _sample_vi(rng):
+    a = _neg(rng)
+    t = 1 + Fraction(rng.randint(1, 5), rng.randint(1, 4))
+    return t, {"a": a, "b": _neg(rng) / 2, "c": _neg(rng), "d": Fraction(rng.randint(1, 5), rng.randint(2, 7))}
+
+
+def _hamiltonian_vi(t, p):
+    th0, th1, tht = p["th0"], p["th1"], p["tht"]
+    theta = th0 + th1 + tht
+    return [
+        (1, "qpqpq"),
+        (-t, "pqqp"),
+        (t, "pqp"),
+        (-HALF, "pqpq"), (-HALF, "qpqp"),
+        (-theta, "qpq"),
+        ((th0 + th1) * t + th0 + tht, "pq"),
+        (-th0 * t, "p"),
+        ((theta * theta - p["k2"]) * Fraction(1, 4), "q"),
+    ]
+
+
+def _log_derivative_vi(t, p):
+    # clearing u(1-u)(t-u) = t u - (1+t) u^2 + u^3;
+    # numerator (-a-b-1)(1-u)(t-u) + (c+1)u(t-u) + d u(1-u)
+    s = -(p["a"] + p["b"] + 1)
+    c, d = p["c"], p["d"]
+    return {1: t, 2: -(1 + t), 3: 1}, {0: t * s, 1: -s - t * s + (c + 1) * t + d, 2: s - (c + 1) - d}
+
+
+TABLE = (
+    Family("I", lambda t, p: [(HALF, "pp"), (-HALF, "qqq"), (-t * Fraction(1, 4), "q")], lambda t: 1, (), ()),
+    Family(
+        "II",
+        # Tr(p^2/2 - (q^2 + t/2)^2/2 - th*q) with the square expanded
+        lambda t, p: [
+            (HALF, "pp"),
+            (-HALF, "qqqq"),
+            (-t * HALF, "qq"),
+            (-t * t * Fraction(1, 8), ""),
+            (-p["th"], "q"),
+        ],
+        lambda t: 1,
+        (),
+        ("th",),
+        contour=POLYLINE,
+        log_derivative=lambda t, p: ({0: 1}, {0: -t, 2: -2}),
+        dt_log=lambda p: (-1, 1, 0),
+        factor=lambda u, t, p, omu: mpmath.exp(-(u * t + 2 * u**3 / 3)),
+        sample=lambda rng: (_any_t(rng), {}),
+    ),
+    Family(
+        "III",
+        # one printed summand per line
+        lambda t, p: [
+            (HALF, "ppqq"), (HALF, "qqpp"),
+            (-HALF, "qqp"), (-HALF, "pqq"),
+            (p["th1"] - p["th0"], "qp"),
+            (t, "p"),
+            (-p["th1"], "q"),
+        ],
+        lambda t: t,
+        ("b",),
+        ("th0", "th1"),
+        contour=HALF_LINE,
+        log_derivative=lambda t, p: ({2: 1}, {0: -t, 1: -(p["b"] + 1), 2: -1}),
+        # the weight vanishes to all orders at u = 0 for t < 0
+        min_n=-2,
+        dt_log=lambda p: (1, -1, 0),
+        exponents=lambda p: (-p["b"] - 1, None),
+        factor=lambda u, t, p, omu: mpmath.exp(t / u - u),
+        # the weight decays at least like e^{-u}
+        window=lambda t: 160.0 + 3 * abs(float(t)),
+        # the essential singularity at u = 0 then decays
+        admissible=lambda t, p: t < 0,
+        requirement="numeric contour requires t < 0",
+        sample=lambda rng: (-Fraction(rng.randint(1, 5), rng.randint(1, 3)), {"b": _neg(rng)}),
+    ),
+    Family(
+        "IV",
+        lambda t, p: [
+            (1, "pqp"),
+            (-HALF, "pqq"), (-HALF, "qqp"),
+            (-t, "pq"),
+            (p["th0"], "p"),
+            (-p["th0"] - p["th1"], "q"),
+        ],
+        lambda t: 1,
+        ("b",),
+        ("th0", "th1"),
+        contour=HALF_LINE,
+        log_derivative=lambda t, p: ({1: 1}, {0: -(p["b"] + 1), 1: -t, 2: -1}),
+        dt_log=lambda p: (-1, 1, 0),
+        exponents=lambda p: (-p["b"] - 1, None),
+        factor=lambda u, t, p, omu: mpmath.exp(-(u * t + u * u / 2)),
+        # the weight decays at least like e^{-u^2/2 - tu}
+        window=lambda t: 40.0 + 3 * abs(float(t)),
+        admissible=lambda t, p: p["b"] < 0,
+        requirement="requires Re b < 0",
+        sample=lambda rng: (_any_t(rng), {"b": _neg(rng)}),
+    ),
+    Family(
+        "V",
+        lambda t, p: [
+            (HALF, "ppqq"), (HALF, "qqpp"),
+            (-HALF, "ppq"), (-HALF, "qpp"),
+            (t * HALF, "pqq"), (t * HALF, "qqp"),
+            (p["th0"] - p["th2"] - t, "pq"),
+            (p["th2"], "p"),
+            ((p["th0"] + p["th1"]) * t, "q"),
+        ],
+        lambda t: t,
+        ("b", "c"),
+        ("th0", "th1", "th2"),
+        contour=UNIT,
+        # u(1-u) [-(b+1)/u + (c+1)/(1-u) + t] = -(b+1)(1-u) + (c+1)u + t u(1-u)
+        log_derivative=lambda t, p: ({1: 1, 2: -1}, {0: -(p["b"] + 1), 1: p["b"] + p["c"] + 2 + t, 2: -t}),
+        dt_log=lambda p: (1, 1, 0),
+        exponents=lambda p: (-p["b"] - 1, -p["c"] - 1),
+        factor=lambda u, t, p, omu: mpmath.exp(u * t),
+        admissible=lambda t, p: p["b"] < 0 and p["c"] < 0,
+        requirement="requires Re b < 0 and Re c < 0",
+        sample=lambda rng: (_any_t(rng), {"b": _neg(rng), "c": _neg(rng)}),
+    ),
+    Family(
+        "VI",
+        _hamiltonian_vi,
+        lambda t: t * (t - 1),
+        ("a", "b", "c", "d"),
+        ("th0", "th1", "tht", "k2"),
+        contour=UNIT,
+        log_derivative=_log_derivative_vi,
+        dt_log=lambda p: (-p["d"], 0, 1),
+        exponents=lambda p: (-p["a"] - p["b"] - 1, -p["c"] - 1),
+        # (t - u) composed as (t - 1) + (1 - u): near-singular at u -> 1
+        factor=lambda u, t, p, omu: ((t - 1) + omu) ** (-p["d"]),
+        admissible=lambda t, p: p["a"] + p["b"] < 0 and p["c"] < 0 and t > 1,
+        requirement="requires Re(a+b) < 0, Re c < 0 and t > 1",
+        sample=_sample_vi,
+    ),
+)
+
+NAMES = tuple(fam.name for fam in TABLE)
+WEIGHTED = tuple(fam.name for fam in TABLE if fam.contour is not None)
+_BY_NAME = {fam.name: fam for fam in TABLE}
+
+
+def family(name: str) -> Family:
+    if name not in _BY_NAME:
+        raise UsageError(f"unknown family {name!r}")
+    return _BY_NAME[name]
+
+
+def weighted(name: str) -> Family:
+    """A family with a beta-integral weight (II..VI)."""
+    if name not in WEIGHTED:
+        raise UsageError(f"unknown family {name!r}")
+    return _BY_NAME[name]

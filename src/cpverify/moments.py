@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import families
 from .diffop import apply_op, build_cp_hamiltonian, zvars
 from .errors import InternalError, UsageError
-from .exact import MPoly, RatFun, Registry, as_rat, session_registry
-
-MOMENT_FAMS = ("II", "III", "IV", "V", "VI")
+from .exact import MPoly, RatFun, Registry, _as_ratfun, as_rat, session_registry
 
 
 class MasterFunction:
@@ -31,64 +30,20 @@ class MasterFunction:
 
     ``clearing`` and ``logd_num`` are u-polynomials encoded as {power: RatFun};
     family VI uses the full clearing u(1-u)(t-u).  ``min_n`` is the lowest
-    admissible divergence index (III admits n >= -2: the weight vanishes to
-    all orders at u = 0 for t < 0).
+    admissible divergence index and ``dt_log`` the rule (coeff, shift, s) of
+    d/dt log Theta; all three come from the family table.
     """
 
     def __init__(self, family: str, reg: Registry, params: dict):
-        if family not in MOMENT_FAMS:
-            raise UsageError(f"unknown family {family!r}")
+        fam = families.weighted(family)
         self.family = family
         self.reg = reg
         self.params = {k: as_rat(v) for k, v in params.items() if v is not None}
-        t = RatFun.var(reg, "t")
-        one = RatFun.const(reg, 1)
-        p = self.params
-        self.min_n = 0
-        if family == "II":
-            self.clearing = {0: one}
-            self.logd_num = {0: -t, 2: RatFun.const(reg, -2)}
-        elif family == "III":
-            b = p["b"]
-            self.clearing = {2: one}
-            self.logd_num = {0: -t, 1: RatFun.const(reg, -(b + 1)), 2: -one}
-            self.min_n = -2
-        elif family == "IV":
-            b = p["b"]
-            self.clearing = {1: one}
-            self.logd_num = {0: RatFun.const(reg, -(b + 1)), 1: -t, 2: -one}
-        elif family == "V":
-            b, c = p["b"], p["c"]
-            self.clearing = {1: one, 2: -one}
-            # u(1-u) [-(b+1)/u + (c+1)/(1-u) + t] = -(b+1)(1-u) + (c+1)u + t u(1-u)
-            self.logd_num = {
-                0: RatFun.const(reg, -(b + 1)),
-                1: RatFun.const(reg, b + c + 2) + t,
-                2: -t,
-            }
-        else:  # VI
-            a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-            # clearing u(1-u)(t-u) = t u - (1+t) u^2 + u^3
-            self.clearing = {1: t, 2: -(one + t), 3: one}
-            # (-a-b-1)(1-u)(t-u) + (c+1)u(t-u) + d u(1-u)
-            s = -(a + b + 1)
-            self.logd_num = {
-                0: t * s,
-                1: RatFun.const(reg, -s) - t * s + (c + 1) * t + RatFun.const(reg, d),
-                2: RatFun.const(reg, s - (c + 1) - d),
-            }
-
-    def dt_log_rule(self, k: int):
-        """Symbols of d/dt nu_k (differentiation under the integral)."""
-        reg = self.reg
-        one = RatFun.const(reg, 1)
-        if self.family in ("II", "IV"):
-            return [(("nu", k + 1), -one)]
-        if self.family == "III":
-            return [(("nu", k - 1), one)]
-        if self.family == "V":
-            return [(("nu", k + 1), one)]
-        return [(("rho", k), RatFun.const(reg, -self.params["d"]))]
+        clearing, logd_num = fam.log_derivative(RatFun.var(reg, "t"), self.params)
+        self.clearing = {j: _as_ratfun(c, reg) for j, c in clearing.items()}
+        self.logd_num = {j: _as_ratfun(c, reg) for j, c in logd_num.items()}
+        self.min_n = fam.min_n
+        self.dt_log = fam.dt_log(self.params)
 
 
 class MomentExpr:
@@ -219,11 +174,7 @@ def ibp_relation(mf: MasterFunction, n: int) -> MomentExpr:
             bump(n + j - 1, cj * Fraction(n + j))
     for j, gj in mf.logd_num.items():
         bump(n + j, gj)
-    expr = MomentExpr(reg)
-    for k, coeff in coeffs.items():
-        if not coeff.is_zero():
-            expr = expr + MomentExpr.symbol(reg, "nu", k, coeff)
-    return expr
+    return MomentExpr(reg, {(("nu", k),): coeff for k, coeff in coeffs.items()})
 
 
 def _div_by_t_minus_u(p: dict, t: RatFun, reg: Registry):
@@ -260,10 +211,7 @@ def ibp_relation_partial_vi(mf: MasterFunction, n: int) -> MomentExpr:
     bump(n + 1, RatFun.const(reg, -(n + 2)))
     for j, gj in q.items():
         bump(n + j, gj)
-    expr = MomentExpr(reg)
-    for k, coeff in coeffs.items():
-        if not coeff.is_zero():
-            expr = expr + MomentExpr.symbol(reg, "nu", k, coeff)
+    expr = MomentExpr(reg, {(("nu", k),): coeff for k, coeff in coeffs.items()})
     return expr + MomentExpr.symbol(reg, "rho", n, r)
 
 
@@ -367,7 +315,7 @@ class MomentReducer:
 
 def d_dt(expr: MomentExpr, reducer: MomentReducer) -> MomentExpr:
     """Total t-derivative, reduced: product rule over coefficients and symbols."""
-    mf = reducer.mf
+    rate, shift, s = reducer.mf.dt_log
     reg = expr.reg
     out = MomentExpr(reg)
     for key, coeff in expr.terms.items():
@@ -375,9 +323,9 @@ def d_dt(expr: MomentExpr, reducer: MomentReducer) -> MomentExpr:
         for i, sym in enumerate(key):
             if sym[0] != "nu":
                 raise UsageError("reduce before differentiating (rho present)")
+            new_sym = ("rho" if s else "nu", sym[1] + shift)
             rest = key[:i] + key[i + 1 :]
-            for new_sym, c in mf.dt_log_rule(sym[1]):
-                out = out + MomentExpr(reg, {tuple(sorted(rest + (new_sym,))): coeff * c})
+            out = out + MomentExpr(reg, {tuple(sorted(rest + (new_sym,))): coeff * rate})
     return reducer.reduce(out)
 
 
@@ -443,24 +391,15 @@ def pde_params(J: str, m: int, hbar, b=None, c=None) -> dict:
     """Parameters satisfying the printed solvability conditions: a = m hbar,
     and additionally b + c + d = (m-1) hbar for family VI."""
     hb = as_rat(hbar)
+    keys = families.weighted(J).cp_keys
     p: dict = {"a": m * hb}
-    if J in ("III", "IV", "V", "VI"):
+    if "b" in keys:
         p["b"] = as_rat(b) if b is not None else Fraction(-1, 3)
-    if J in ("V", "VI"):
+    if "c" in keys:
         p["c"] = as_rat(c) if c is not None else Fraction(-1, 5)
-    if J == "VI":
+    if "d" in keys:
         p["d"] = (m - 1) * hb - p["b"] - p["c"]
     return p
-
-
-def _cp_kwargs(J: str, params: dict) -> dict:
-    if J == "II":
-        return {}
-    if J in ("III", "IV"):
-        return {"b": params["b"]}
-    if J == "V":
-        return {"b": params["b"], "c": params["c"]}
-    return {k: params[k] for k in ("a", "b", "c", "d")}
 
 
 def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, mutate: str | None = None):
@@ -476,7 +415,7 @@ def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None =
         params = pde_params(J, m, hbar)
     reg = session_registry(N, seeds=("nu0", "nu1"))
     phi, reducer = build_phi(J, N, m, hbar, params, reg)
-    op = build_cp_hamiltonian(reg, J, N, m, hbar, **_cp_kwargs(J, params))
+    op = build_cp_hamiltonian(reg, J, N, m, hbar, **params)
     if mutate == "m_shift":
         zsum = RatFun.const(reg, 0)
         for zn in zvars(reg)[:N]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
@@ -37,14 +37,6 @@ class ParamSet:
 
     def theta_kwargs(self) -> dict:
         return {k: getattr(self, k) for k in ("th", "th0", "th1", "th2", "tht", "k2") if getattr(self, k) is not None}
-
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                out[f.name] = str(v)
-        return out
 
 
 def parse_rational(text: str) -> Fraction:

@@ -11,12 +11,8 @@ One-dimensional moments for a set of (k, s) take one pass: on [0, 1] one
 tanh-sinh grid whose coarse error sum reuses the fine nodes, elsewhere one
 mpmath.quad per k with the weight memoized per node.
 
-Contour conventions (with their admissibility constraints):
-  II  : polyline from infinity * e^{-2 pi i/3} through 0 to +infinity
-  III : (0, inf), requires t < 0 (the essential singularity then decays)
-  IV  : (0, inf), requires Re b < 0
-  V   : [0, 1],   requires Re b < 0, Re c < 0
-  VI  : [0, 1],   requires Re(a+b) < 0, Re c < 0, t > 1
+Each family's weight, contour and admissibility constraints are in
+``families.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from mpmath.libmp import fzero, mpf_add as add, mpf_mul as mul, round_nearest
 from .diffop import apply_op, build_cp_hamiltonian, zvars
 from .errors import DomainError, QuadratureError, UsageError
 from .exact import RatFun, Registry, as_rat, exact_div
-from .moments import _cp_kwargs
+from .families import POLYLINE, UNIT, weighted
 
 mp = mpmath.mp
 
@@ -45,24 +41,11 @@ def _to_mpf(x):
 
 
 def check_domain(J: str, t, params: dict):
+    fam = weighted(J)
     t = as_rat(t) if isinstance(t, (int, Fraction, str)) else t
     p = {k: as_rat(v) for k, v in params.items() if v is not None}
-    if J == "II":
-        return
-    if J == "III":
-        if not t < 0:
-            raise DomainError("family III numeric contour requires t < 0")
-    elif J == "IV":
-        if not p["b"] < 0:
-            raise DomainError("family IV requires Re b < 0")
-    elif J == "V":
-        if not (p["b"] < 0 and p["c"] < 0):
-            raise DomainError("family V requires Re b < 0 and Re c < 0")
-    elif J == "VI":
-        if not (p["a"] + p["b"] < 0 and p["c"] < 0 and t > 1):
-            raise DomainError("family VI requires Re(a+b) < 0, Re c < 0 and t > 1")
-    else:
-        raise UsageError(f"unknown family {J!r}")
+    if not fam.admissible(t, p):
+        raise DomainError(f"family {J} {fam.requirement}")
 
 
 def theta(J: str, u, t, params: dict, omu=None):
@@ -71,26 +54,7 @@ def theta(J: str, u, t, params: dict, omu=None):
     ``omu`` optionally passes 1-u computed without cancellation; the factors
     (1-u) and (t-u) = (t-1)+(1-u) are singular or near-singular at u -> 1.
     """
-    static, (dynamic,) = _theta_parts(J, u, [t], params, 1 - u if omu is None else omu)
-    return static * dynamic
-
-
-def _theta_parts(J: str, u, ts, p: dict, omu):
-    """The weight's t-free power factor and its t-dependent factor at each t in ``ts``.
-
-    Their product is the weight's own left-to-right product, bit for bit.
-    """
-    if J == "II":
-        return 1, [mpmath.exp(-(u * t + 2 * u**3 / 3)) for t in ts]
-    if J == "III":
-        return u ** (-p["b"] - 1), [mpmath.exp(t / u - u) for t in ts]
-    if J == "IV":
-        return u ** (-p["b"] - 1), [mpmath.exp(-(u * t + u * u / 2)) for t in ts]
-    if J == "V":
-        return u ** (-p["b"] - 1) * omu ** (-p["c"] - 1), [mpmath.exp(u * t) for t in ts]
-    if J == "VI":
-        return u ** (-p["a"] - p["b"] - 1) * omu ** (-p["c"] - 1), [((t - 1) + omu) ** (-p["d"]) for t in ts]
-    raise UsageError(f"unknown family {J!r}")
+    return weighted(J).theta(u, t, params, 1 - u if omu is None else omu)
 
 
 def _theta_memo(J: str, tv, p: dict):
@@ -104,18 +68,6 @@ def _theta_memo(J: str, tv, p: dict):
         return memo[key]
 
     return th
-
-
-def dt_log_theta(J: str, u, t, params: dict, omu=None):
-    if J in ("II", "IV"):
-        return -u
-    if J == "III":
-        return 1 / u
-    if J == "V":
-        return u
-    if omu is None:
-        omu = 1 - u
-    return -params["d"] / ((t - 1) + omu)
 
 
 def _mp_params(params):
@@ -137,11 +89,12 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
     if J != "VI" and any(s for _, s in keys):
         raise UsageError("(t-u)^{-1} moments are defined for family VI only")
     check_domain(J, t, params)
+    fam = weighted(J)
     with mp.workprec(prec):
         tv = _to_mpf(as_rat(t))
         p = _mp_params(params)
 
-        if J in ("V", "VI"):
+        if fam.contour == UNIT:
             # own tanh-sinh grid: nodes carry (u, 1-u) stably and extend far
             # enough into the corners for the singular endpoint exponents.  The
             # coarser grid is the even fine nodes at twice the weight, plus the
@@ -149,7 +102,7 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
             pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(J, params))
             fine, coarse = dict.fromkeys(keys, mpmath.mpf(0)), dict.fromkeys(keys, mpmath.mpf(0))
             for u, omu, w, on_coarse, on_fine in [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]:
-                th = theta(J, u, tv, p, omu=omu)
+                th = fam.theta(u, tv, p, omu)
                 terms = {k: w * u**k * th for k in {k for k, _ in keys}}
                 for key in keys:
                     v = terms[key[0]] / ((tv - 1) + omu) if key[1] else terms[key[0]]
@@ -163,7 +116,7 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
         omega = mpmath.exp(-2j * mpmath.pi / 3)
 
         def f(u, k):
-            if J != "II":
+            if fam.contour != POLYLINE:
                 return u**k * th(u)
             u2 = u * omega
             return u**k * th(u) - omega * (u2**k * th(u2))
@@ -241,27 +194,11 @@ def _grid(level: int, prec: int, tail_power: float):
 
 def _tail_power(J: str, params: dict) -> float:
     """1/(1 + beta_min) + 1 for the most singular endpoint exponent beta_min."""
-    exps = []
-    if J in ("III", "IV"):
-        exps.append(-params["b"] - 1)
-    elif J == "V":
-        exps.extend([-params["b"] - 1, -params["c"] - 1])
-    elif J == "VI":
-        exps.extend([-params["a"] - params["b"] - 1, -params["c"] - 1])
+    exps = [e for e in weighted(J).exponents(params) if e is not None]
     beta = min([Fraction(0)] + [as_rat(e) for e in exps])
     if beta <= -1:
         raise DomainError(f"endpoint exponent {beta} is not integrable")
     return float(1 / (1 + beta)) + 1.0
-
-
-def _window(J: str, t) -> float:
-    # finite integration window for the semi-infinite families; the weight
-    # decays at least like e^{-u} (III) or e^{-u^2/2 - tu} (IV)
-    if J == "III":
-        return 160.0 + 3 * abs(float(t))
-    if J == "IV":
-        return 40.0 + 3 * abs(float(t))
-    return 1.0
 
 
 def simplex_phi_coeffs(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 96, level: int = 6, with_dt: bool = True):
@@ -303,8 +240,9 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
     """
     if m > 3:
         raise UsageError("desk scale: m <= 3")
-    if J == "II":
-        raise UsageError("family II uses a complex polyline; the real simplex grid does not apply")
+    fam = weighted(J)
+    if fam.contour == POLYLINE:
+        raise UsageError(f"family {J} uses a complex polyline; the real simplex grid does not apply")
     for t in ts:
         check_domain(J, t, params)
     with mp.workprec(prec):
@@ -347,10 +285,10 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
                     x, omx, wn = x_prev * v, omx_prev + x_prev * omv, wprod * w
                 else:
                     x, wn = v * window, w
-                    omx = omv if J in ("V", "VI") else one - x
-                static, dynamic = _theta_parts(J, x, tws, p, omx)
+                    omx = omv if fam.contour == UNIT else one - x
+                static, dynamic = fam.parts(x, tws, p, omx)
                 thn = [static * d for d in dynamic]
-                dtn = dt_log_theta(J, x, tvs[0], p, omu=omx) if with_dt and idx[0] == 0 else None
+                dtn = fam.dt_log_at(x, tvs[0], p, omx) if with_dt and idx[0] == 0 else None
                 iscn = isc_v
                 if chain:
                     thn = [a * b for a, b in zip(ths, thn)]
@@ -360,7 +298,7 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
 
         windows: dict = {}
         for i, tv in enumerate(tvs):
-            windows.setdefault(_window(J, tv), []).append(i)
+            windows.setdefault(fam.window(tv), []).append(i)
         for win, idx in windows.items():
             window, tws = _to_mpf(win), [tvs[i] for i in idx]
             descend((), None, None, None, None)
@@ -453,7 +391,7 @@ def pde_residual_numeric(
     cnames = sorted({"c" + "_".join(map(str, sorted(k))) for k in itertools.product(range(m + 1), repeat=N)})
     reg = Registry(names + cnames)
     phi_formal = _formal_phi(reg, N, m)
-    op = build_cp_hamiltonian(reg, J, N, m, hb, **_cp_kwargs(J, params))
+    op = build_cp_hamiltonian(reg, J, N, m, hb, **params)
     hphi = apply_op(op, phi_formal)
     hpoly = exact_div(hphi.num.subs({"t": t}), hphi.den.subs({"t": t}))
 
@@ -531,7 +469,7 @@ def andreief_phi(J: str, z, t, m: int, params: dict, prec: int = DEFAULT_PREC):
                     prod *= x - u
                 return prod
 
-            if J in ("V", "VI"):
+            if weighted(J).contour == UNIT:
                 half = mpmath.mpf(1) / 2
                 left = mpmath.quad(lambda u: core(u, 1 - u), [0, half], maxdegree=10)
                 right = mpmath.quad(lambda v: core(1 - v, v), [0, half], maxdegree=10)

@@ -15,12 +15,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import families
 from .diffop import (
     DiffOp,
     DividedDifference,
     Plain,
     PotentialPair,
     PotentialSingle,
+    _f6,
+    _want,
     canonicalize,
     zvars,
 )
@@ -29,9 +32,6 @@ from .exact import MPoly, RatFun, Registry, as_rat, session_registry, solve_line
 
 TRACE_REG = Registry(tuple(f"T{j}" for j in range(1, 7)))
 MAX_TRACE_POWER = 6
-
-RADIAL_FAMS = ("I", "II", "II_pre", "III", "IV", "V", "VI")
-
 
 # ---------------------------------------------------------------------------
 # Order-2 jets in the N^2 matrix-entry perturbations
@@ -299,86 +299,16 @@ def apply_matrix_operator(pt: RationalMatrixPoint, spec, f: MPoly, hbar) -> Frac
     return total
 
 
-def hamiltonian_trace_spec(J: str, N: int, t, hbar=None, **params) -> list:
+def hamiltonian_trace_spec(J: str, N: int, t, **params) -> list:
     """Trace-word expansion of the printed quantum Hamiltonians (cleared forms).
 
     Families III, V are returned times t and VI times t(t-1), matching the
-    printed displays; the caller divides values accordingly.
+    printed displays; the caller divides values accordingly.  The scalar
+    word '' carries Tr(Id) = N.
     """
-    t = as_rat(t)
-    half = Fraction(1, 2)
-    p = {k: as_rat(v) for k, v in params.items() if v is not None}
-    if J == "I":
-        return [(half, "pp"), (-half, "qqq"), (-t / 4, "q")]
-    if J == "II":
-        th = p["th"]
-        return [
-            (half, "pp"),
-            (-half, "qqqq"),
-            (-t * half, "qq"),
-            (Fraction(-N) * t * t / 8, ""),
-            (-th, "q"),
-        ]
-    if J == "III":
-        th0, th1 = p["th0"], p["th1"]
-        return [
-            (half, "ppqq"),
-            (half, "qqpp"),
-            (-half, "qqp"),
-            (-half, "pqq"),
-            (-(th0 - th1), "qp"),
-            (t, "p"),
-            (-th1, "q"),
-        ]
-    if J == "IV":
-        th0, th1 = p["th0"], p["th1"]
-        return [
-            (Fraction(1), "pqp"),
-            (-half, "pqq"),
-            (-half, "qqp"),
-            (-t, "pq"),
-            (th0, "p"),
-            (-(th0 + th1), "q"),
-        ]
-    if J == "V":
-        th0, th1, th2 = p["th0"], p["th1"], p["th2"]
-        return [
-            (half, "ppqq"),
-            (half, "qqpp"),
-            (-half, "ppq"),
-            (-half, "qpp"),
-            (t * half, "pqq"),
-            (t * half, "qqp"),
-            (th0 - th2 - t, "pq"),
-            (th2, "p"),
-            ((th0 + th1) * t, "q"),
-        ]
-    if J == "VI":
-        th0, th1, tht, k2 = p["th0"], p["th1"], p["tht"], p["k2"]
-        theta = th0 + th1 + tht
-        return [
-            (Fraction(1), "qpqpq"),
-            (-t, "pqqp"),
-            (t, "pqp"),
-            (-half, "pqpq"),
-            (-half, "qpqp"),
-            (-theta, "qpq"),
-            ((th0 + th1) * t + th0 + tht, "pq"),
-            (-th0 * t, "p"),
-            (-(k2 - theta * theta) / 4, "q"),
-        ]
-    raise UsageError(f"unknown family {J!r}")
-
-
-CLEARINGS = {"I": None, "II": None, "II_pre": None, "III": "t", "IV": None, "V": "t", "VI": "tt1"}
-
-
-def _clearing(reg: Registry, J: str) -> RatFun:
-    kind = CLEARINGS[J]
-    t = RatFun.var(reg, "t")
-    if kind is None:
-        return RatFun.const(reg, 1)
-    return t if kind == "t" else t * (t - 1)
+    fam = families.family(J)
+    p = dict(zip(fam.radial_keys, _want(params, *fam.radial_keys)))
+    return [(Fraction(c) * N if not word else Fraction(c), word) for c, word in fam.hamiltonian(as_rat(t), p)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +323,10 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
     :func:`resolve_radial_corrections`); it is added inside the printed
     clearing factor.
     """
-    if J not in RADIAL_FAMS:
-        raise UsageError(f"unknown radial family {J!r}")
+    fam = families.family("II" if J == "II_pre" else J)
     hb = as_rat(hbar)
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
-    p = {k: as_rat(v) for k, v in params.items() if v is not None}
+    p = dict(zip(fam.radial_keys, _want(params, *fam.radial_keys)))
     t = RatFun.var(reg, "t")
     zs = zvars(reg)[:N]
     half = Fraction(1, 2)
@@ -423,7 +352,6 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
             else:
                 terms.append(Plain(-hb * (z**2 + t * half), rho, 1))
                 terms.append(Plain((half - p["th"] - hb * N) * z, None, 0))
-        op = canonicalize(terms, reg, N)
     elif J == "III":
         th0, th1 = p["th0"], p["th1"]
         terms.append(DividedDifference((0, 0, 1), hb * hb))
@@ -434,7 +362,6 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
             terms.append(Plain(-hb * (z**2 - (2 * hb - th0 + th1) * z - t), rho, 1))
             terms.append(Plain(-(hb * N + th1) * z, None, 0))
         terms.append(Plain(RatFun.const(reg, hb * hb * Fraction(N * (1 + N * N), 2)), None, 0))
-        op = canonicalize(terms, reg, N)
     elif J == "IV":
         th0, th1 = p["th0"], p["th1"]
         terms.append(DividedDifference((0, 1), hb * hb))
@@ -445,7 +372,6 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
             terms.append(Plain(-hb * (z**2 + t * z - th0 - hb), rho, 1))
         terms.append(Plain(-(hb * N + th0 + th1) * sum_z(), None, 0))
         terms.append(Plain(-t * hb * N * N, None, 0))
-        op = canonicalize(terms, reg, N)
     elif J == "V":
         th0, th1, th2 = p["th0"], p["th1"], p["th2"]
         terms.append(DividedDifference((0, -1, 1), hb * hb))
@@ -463,12 +389,9 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
                 0,
             )
         )
-        op = canonicalize(terms, reg, N)
     else:  # VI
         th0, th1, tht, k2 = p["th0"], p["th1"], p["tht"], p["k2"]
         theta = th0 + th1 + tht
-        from .diffop import _f6
-
         f6 = _f6(reg)
         terms.append(DividedDifference(f6, hb * hb))
         terms.append(PotentialPair(f6, -hb * hb * kk * half))
@@ -488,12 +411,12 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
                 0,
             )
         )
-        op = canonicalize(terms, reg, N)
+    op = canonicalize(terms, reg, N)
 
     if corrections is not None:
         op = op + correction_op(reg, N, corrections)
-    clearing = _clearing(reg, J)
-    if not clearing.equal(RatFun.const(reg, 1)):
+    clearing = fam.prefactor(RatFun.var(reg, "t"))
+    if clearing != 1:
         op = op.scale(1 / clearing)
     return op
 
@@ -525,21 +448,6 @@ def correction_op(reg: Registry, N: int, corr: dict) -> DiffOp:
 # ---------------------------------------------------------------------------
 # Matrix vs radial comparison
 # ---------------------------------------------------------------------------
-
-
-def _random_params(J: str, rng: random.Random) -> dict:
-    def r():
-        return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
-
-    if J == "I":
-        return {}
-    if J in ("II", "II_pre"):
-        return {"th": r()}
-    if J in ("III", "IV"):
-        return {"th0": r(), "th1": r()}
-    if J == "V":
-        return {"th0": r(), "th1": r(), "th2": r()}
-    return {"th0": r(), "th1": r(), "tht": r(), "k2": r()}
 
 
 def radial_value(op: DiffOp, f: MPoly, zs_point: list, t_point) -> Fraction:
@@ -575,19 +483,19 @@ def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1,
     """
     rng = random.Random(seed)
     reg = session_registry(N)
+    fam = families.family(J)
     radial_fam = "II_pre" if J == "II" else J
     mismatches = []
     for trial in range(trials):
-        params = _random_params(J, rng)
+        params = fam.random_thetas(rng)
         t_point = Fraction(rng.randint(1, 9), rng.randint(1, 4)) + 1  # keep t, t-1 nonzero
         pt = RationalMatrixPoint.random(N, rng)
         f = random_trace_polynomial(rng)
         spec = hamiltonian_trace_spec(J, N, t_point, **params)
         lhs = apply_matrix_operator(pt, spec, f, hbar)
-        clearing = _clearing(reg, radial_fam)
         op = build_radial_hamiltonian(reg, radial_fam, N, hbar, 0, corrections=corrections, **params)
         rhs_val = radial_value(op, f, pt.Z, t_point)
-        t_val = clearing.eval({"t": t_point, **{zn: Fraction(1) for zn in zvars(reg)[:N]}})
+        t_val = fam.prefactor(t_point)
         if lhs != rhs_val * t_val:
             mismatches.append(
                 {
@@ -660,18 +568,18 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7, verify_trial
     rng = random.Random(seed)
     reg = session_registry(N)
     hb = as_rat(hbar)
+    fam = families.family(J)
     radial_fam = "II_pre" if J == "II" else J
-    params = _random_params(J, rng)
+    params = fam.random_thetas(rng)
     nalpha = 4  # first-order correction ansatz: powers z^0..z^3
     unknowns = 2 * nalpha + 4  # (a_k0, a_k1)_k, s0, s1, e0, e1
     rows, rhs = [], []
     probes = [TRACE_REG.one()] + [TRACE_REG.var(f"T{j}") for j in (1, 2, 3)]
     op_printed = build_radial_hamiltonian(reg, radial_fam, N, hb, 0, **params)
-    clearing = _clearing(reg, radial_fam)
     while len(rows) < 3 * unknowns:
         t_point = Fraction(rng.randint(2, 9), rng.randint(1, 3)) + 1
         pt = RationalMatrixPoint.random(N, rng)
-        t_val = clearing.eval({"t": t_point, **{zn: Fraction(1) for zn in zvars(reg)[:N]}})
+        t_val = fam.prefactor(t_point)
         for f in probes:
             lhs = apply_matrix_operator(pt, hamiltonian_trace_spec(J, N, t_point, **params), f, hb)
             rhs_val = radial_value(op_printed, f, pt.Z, t_point) * t_val

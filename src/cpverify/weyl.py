@@ -17,14 +17,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import families
 from .errors import UnsupportedModeError, UsageError
 from .exact import MPoly, RatFun, Registry, as_rat
 from .params import parse_rational
 
 WEYL_REGISTRY = Registry(("hbar", "t", "th", "th0", "th1", "th2", "tht", "k"))
 FREE_REGISTRY = Registry(("zeta", "t", "th0", "th1", "tht", "k"))
-
-FAMILIES = ("I", "II", "III", "IV", "V", "VI")
 
 
 def _letter_key(letter):
@@ -373,91 +372,16 @@ def build_quantum_hamiltonian(alg: WeylAlgebra, J: str):
 
     ``operator`` is the cleared left-hand side exactly as printed (so t*H for
     III and V, t(t-1)*H for VI); ``clearing`` is that scalar prefactor as a
-    coefficient-ring element.
+    coefficient-ring element.  Both come from the family table; in classical
+    mode they give the classical Hamiltonian.
     """
-    if J not in ("II", "III", "IV", "V", "VI"):
-        raise UsageError(f"unknown family {J!r} (expected II..VI)")
+    fam = families.family(J)
     reg = alg.registry
     t = reg.var("t")
-    th, th0, th1, th2, tht = (reg.var(n) for n in ("th", "th0", "th1", "th2", "tht"))
-    k = reg.var("k")
-    Tr = alg.trace_word
-    half = Fraction(1, 2)
-    one = reg.one()
-
-    if J == "II":
-        # Tr(p^2/2 - (q^2 + t/2)^2/2 - th*q); the square expands to
-        # q^4 + t q^2 + (t^2/4) Id since t is a scalar.
-        op = (
-            Tr("pp").scale(half)
-            - Tr("qqqq").scale(half)
-            - Tr("qq").scale(half * t)
-            - alg.scalar(t * t * Fraction(alg.N, 8))
-            - Tr("q").scale(th)
-        )
-        return op, one
-    if J == "III":
-        op = (
-            (Tr("ppqq") + Tr("qqpp")).scale(half)
-            - (Tr("qqp") + Tr("pqq")).scale(half)
-            - Tr("qp").scale(th0 - th1)
-            + Tr("p").scale(t)
-            - Tr("q").scale(th1)
-        )
-        return op, t
-    if J == "IV":
-        op = (
-            Tr("pqp")
-            - (Tr("pqq") + Tr("qqp")).scale(half)
-            - Tr("pq").scale(t)
-            + Tr("p").scale(th0)
-            - Tr("q").scale(th0 + th1)
-        )
-        return op, one
-    if J == "V":
-        op = (
-            (Tr("ppqq") + Tr("qqpp")).scale(half)
-            - (Tr("ppq") + Tr("qpp")).scale(half)
-            + (Tr("pqq") + Tr("qqp")).scale(half * t)
-            + Tr("pq").scale(th0 - th2 - t)
-            + Tr("p").scale(th2)
-            + Tr("q").scale((th0 + th1) * t)
-        )
-        return op, t
-    # VI
-    theta = th0 + th1 + tht
-    op = (
-        Tr("qpqpq")
-        - Tr("pqqp").scale(t)
-        + Tr("pqp").scale(t)
-        - (Tr("pqpq") + Tr("qpqp")).scale(half)
-        - Tr("qpq").scale(theta)
-        + Tr("pq").scale((th0 + th1) * t + th0 + tht)
-        - Tr("p").scale(th0 * t)
-        - Tr("q").scale((k * k - theta * theta) * Fraction(1, 4))
-    )
-    return op, t * (t - 1)
-
-
-def build_classical_hamiltonian_vi(alg: WeylAlgebra) -> NCPoly:
-    """Classical (unsymmetrized) t(t-1)*H_VI trace polynomial."""
-    if alg.mode != "classical":
-        raise UsageError("classical Hamiltonian requires classical mode")
-    reg = alg.registry
-    t = reg.var("t")
-    th0, th1, tht, k = (reg.var(n) for n in ("th0", "th1", "tht", "k"))
-    theta = th0 + th1 + tht
-    Tr = alg.trace_word
-    return (
-        Tr("qpqpq")
-        - Tr("pqqp").scale(t)
-        + Tr("pqp").scale(t)
-        - Tr("pqpq")
-        - Tr("qpq").scale(theta)
-        + Tr("pq").scale((th0 + th1) * t + th0 + tht)
-        - Tr("p").scale(th0 * t)
-        - Tr("q").scale((k * k - theta * theta) * Fraction(1, 4))
-    )
+    # the registry carries k; the table's k2 is its square
+    p = {key: reg.var("k") ** 2 if key == "k2" else reg.var(key) for key in fam.radial_keys}
+    op = sum((alg.trace_word(word).scale(coeff) for coeff, word in fam.hamiltonian(t, p)), alg.zero())
+    return op, alg.coeff(fam.prefactor(t))
 
 
 def evolution_polynomials(alg: WeylAlgebra):
@@ -610,13 +534,6 @@ def check_worked_commutator(N: int):
         for j in range(N)
     )
     return {"printed_ok": printed_ok, "derived_ok": derived_ok, "classical_ok": classical_ok}
-
-
-def first_difference(a: NCPoly, b: NCPoly):
-    d = a - b
-    if d.is_zero():
-        return None
-    return d.sorted_terms()[0]
 
 
 def verify_eom_vi(N: int):

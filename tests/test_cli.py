@@ -107,3 +107,36 @@ def test_pde_numeric_echoes_the_precision_used():
     rep = json.loads(proc.stdout)
     assert rep["environment"]["precision_bits"] == 128  # the numeric PDE path caps the precision at 128 bits
     assert rep["checks"][0]["name"].endswith("t=5/4")
+
+
+def test_print_radial_without_its_parameters_is_a_usage_error():
+    proc = run_cli("print", "hamiltonian", "--family", "VI", "--N", "2", "--kind", "radial")
+    assert_usage_error(proc)
+    assert proc.stderr.strip() == "usage error: missing parameters: th0, th1, tht, k2"
+
+
+def test_radial_with_no_eigenvalues_is_a_usage_error():
+    assert_usage_error(run_cli("verify", "radial", "--family", "II", "--N", "0"))
+
+
+def test_pde_with_no_eigenvalues_is_a_usage_error():
+    assert_usage_error(run_cli("verify", "pde", "--family", "II", "--N", "0"))
+
+
+def test_table1_with_no_eigenvalues_is_a_usage_error():
+    assert_usage_error(run_cli("verify", "table1", "--family", "II", "--N", "0"))
+
+
+def test_n1_with_no_integration_variables_is_a_usage_error():
+    assert_usage_error(run_cli("verify", "n1", "--m", "0"))
+
+
+def test_oracle_below_double_precision_is_a_usage_error():
+    assert_usage_error(run_cli("oracle", "moments", "--family", "V", "--kmax", "3", "--prec", "0"))
+
+
+def test_gauge_has_no_power_flag():
+    # --a was accepted and never read: every power ran whatever it said
+    proc = run_cli("verify", "gauge", "--a", "7", "--N", "2")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --a" in proc.stderr

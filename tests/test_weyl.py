@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cpverify.errors import UnsupportedModeError
 from cpverify.weyl import (
     WeylAlgebra,
-    build_classical_hamiltonian_vi,
     build_quantum_hamiltonian,
     check_worked_commutator,
     commutator,
@@ -128,7 +127,7 @@ def test_eom_vi(N):
 def test_eom_vi_classical_limit_n1():
     # N=1 commutative check: {t(t-1)H_VI, q} = t(t-1)A, {., p} = t(t-1)B
     alg = WeylAlgebra(1, mode="classical")
-    ham = build_classical_hamiltonian_vi(alg)
+    ham = build_quantum_hamiltonian(alg, "VI")[0]
     amat, bmat = evolution_polynomials(alg)
     q = alg.q(1, 1)
     p = alg.p(1, 1)
