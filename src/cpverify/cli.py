@@ -123,8 +123,7 @@ def _apply_config(argv):
     return argv[:i] + argv[i + 2 :] + extra
 
 
-def _print_hamiltonian(args) -> int:
-    ps = parse_params(args.params)
+def _print_hamiltonian(args, ps) -> int:
     reg = session_registry(args.N)
     hbar = parse_hbar(args.hbar)
     kwargs = ps.family_kwargs()
@@ -209,15 +208,21 @@ def _emit(args, report) -> int:
 
 
 def run(args) -> int:
-    # the smallest size and precision any task accepts
-    for name, low in (("N", 1), ("m", 1), ("prec", 53)):
+    # the smallest size, precision, grid level and trial count any task accepts
+    for name, low in (("N", 1), ("m", 1), ("prec", 53), ("level", 0), ("trials", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise UsageError(f"--{name} must be at least {low}, got {value}")
     task_echo = {"verb": args.verb, "task": getattr(args, "task", None)}
     ps = parse_params(getattr(args, "params", "") or "")
+    # keys that a flag of their own sets; --params never overrides them
+    for key in ("family", "N", "m", "hbar", "kappa", "t"):
+        if getattr(ps, key) is not None:
+            if hasattr(args, key):
+                raise UsageError(f"{key} is set by --{key}, not by --params")
+            raise UsageError(f"{key} is not a parameter of {args.verb} {args.task}")
     if args.verb == "print":
-        return _print_hamiltonian(args)
+        return _print_hamiltonian(args, ps)
 
     if args.verb == "oracle":
         recs = checks.run_oracle_moments(args.family, kmax=args.kmax, prec=args.prec, seed=args.seed)

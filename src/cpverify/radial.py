@@ -4,6 +4,9 @@ The matrix side applies conjugation-invariant trace-word operators exactly to
 invariant wave functions at rational matrix points, using order-2 jets in the
 matrix entries (the operators are at most quadratic in the momenta, so a
 second-order Taylor germ suffices and every value stays an exact rational).
+A jet is a dense vector of integer coefficients over one integer
+denominator; only the final value becomes a Fraction.  The wave function's
+jet takes the trace powers only as far as it uses them.
 The radial side evaluates the printed eigenvalue Hamiltonians.  A fitting
 resolver pins down any discrepancy as an explicit low-degree correction and
 re-verifies exactly.
@@ -11,9 +14,12 @@ re-verifies exactly.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 from . import families
 from .diffop import (
@@ -37,93 +43,114 @@ MAX_TRACE_POWER = 6
 # Order-2 jets in the N^2 matrix-entry perturbations
 # ---------------------------------------------------------------------------
 
+_TABLES: dict = {}
+
+
+def _tables(n: int):
+    """(length, product table, derivative table) of the order-2 jets in n variables.
+
+    A jet's coefficients sit at [c0, c1[0..n), c2[i<=j]].  The product table
+    maps the positions 1+i, 1+j of two first-order coefficients to the
+    position of c2[min(i,j), max(i,j)]; the derivative table lists, per
+    variable v, the (target, source, factor) moves of d/dx_v.
+    """
+    tab = _TABLES.get(n)
+    if tab is None:
+        pos = [[0] * (n + 1) for _ in range(n + 1)]
+        k = 1 + n
+        for i in range(n):
+            for j in range(i, n):
+                pos[1 + i][1 + j] = pos[1 + j][1 + i] = k
+                k += 1
+        deriv = [[(1 + i, pos[1 + v][1 + i], 2 if i == v else 1) for i in range(n)] for v in range(n)]
+        tab = _TABLES[n] = (k, pos, deriv)
+    return tab
+
 
 class Jet:
-    """Polynomial of degree <= 2 in entry perturbations, exact coefficients."""
+    """Polynomial of degree <= 2 in n entry perturbations, ``v / d``.
 
-    __slots__ = ("n", "c0", "c1", "c2")
+    ``v`` holds the integer coefficients in the dense layout of
+    :func:`_tables` and ``d`` is their one positive integer denominator.
+    """
 
-    def __init__(self, n, c0=Fraction(0), c1=None, c2=None):
+    __slots__ = ("n", "v", "d")
+
+    def __init__(self, n, v=None, d=1):
         self.n = n
-        self.c0 = c0
-        self.c1 = c1 or {}
-        self.c2 = c2 or {}
+        self.v = [0] * _tables(n)[0] if v is None else v
+        self.d = d
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, Fraction(c))
+        c = Fraction(c)
+        v = [0] * _tables(n)[0]
+        v[0] = c.numerator
+        return cls(n, v, c.denominator)
 
     @classmethod
     def var(cls, n, i):
-        return cls(n, Fraction(0), {i: Fraction(1)})
+        v = [0] * _tables(n)[0]
+        v[1 + i] = 1
+        return cls(n, v)
 
     def __add__(self, other):
-        c1 = dict(self.c1)
-        for i, c in other.c1.items():
-            c1[i] = c1.get(i, 0) + c
-        c2 = dict(self.c2)
-        for k, c in other.c2.items():
-            c2[k] = c2.get(k, 0) + c
-        return Jet(self.n, self.c0 + other.c0, {i: c for i, c in c1.items() if c}, {k: c for k, c in c2.items() if c})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
+        da, db = self.d, other.d
+        if da == db:
+            return Jet(self.n, [x + y for x, y in zip(self.v, other.v)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return Jet(self.n, [x * ma + y * mb for x, y in zip(self.v, other.v)], da * ma)
 
     def scale(self, c):
         c = Fraction(c)
-        if not c:
-            return Jet(self.n)
-        return Jet(self.n, self.c0 * c, {i: v * c for i, v in self.c1.items()}, {k: v * c for k, v in self.c2.items()})
+        return Jet(self.n, [x * c.numerator for x in self.v], self.d * c.denominator)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out = other.scale(self.c0)
-        if self.c1:
-            out = out + Jet(self.n, Fraction(0), {i: v * other.c0 for i, v in self.c1.items()})
-            c2 = {}
-            for i, v in self.c1.items():
-                for j, w in other.c1.items():
-                    k = (i, j) if i <= j else (j, i)
-                    c2[k] = c2.get(k, 0) + v * w
-            out = out + Jet(self.n, Fraction(0), {}, {k: v for k, v in c2.items() if v})
-        if self.c2:
-            out = out + Jet(self.n, Fraction(0), {}, {k: v * other.c0 for k, v in self.c2.items() if v * other.c0})
-        return out
-
-    __rmul__ = __mul__
+        n = self.n
+        a, b = self.v, other.v
+        a0, b0 = a[0], b[0]
+        out = [a0 * y + x * b0 for x, y in zip(a, b)]
+        out[0] = a0 * b0
+        pos = _tables(n)[1]
+        for i in range(1, n + 1):
+            x = a[i]
+            if x:
+                row = pos[i]
+                for j in range(1, n + 1):
+                    y = b[j]
+                    if y:
+                        out[row[j]] += x * y
+        return Jet(n, out, self.d * other.d)
 
     def pow(self, k: int):
-        out = Jet.const(self.n, 1)
-        for _ in range(k):
+        """self ** k for k >= 1."""
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
-    def deriv(self, v: int) -> "Jet":
-        c0 = self.c1.get(v, Fraction(0))
-        c1: dict = {}
-        for (i, j), c in self.c2.items():
-            if i == j == v:
-                c1[v] = c1.get(v, 0) + 2 * c
-            elif i == v:
-                c1[j] = c1.get(j, 0) + c
-            elif j == v:
-                c1[i] = c1.get(i, 0) + c
-        return Jet(self.n, c0, {i: c for i, c in c1.items() if c})
+    def deriv(self, var: int) -> "Jet":
+        """d/dx_var; the result is exact through first order (its c2 is zero)."""
+        a = self.v
+        size, _, deriv = _tables(self.n)
+        out = [0] * size
+        out[0] = a[1 + var]
+        for target, source, factor in deriv[var]:
+            out[target] = factor * a[source]
+        return Jet(self.n, out, self.d)
 
     def value(self) -> Fraction:
-        return self.c0
+        return Fraction(self.v[0], self.d)
 
 
-def _jmat_mul(a, b, n):
+def _jsum(jets):
+    return reduce(operator.add, jets)
+
+
+def _jmat_mul(a, b):
     size = len(a)
-    return [
-        [sum((a[i][s] * b[s][j] for s in range(size)), Jet(n)) for j in range(size)]
-        for i in range(size)
-    ]
+    return [[_jsum([a[i][s] * b[s][j] for s in range(size)]) for j in range(size)] for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +177,16 @@ def _mat_inv(g):
 
 @dataclass
 class RationalMatrixPoint:
-    """Q = G Z G^{-1} with rational distinct eigenvalues Z and invertible G."""
+    """Q = G Z G^{-1} with rational distinct eigenvalues Z and invertible G.
+
+    ``jets`` is the matrix Q + E of order-2 jets, E_ij the perturbation of
+    entry (i, j), built once per point for every word applied there.
+    """
 
     Z: list
     G: list
     Q: list = field(init=False)
+    jets: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.Z)
@@ -164,6 +196,9 @@ class RationalMatrixPoint:
         gz = [[self.G[i][j] * self.Z[j] for j in range(n)] for i in range(n)]
         self.Q = [
             [sum(gz[i][s] * ginv[s][j] for s in range(n)) for j in range(n)] for i in range(n)
+        ]
+        self.jets = [
+            [Jet.const(n * n, self.Q[i][j]) + Jet.var(n * n, i * n + j) for j in range(n)] for i in range(n)
         ]
 
     @property
@@ -219,17 +254,15 @@ def _subs_into(f: MPoly, values: dict, reg: Registry) -> MPoly:
 
 
 def _psi_jet(pt: RationalMatrixPoint, f: MPoly) -> Jet:
-    N = pt.N
-    n = N * N
-    qjet = [
-        [Jet.const(n, pt.Q[i][j]) + Jet.var(n, i * N + j) for j in range(N)] for i in range(N)
-    ]
-    powers = {}
-    cur = [[Jet.const(n, 1) if i == j else Jet(n) for j in range(N)] for i in range(N)]
+    n = pt.N * pt.N
+    # the highest trace power f uses; T_j = Tr((Q + E)^j)
+    top = max((i + 1 for e in f.terms for i, k in enumerate(e) if k), default=0)
     traces = {}
-    for j in range(1, MAX_TRACE_POWER + 1):
-        cur = _jmat_mul(cur, qjet, n)
-        traces[j] = sum((cur[i][i] for i in range(N)), Jet(n))
+    cur = pt.jets
+    for j in range(1, top + 1):
+        if j > 1:
+            cur = _jmat_mul(cur, pt.jets)
+        traces[j] = _jsum([cur[i][i] for i in range(pt.N)])
     psi = Jet(n)
     for e, c in f.terms.items():
         term = Jet.const(n, c)
@@ -252,27 +285,18 @@ def apply_trace_word(pt: RationalMatrixPoint, word: str, psi: Jet, hbar) -> Jet:
     n = N * N
     if word.count("p") > 2:
         raise UsageError("operators of momentum degree > 2 are unsupported")
-    qjet = [
-        [Jet.const(n, pt.Q[i][j]) + Jet.var(n, i * N + j) for j in range(N)] for i in range(N)
-    ]
     tails = [[psi if a == b else Jet(n) for b in range(N)] for a in range(N)]
     for letter in reversed(word):
         if letter == "q":
-            tails = _jmat_mul(qjet, tails, n)
+            tails = _jmat_mul(pt.jets, tails)
         elif letter == "p":
-            new = []
-            for a in range(N):
-                row = []
-                for b in range(N):
-                    acc = Jet(n)
-                    for c in range(N):
-                        acc = acc + tails[c][b].deriv(c * N + a)
-                    row.append(acc.scale(hb))
-                new.append(row)
-            tails = new
+            tails = [
+                [_jsum([tails[c][b].deriv(c * N + a) for c in range(N)]).scale(hb) for b in range(N)]
+                for a in range(N)
+            ]
         else:
             raise UsageError(f"bad letter {letter!r} in trace word")
-    return sum((tails[a][a] for a in range(N)), Jet(n))
+    return _jsum([tails[a][a] for a in range(N)])
 
 
 def apply_matrix_operator(pt: RationalMatrixPoint, spec, f: MPoly, hbar) -> Fraction:

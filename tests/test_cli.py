@@ -140,3 +140,43 @@ def test_gauge_has_no_power_flag():
     proc = run_cli("verify", "gauge", "--a", "7", "--N", "2")
     assert proc.returncode == 2
     assert "unrecognized arguments: --a" in proc.stderr
+
+
+def test_negative_level_is_a_usage_error():
+    # was a ValueError traceback from the node list's 1 << level
+    assert_usage_error(run_cli("verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--level", "-1"))
+
+
+def test_level_zero_still_runs():
+    proc = run_cli("verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--level", "0")
+    assert proc.returncode in (0, 1)
+    assert json.loads(proc.stdout)["schema"] == 1
+
+
+def test_radial_with_no_trials_is_a_usage_error():
+    # was an ok record over "(0 random points)"
+    assert_usage_error(run_cli("verify", "radial", "--family", "II", "--N", "2", "--trials", "0"))
+
+
+def test_params_cannot_set_t():
+    # was run at the default t = 3/2 with t=5/4 dropped
+    proc = run_cli(
+        "verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--level", "1", "--params", "t=5/4"
+    )
+    assert_usage_error(proc)
+    assert proc.stderr.strip() == "usage error: t is set by --t, not by --params"
+
+
+def test_params_cannot_set_hbar_when_printing():
+    proc = run_cli(
+        "print", "hamiltonian", "--family", "V", "--kind", "cp", "--N", "2", "--m", "2",
+        "--hbar", "1/2", "--params", "b=-1/3,c=-1/5,hbar=1/2",
+    )
+    assert_usage_error(proc)
+    assert proc.stderr.strip() == "usage error: hbar is set by --hbar, not by --params"
+
+
+def test_params_key_without_a_flag_is_a_usage_error():
+    proc = run_cli("verify", "weyl", "--params", "kappa=1/2")
+    assert_usage_error(proc)
+    assert proc.stderr.strip() == "usage error: kappa is not a parameter of verify weyl"

@@ -1,13 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpverify import families
 from cpverify.diffop import apply_op, operator_equal
 from cpverify.errors import DegeneratePointError, UsageError
 from cpverify.exact import RatFun, session_registry
 from cpverify.radial import (
     TRACE_REG,
+    Jet,
     RationalMatrixPoint,
     apply_matrix_operator,
     build_radial_hamiltonian,
@@ -207,3 +212,115 @@ def test_vi_depends_on_k2_only():
     op1 = build_radial_hamiltonian(reg, "VI", 2, 1, 0, **kw)
     op2 = build_radial_hamiltonian(reg, "VI", 2, 1, 0, **kw)
     assert operator_equal(op1, op2)
+
+
+# ---------------------------------------------------------------------------
+# The dense integer jets
+# ---------------------------------------------------------------------------
+
+
+def golden_matrix_values():
+    """apply_matrix_operator at seeded points: every family's Hamiltonian at
+    N = 1, 2, 3 on a T1..T3 and a T5/T6 wave function, plus product words."""
+    rng = random.Random(2718)
+    high = TRACE_REG.var("T5") * TRACE_REG.var("T1") + Fraction(-2, 3) * TRACE_REG.var("T6")
+    extra = [(Fraction(1), "qqqpp"), (Fraction(-3, 2), ("qq", "p")), (Fraction(2), ("p", "qp")), (Fraction(1, 5), "")]
+    out = []
+    for N in (1, 2, 3):
+        for J in families.NAMES:
+            params = families.family(J).random_thetas(rng)
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 4)) + 1
+            hbar = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            pt = RationalMatrixPoint.random(N, rng)
+            spec = hamiltonian_trace_spec(J, N, t, **params)
+            for f in (random_trace_polynomial(rng), random_trace_polynomial(rng, max_power=6, max_degree=2) + high):
+                out.append(apply_matrix_operator(pt, spec, f, hbar))
+        pt = RationalMatrixPoint.random(N, rng)
+        out.append(apply_matrix_operator(pt, extra, random_trace_polynomial(rng, max_power=6), Fraction(2, 3)))
+    return out
+
+
+def test_matrix_operator_values_golden():
+    # taken from the Fraction-dict jets that the dense integer jets replaced
+    text = "\n".join(str(v) for v in golden_matrix_values())
+    assert hashlib.sha256(text.encode()).hexdigest() == "ce74389ec22a4cd6e8ef3238b71fed26e93a2ecfdb26137e94d5a8685a69cc99"
+
+
+# reference jets: {sorted tuple of variable indices, degree <= 2: Fraction}
+
+
+def ref_clean(a):
+    return {k: c for k, c in a.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if len(k1) + len(k2) <= 2:
+                k = tuple(sorted(k1 + k2))
+                out[k] = out.get(k, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_deriv(a, v):
+    out = {}
+    for k, c in a.items():
+        if v in k:
+            rest = list(k)
+            rest.remove(v)
+            out[tuple(rest)] = out.get(tuple(rest), 0) + c * k.count(v)
+    return ref_clean(out)
+
+
+def dense(n, a):
+    out = Jet(n)
+    for k, c in a.items():
+        term = Jet.const(n, c)
+        for i in k:
+            term = term * Jet.var(n, i)
+        out = out + term
+    return out
+
+
+def read(jet):
+    """Every coefficient of a dense jet, read back through value and deriv."""
+    n = jet.n
+    out = {(): jet.value()}
+    for i in range(n):
+        d = jet.deriv(i)
+        out[(i,)] = d.value()
+        for j in range(i, n):
+            out[(i, j)] = d.deriv(j).value() / (2 if i == j else 1)
+    return ref_clean(out)
+
+
+@st.composite
+def ref_jets(draw, n):
+    keys = [()] + [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i, n)]
+    coeff = st.fractions(min_value=-10, max_value=10, max_denominator=7)
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=8, unique=True))
+    return {k: draw(coeff) for k in chosen}
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_dense_jet_matches_reference(data):
+    n = data.draw(st.integers(1, 5))
+    a, b = data.draw(ref_jets(n)), data.draw(ref_jets(n))
+    c = data.draw(st.fractions(min_value=-10, max_value=10, max_denominator=7))
+    v = data.draw(st.integers(0, n - 1))
+    A, B = dense(n, a), dense(n, b)
+    assert read(A) == ref_clean(a)
+    assert read(A + B) == ref_add(a, b)
+    assert read(A * B) == ref_mul(a, b)
+    assert read(A.pow(3)) == ref_mul(a, ref_mul(a, a))
+    assert read(A.scale(c)) == ref_clean({k: x * c for k, x in a.items()})
+    assert read(A.deriv(v)) == ref_deriv(a, v)
