@@ -1,21 +1,20 @@
-"""Command-line surface.
+"""Command-line surface: ``cpverify VERB TASK [flags]``.
 
-Verbs:
-  verify {weyl,eom,zero-curvature,radial,gauge,table1,n1,pde}
-  print hamiltonian --family V --kind cp|radial|nagoya ...
-  oracle moments --family V --kmax 6
-  suite acceptance
-
-JSON reports go to stdout, the human summary to stderr.  Exit codes: 0 pass
-(or resolved-with-correction), 1 verification failure, 2 usage error.
+A task takes only the flags and --params keys it reads; any other is a usage
+error.  --config FILE appends one flag per `key = value` line of FILE.  JSON
+reports go to stdout, the human summary to stderr.  Exit codes: 0 pass (or
+resolved-with-correction), 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import checks, diffop, families, moments, radial
 from .errors import DomainError, UsageError
@@ -25,128 +24,109 @@ from .report import build_report, emit
 
 USAGE_EXIT = 2
 
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--prec", type=int, default=192, help="working precision in bits for numeric tasks")
-    p.add_argument("--json", action="store_true", help="suppress the human summary (JSON always goes to stdout)")
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings (breaks byte-identical reports)")
-    p.add_argument("--config", help="key = value file mirroring the flags")
-    p.add_argument("--params", default="", help="rational parameters, e.g. b=-1/3,c=-1/5")
-
-
-def build_parser():
-    ap = argparse.ArgumentParser(prog="cpverify", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    ver = sub.add_parser("verify", help="run a verification task")
-    vsub = ver.add_subparsers(dest="task", required=True)
-    for name in ("weyl", "eom", "zero-curvature", "radial", "gauge", "table1", "n1", "pde"):
-        p = vsub.add_parser(name)
-        _add_common(p)
-        if name in ("weyl", "eom", "radial"):
-            p.add_argument("--N", type=int, default=2)
-        if name == "weyl":
-            p.add_argument("--expr", help="evaluate an operator expression, e.g. 'Tr(p*q*p*q)' or '[Tr(p*p), q]'")
-        if name == "radial":
-            p.add_argument("--family", default="VI", choices=families.NAMES)
-            p.add_argument("--trials", type=int, default=5)
-        if name == "table1":
-            p.add_argument("--family", default=None, choices=checks.FAMS)
-            p.add_argument("--mode", default=None, choices=("ungauged", "gauged"))
-            p.add_argument("--hbar", default=None)
-            p.add_argument("--N", type=int, default=2)
-            p.add_argument("--m", type=int, default=2)
-        if name == "n1":
-            p.add_argument("--m", type=int, default=2)
-            p.add_argument("--hbar", default="1/2")
-        if name == "gauge":
-            p.add_argument("--N", type=int, default=None)
-            p.add_argument("--hbar", default=None)
-        if name == "pde":
-            p.add_argument("--family", required=True, choices=checks.FAMS)
-            p.add_argument("--N", type=int, default=2)
-            p.add_argument("--m", type=int, default=2)
-            p.add_argument("--hbar", default="1")
-            p.add_argument("--mode", default="symbolic", choices=("symbolic", "numeric"))
-            p.add_argument("--t", default=None)
-            p.add_argument("--level", type=int, default=4)
-            p.add_argument("--controls", action="store_true", help="also run the negative control")
-
-    pr = sub.add_parser("print", help="print an operator")
-    psub = pr.add_subparsers(dest="task", required=True)
-    ph = psub.add_parser("hamiltonian")
-    _add_common(ph)
-    ph.add_argument("--family", required=True)
-    ph.add_argument("--kind", default="cp", choices=("cp", "radial", "nagoya"))
-    ph.add_argument("--N", type=int, default=2)
-    ph.add_argument("--m", type=int, default=2)
-    ph.add_argument("--hbar", default="1/2")
-    ph.add_argument("--kappa", default="0")
-
-    orc = sub.add_parser("oracle", help="numeric oracle duties")
-    osub = orc.add_subparsers(dest="task", required=True)
-    om = osub.add_parser("moments")
-    _add_common(om)
-    om.add_argument("--family", required=True, choices=checks.FAMS)
-    om.add_argument("--kmax", type=int, default=6)
-
-    su = sub.add_parser("suite", help="run a full suite")
-    ssub = su.add_subparsers(dest="task", required=True)
-    sa = ssub.add_parser("acceptance")
-    _add_common(sa)
-    sa.add_argument("--fast", action="store_true", help="smaller numeric grids (still meets the stated tolerances)")
-    return ap
+N = ("N", dict(type=int, default=2))
+M = ("m", dict(type=int, default=2))
+SEED = ("seed", dict(type=int, default=42))
+PREC = ("prec", dict(type=int, default=192, help="working precision in bits"))
+REPORT = (
+    ("json", dict(action="store_true", default=False, help="suppress the human summary (JSON always goes to stdout)")),
+    ("timings", dict(action="store_true", default=False, help="include wall-clock timings (breaks byte-identical reports)")),
+)
+PARAMS = ("params", dict(default="", help="rational parameters, e.g. b=-1/3,c=-1/5"))
+CP_KEYS = ("a", "b", "c", "d")
+THETA_KEYS = ("th", "th0", "th1", "th2", "tht", "k2")
+# the smallest size, precision, grid level and trial count any task accepts
+LOWER = (("N", 1), ("m", 1), ("prec", 53), ("level", 0), ("trials", 1))
 
 
-def _apply_config(argv):
-    # a config file holds one `key = value` per line, mirroring long flags
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    path = argv[i + 1]
-    extra = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not value:
-                raise UsageError(f"config line needs key = value: {line!r}")
-            if value.lower() in ("true", "yes", "on"):
-                extra.append(f"--{key}")
-            else:
-                extra.extend([f"--{key}", value])
-    return argv[:i] + argv[i + 2 :] + extra
+@dataclass(frozen=True)
+class Task:
+    """One task: the flags and ``--params`` keys it reads, and its runner.
+
+    ``run(args)`` returns (records, echo, precision_bits), with the parsed
+    ``--params`` in ``args.params``.  Where a flag's value decides what else
+    is read, ``by`` names that flag and ``only`` maps each flag or key read
+    under some of its values to those values.  A task with ``report`` false
+    prints instead of reporting.
+    """
+
+    run: Callable
+    flags: tuple
+    keys: tuple = ()
+    by: str | None = None
+    only: dict = field(default_factory=dict)
+    report: bool = True
+
+    @property
+    def argspecs(self) -> tuple:
+        return self.flags + (REPORT if self.report else ()) + (PARAMS,)
+
+    def reads(self, args, name) -> bool:
+        return name not in self.only or getattr(args, self.by) in self.only[name]
 
 
-def _print_hamiltonian(args, ps) -> int:
-    reg = session_registry(args.N)
+def _radial(args):
+    echo = {"family": args.family, "N": args.N, "trials": args.trials, "seed": args.seed}
+    return checks.run_radial(args.family, args.N, args.trials, args.seed), echo, None
+
+
+def _gauge(args):
+    n_values = (args.N,) if args.N else (2, 3)
+    hb_values = (parse_hbar(args.hbar),) if args.hbar is not None else (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+    echo = {"N": list(n_values), "hbar": [str(h) for h in hb_values]}
+    return checks.run_gauge(n_values, hb_values), echo, None
+
+
+def _table1(args):
+    fams = (args.family,) if args.family else checks.FAMS
+    modes = (args.mode,) if args.mode else ("ungauged", "gauged")
+    hb = (parse_hbar(args.hbar),) if args.hbar is not None else (Fraction(1, 2), Fraction(2))
+    echo = {"families": list(fams), "modes": list(modes), "N": args.N, "m": args.m}
+    return checks.run_table1(fams, modes, hb, (args.N,), args.m), echo, None
+
+
+def _pde(args):
     hbar = parse_hbar(args.hbar)
-    kwargs = ps.family_kwargs()
+    echo = {"family": args.family, "N": args.N, "m": args.m, "hbar": args.hbar, "mode": args.mode}
+    for key in args.params:
+        if key not in families.weighted(args.family).cp_keys:
+            raise UsageError(f"{key} is not a parameter of family {args.family}")
+    if args.mode == "symbolic" and hbar.denominator != 1:
+        raise UsageError("the symbolic path needs a positive integer hbar; use --mode numeric")
+    # pde_params derives a (and d for VI) from the solvability conditions
+    params = moments.pde_params(args.family, args.m, hbar, **args.params) if args.params else None
+    if args.mode == "symbolic":
+        return checks.run_pde_symbolic(args.family, args.N, args.m, int(hbar), params, controls=args.controls), echo, None
+    t = parse_rational(args.t) if args.t is not None else None
+    prec = min(args.prec, 128)
+    return checks.run_pde_numeric(args.family, args.N, args.m, hbar, t, params, prec=prec, level=args.level), echo, prec
+
+
+def _print_hamiltonian(args):
+    hbar = parse_hbar(args.hbar)
     if args.kind == "cp":
-        op = diffop.build_cp_hamiltonian(reg, args.family, args.N, args.m, hbar, **kwargs)
+        op = diffop.build_cp_hamiltonian(session_registry(args.N), args.family, args.N, args.m, hbar, **args.params)
     elif args.kind == "nagoya":
-        reg = session_registry(1)
-        op = diffop.build_nagoya_single(reg, args.family, hbar, **kwargs)
+        op = diffop.build_nagoya_single(session_registry(1), args.family, hbar, **args.params)
     else:
-        op = radial.build_radial_hamiltonian(
-            reg, args.family, args.N, hbar, parse_rational(args.kappa), **ps.theta_kwargs()
-        )
+        kappa = parse_rational(args.kappa)
+        op = radial.build_radial_hamiltonian(session_registry(args.N), args.family, args.N, hbar, kappa, **args.params)
     for rho, coeff in enumerate(op.A):
         print(f"A[{rho + 1}] (d^2/dz{rho + 1}^2): {coeff.to_str()}")
     for rho, coeff in enumerate(op.B):
         print(f"B[{rho + 1}] (d/dz{rho + 1}):   {coeff.to_str()}")
     print(f"C (multiplication):  {op.C.to_str()}")
-    return 0
+    return [], {}, None
 
 
-def acceptance_suite(seed: int, prec: int, fast: bool, timings: bool):
+def _oracle(args):
+    echo = {"family": args.family, "kmax": args.kmax, "prec": args.prec, "seed": args.seed}
+    return checks.run_oracle_moments(args.family, kmax=args.kmax, prec=args.prec, seed=args.seed), echo, args.prec
+
+
+def acceptance_suite(args):
     """The full acceptance matrix; one record block per criterion."""
-    t0 = time.time()
+    seed, prec = args.seed, args.prec
     records = []
 
     def timed(tag, fn):
@@ -174,7 +154,7 @@ def acceptance_suite(seed: int, prec: int, fast: bool, timings: bool):
             timed("pde-symbolic", lambda j=J, nn=n, mm=m: checks.run_pde_symbolic(j, nn, mm, 1, controls=(nn, mm) == (2, 2)))
     for J in ("II", "IV"):
         timed("pde-symbolic", lambda j=J: checks.run_pde_symbolic(j, 2, 2, 2))
-    level = 3 if fast else 4
+    level = 3 if args.fast else 4
     for J in ("V", "VI"):
         for t, base in checks.NUMERIC_POINTS[J]:
             params = checks.numeric_pde_params(J, 2, Fraction(1, 2), base)
@@ -185,105 +165,148 @@ def acceptance_suite(seed: int, prec: int, fast: bool, timings: bool):
     for J in checks.FAMS:
         timed("oracle", lambda j=J: checks.run_oracle_moments(j, kmax=6, prec=prec, points=3, seed=seed))
     timed("cross-path", lambda: checks.run_andreief(prec=96))
-    total = time.time() - t0
-    return records, total
+    return records, {"seed": seed, "prec": prec}, prec
+
+
+TASKS = {
+    ("verify", "weyl"): Task(
+        lambda args: (checks.run_weyl(args.N, expr=args.expr), {"N": args.N}, None),
+        (N, ("expr", dict(help="evaluate an operator expression, e.g. 'Tr(p*q*p*q)' or '[Tr(p*p), q]'"))),
+    ),
+    ("verify", "eom"): Task(lambda args: (checks.run_eom(args.N), {"N": args.N}, None), (N,)),
+    ("verify", "zero-curvature"): Task(lambda args: (checks.run_zero_curvature(), {}, None), ()),
+    ("verify", "radial"): Task(
+        _radial, (("family", dict(default="VI", choices=families.NAMES)), N, ("trials", dict(type=int, default=5)), SEED)
+    ),
+    ("verify", "gauge"): Task(_gauge, (("N", dict(type=int)), ("hbar", {}))),
+    ("verify", "table1"): Task(
+        _table1, (("family", dict(choices=checks.FAMS)), ("mode", dict(choices=("ungauged", "gauged"))), ("hbar", {}), N, M)
+    ),
+    ("verify", "n1"): Task(
+        lambda args: (checks.run_n1(args.m, parse_hbar(args.hbar)), {"m": args.m, "hbar": args.hbar}, None),
+        (M, ("hbar", dict(default="1/2"))),
+    ),
+    ("verify", "pde"): Task(
+        _pde,
+        (
+            ("family", dict(required=True, choices=checks.FAMS)), N, M, ("hbar", dict(default="1")),
+            ("mode", dict(default="symbolic", choices=("symbolic", "numeric"))), ("t", {}),
+            ("level", dict(type=int, default=4)),
+            ("controls", dict(action="store_true", default=False, help="also run the negative control")), PREC,
+        ),
+        keys=("b", "c"),
+        by="mode",
+        only={"controls": ("symbolic",), "t": ("numeric",), "level": ("numeric",), "prec": ("numeric",)},
+    ),
+    ("print", "hamiltonian"): Task(
+        _print_hamiltonian,
+        (
+            ("family", dict(required=True)), ("kind", dict(default="cp", choices=("cp", "radial", "nagoya"))), N, M,
+            ("hbar", dict(default="1/2")), ("kappa", dict(default="0")),
+        ),
+        keys=CP_KEYS + THETA_KEYS,
+        by="kind",
+        only={"N": ("cp", "radial"), "m": ("cp",), "kappa": ("radial",)}
+        | dict.fromkeys(CP_KEYS, ("cp", "nagoya"))
+        | dict.fromkeys(THETA_KEYS, ("radial",)),
+        report=False,
+    ),
+    ("oracle", "moments"): Task(
+        _oracle, (("family", dict(required=True, choices=checks.FAMS)), ("kmax", dict(type=int, default=6)), SEED, PREC)
+    ),
+    ("suite", "acceptance"): Task(
+        acceptance_suite,
+        (SEED, PREC, ("fast", dict(action="store_true", default=False, help="smaller numeric grids (still meets the stated tolerances)"))),
+    ),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser errors become one ``usage error:`` line from main, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser():
+    ap = _Parser(prog="cpverify", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    verbs = ap.add_subparsers(dest="verb", required=True)
+    tasks = {v: verbs.add_parser(v).add_subparsers(dest="task", required=True) for v in dict.fromkeys(v for v, _ in TASKS)}
+    for (verb, name), task in TASKS.items():
+        p = tasks[verb].add_parser(name)
+        for flag, spec in task.argspecs:
+            # an absent flag stays off the namespace, so _read can tell it from a given one
+            p.add_argument(f"--{flag}", **{**spec, "default": argparse.SUPPRESS})
+    return ap
+
+
+def _apply_config(argv):
+    # a config file holds one `key = value` per line, mirroring long flags
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise UsageError("--config needs a file path")
+    try:
+        with open(argv[i + 1]) as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {argv[i + 1]!r}: {getattr(exc, 'strerror', None) or exc}") from exc
+    extra = []
+    for line in filter(None, lines):
+        key, _, value = (part.strip() for part in line.partition("="))
+        if not value:
+            raise UsageError(f"config line needs key = value: {line!r}")
+        extra += [f"--{key}"] if value.lower() in ("true", "yes", "on") else [f"--{key}", value]
+    return argv[:i] + argv[i + 2 :] + extra
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        args = build_parser().parse_args(argv)
-        return run(args)
+        return run(build_parser().parse_args(_apply_config(argv)))
     except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
 
-def _emit(args, report) -> int:
-    import io
-
-    human = io.StringIO() if getattr(args, "json", False) else None
-    return emit(report, human_out=human)
+def _read(task: Task, args) -> dict:
+    """Fill in the defaults, reject what the task does not read, return the parsed --params."""
+    where = f"{args.verb} {args.task}"
+    given = set(vars(args))
+    for name, spec in task.argspecs:
+        if name not in given:
+            setattr(args, name, spec.get("default"))
+    where_by = f"{where} --{task.by} {getattr(args, task.by)}" if task.by else where
+    for name, _ in task.argspecs:
+        if name in given and not task.reads(args, name):
+            raise UsageError(f"--{name} is not read by {where_by}")
+    params = parse_params(args.params)
+    for key in params:
+        if hasattr(args, key):
+            raise UsageError(f"{key} is set by --{key}, not by --params")
+        if key not in task.keys:
+            raise UsageError(f"{key} is not a parameter of {where}")
+        if not task.reads(args, key):
+            raise UsageError(f"{key} is not a parameter of {where_by}")
+    return params
 
 
 def run(args) -> int:
-    # the smallest size, precision, grid level and trial count any task accepts
-    for name, low in (("N", 1), ("m", 1), ("prec", 53), ("level", 0), ("trials", 1)):
+    task = TASKS[args.verb, args.task]
+    args.params = _read(task, args)
+    for name, low in LOWER:
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise UsageError(f"--{name} must be at least {low}, got {value}")
-    task_echo = {"verb": args.verb, "task": getattr(args, "task", None)}
-    ps = parse_params(getattr(args, "params", "") or "")
-    # keys that a flag of their own sets; --params never overrides them
-    for key in ("family", "N", "m", "hbar", "kappa", "t"):
-        if getattr(ps, key) is not None:
-            if hasattr(args, key):
-                raise UsageError(f"{key} is set by --{key}, not by --params")
-            raise UsageError(f"{key} is not a parameter of {args.verb} {args.task}")
-    if args.verb == "print":
-        return _print_hamiltonian(args, ps)
-
-    if args.verb == "oracle":
-        recs = checks.run_oracle_moments(args.family, kmax=args.kmax, prec=args.prec, seed=args.seed)
-        task_echo.update({"family": args.family, "kmax": args.kmax, "prec": args.prec, "seed": args.seed})
-        return _emit(args, build_report(task_echo, recs, precision=args.prec, timings=args.timings))
-
+    start = time.time()
+    records, echo, precision = task.run(args)
+    if not task.report:
+        return 0
+    report = build_report({"verb": args.verb, "task": args.task, **echo}, records, precision=precision, timings=args.timings)
     if args.verb == "suite":
-        recs, total = acceptance_suite(args.seed, args.prec, args.fast, args.timings)
-        task_echo.update({"seed": args.seed, "prec": args.prec})
-        report = build_report(task_echo, recs, precision=args.prec, timings=args.timings)
-        report["elapsed_s"] = round(total, 1) if args.timings else 0
-        return _emit(args, report)
-
-    # verify subcommands
-    t = args.task
-    precision = getattr(args, "prec", None)
-    if t == "weyl":
-        recs = checks.run_weyl(args.N, expr=getattr(args, "expr", None))
-        task_echo.update({"N": args.N})
-    elif t == "eom":
-        recs = checks.run_eom(args.N)
-        task_echo.update({"N": args.N})
-    elif t == "zero-curvature":
-        recs = checks.run_zero_curvature()
-    elif t == "radial":
-        recs = checks.run_radial(args.family, args.N, args.trials, args.seed)
-        task_echo.update({"family": args.family, "N": args.N, "trials": args.trials, "seed": args.seed})
-    elif t == "gauge":
-        n_values = (args.N,) if args.N else (2, 3)
-        hb_values = (parse_hbar(args.hbar),) if args.hbar else (Fraction(1, 2), Fraction(1, 3), Fraction(2))
-        recs = checks.run_gauge(n_values, hb_values)
-        task_echo.update({"N": list(n_values), "hbar": [str(h) for h in hb_values]})
-    elif t == "table1":
-        fams = (args.family,) if args.family else checks.FAMS
-        modes = (args.mode,) if args.mode else ("ungauged", "gauged")
-        hb = (parse_hbar(args.hbar),) if args.hbar else (Fraction(1, 2), Fraction(2))
-        recs = checks.run_table1(fams, modes, hb, (args.N,), args.m)
-        task_echo.update({"families": list(fams), "modes": list(modes), "N": args.N, "m": args.m})
-    elif t == "n1":
-        recs = checks.run_n1(args.m, parse_hbar(args.hbar))
-        task_echo.update({"m": args.m, "hbar": args.hbar})
-    elif t == "pde":
-        hbar = parse_hbar(args.hbar)
-        task_echo.update({"family": args.family, "N": args.N, "m": args.m, "hbar": args.hbar, "mode": args.mode})
-        if args.mode == "symbolic":
-            if hbar.denominator != 1:
-                raise UsageError("the symbolic path needs a positive integer hbar; use --mode numeric")
-            params = None
-            if ps.family_kwargs():
-                params = moments.pde_params(args.family, args.m, hbar, b=ps.b, c=ps.c)
-            recs = checks.run_pde_symbolic(args.family, args.N, args.m, int(hbar), params, controls=args.controls)
-        else:
-            t_point = parse_rational(args.t) if args.t else None
-            params = None
-            if ps.b is not None:
-                params = moments.pde_params(args.family, args.m, hbar, b=ps.b, c=ps.c)
-            precision = min(args.prec, 128)
-            recs = checks.run_pde_numeric(args.family, args.N, args.m, hbar, t_point, params, prec=precision, level=args.level)
-    else:
-        raise UsageError(f"unknown task {t!r}")
-    return _emit(args, build_report(task_echo, recs, precision=precision, timings=args.timings))
+        report["elapsed_s"] = round(time.time() - start, 1) if args.timings else 0
+    return emit(report, human_out=io.StringIO() if args.json else None)
 
 
 if __name__ == "__main__":

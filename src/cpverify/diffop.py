@@ -239,7 +239,7 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
 
     Returns H_J itself (printed t / t(t-1) prefactors divided out).
     """
-    weighted(J)
+    fam = weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
     zs = zvars(reg)[:N]
@@ -253,9 +253,7 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
             terms.append(Plain(RatFun.const(reg, hb * hb * half), rho, 2))
             terms.append(Plain(-hb * (z**2 + t * half), rho, 1))
             terms.append(Plain(RatFun.const(reg, m * hb) * z, None, 0))
-        return canonicalize(terms, reg, N)
-
-    if J == "III":
+    elif J == "III":
         (b,) = _want(params, "b")
         terms.append(DividedDifference((0, 0, 1), hb))
         for rho, zn in enumerate(zs):
@@ -263,9 +261,7 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
             terms.append(Plain(hb * hb * z**2, rho, 2))
             terms.append(Plain(-hb * (z**2 + (b + N - 1) * z + t), rho, 1))
             terms.append(Plain(m * hb * z, None, 0))
-        return canonicalize(terms, reg, N).scale(1 / t)
-
-    if J == "IV":
+    elif J == "IV":
         (b,) = _want(params, "b")
         terms.append(DividedDifference((0, 1), hb))
         for rho, zn in enumerate(zs):
@@ -274,9 +270,7 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
             terms.append(Plain(-hb * (z**2 + t * z + b), rho, 1))
             terms.append(Plain(m * hb * z, None, 0))
         terms.append(Plain(hb * Fraction(N * m) * t, None, 0))
-        return canonicalize(terms, reg, N)
-
-    if J == "V":
+    elif J == "V":
         b, c = _want(params, "b", "c")
         terms.append(DividedDifference((0, -1, 1), hb))
         terms.append(Plain(hb * Fraction(N * m) * (b + c + t - hb * (m - 1) - N + 1), None, 0))
@@ -285,20 +279,18 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
             terms.append(Plain(hb * hb * z * (z - 1), rho, 2))
             terms.append(Plain(hb * (t * z**2 - (b + c + t) * z + b), rho, 1))
             terms.append(Plain(-m * hb * t * z, None, 0))
-        return canonicalize(terms, reg, N).scale(1 / t)
-
-    # VI
-    a, b, c, d = _want(params, "a", "b", "c", "d")
-    terms.append(DividedDifference(_f6(reg), hb))
-    for rho, zn in enumerate(zs):
-        z = RatFun.var(reg, zn)
-        terms.append(Plain(hb * hb * z * (z - 1) * (z - t), rho, 2))
-        terms.append(
-            Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + (d + N - 1) * z * (z - 1)), rho, 1)
-        )
-        terms.append(Plain(-hb * m * (N - 1 - hb * m) * z, None, 0))
-    terms.append(Plain(-hb * Fraction(m * N) * (hb * m + 1 - N) * t, None, 0))
-    return canonicalize(terms, reg, N).scale(1 / (t * (t - 1)))
+    else:  # VI
+        a, b, c, d = _want(params, "a", "b", "c", "d")
+        terms.append(DividedDifference(_f6(reg), hb))
+        for rho, zn in enumerate(zs):
+            z = RatFun.var(reg, zn)
+            terms.append(Plain(hb * hb * z * (z - 1) * (z - t), rho, 2))
+            terms.append(
+                Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + (d + N - 1) * z * (z - 1)), rho, 1)
+            )
+            terms.append(Plain(-hb * m * (N - 1 - hb * m) * z, None, 0))
+        terms.append(Plain(-hb * Fraction(m * N) * (hb * m + 1 - N) * t, None, 0))
+    return _cleared(canonicalize(terms, reg, N), fam, t)
 
 
 def _f6(reg: Registry):
@@ -310,12 +302,11 @@ def _f6(reg: Registry):
 
 def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
     """Printed single-particle Hamiltonians (N = 1)."""
-    weighted(J)
+    fam = weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
     zn = zvars(reg)[0]
     z = RatFun.var(reg, zn)
-    terms: list = []
     half = Fraction(1, 2)
 
     if J == "II":
@@ -325,38 +316,41 @@ def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
             Plain(-hb * (z**2 + t * half), 0, 1),
             Plain(a * z, None, 0),
         ]
-        return canonicalize(terms, reg, 1)
-    if J == "III":
+    elif J == "III":
         a, b = _want(params, "a", "b")
         terms = [
             Plain(hb * hb * z**2, 0, 2),
             Plain(-hb * (z**2 + b * z + t), 0, 1),
             Plain(a * z, None, 0),
         ]
-        return canonicalize(terms, reg, 1).scale(1 / t)
-    if J == "IV":
+    elif J == "IV":
         a, b = _want(params, "a", "b")
         terms = [
             Plain(hb * hb * z, 0, 2),
             Plain(-hb * (z**2 + t * z + b), 0, 1),
             Plain(a * (z + t), None, 0),
         ]
-        return canonicalize(terms, reg, 1)
-    if J == "V":
+    elif J == "V":
         a, b, c = _want(params, "a", "b", "c")
         terms = [
             Plain(hb * hb * z * (z - 1), 0, 2),
             Plain(hb * (t * z**2 - (b + c + t) * z + b), 0, 1),
             Plain(RatFun.const(reg, a * (b + c - a + hb)) + a * (t - t * z), None, 0),
         ]
-        return canonicalize(terms, reg, 1).scale(1 / t)
-    a, b, c, d = _want(params, "a", "b", "c", "d")
-    terms = [
-        Plain(hb * hb * z * (z - 1) * (z - t), 0, 2),
-        Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + d * z * (z - 1)), 0, 1),
-        Plain((b + c + d + hb) * a * (z - t), None, 0),
-    ]
-    return canonicalize(terms, reg, 1).scale(1 / (t * (t - 1)))
+    else:  # VI
+        a, b, c, d = _want(params, "a", "b", "c", "d")
+        terms = [
+            Plain(hb * hb * z * (z - 1) * (z - t), 0, 2),
+            Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + d * z * (z - 1)), 0, 1),
+            Plain((b + c + d + hb) * a * (z - t), None, 0),
+        ]
+    return _cleared(canonicalize(terms, reg, 1), fam, t)
+
+
+def _cleared(op: DiffOp, fam, t) -> DiffOp:
+    """``op`` with the family's printed prefactor (1, t or t(t-1)) divided out."""
+    prefactor = fam.prefactor(t)
+    return op if prefactor == 1 else op.scale(1 / prefactor)
 
 
 # ---------------------------------------------------------------------------

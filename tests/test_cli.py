@@ -1,6 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cpverify import families
+from cpverify.cli import TASKS, main
 
 
 def run_cli(*args):
@@ -31,8 +40,8 @@ def test_usage_error_exit_code():
 
 
 def test_deterministic_reports():
-    a = run_cli("verify", "n1", "--seed", "7")
-    b = run_cli("verify", "n1", "--seed", "7")
+    a = run_cli("verify", "radial", "--seed", "7")
+    b = run_cli("verify", "radial", "--seed", "7")
     assert a.stdout == b.stdout  # byte-identical JSON with the same seed
 
 
@@ -48,7 +57,7 @@ def test_print_hamiltonian():
 def test_config_file(tmp_path):
     cfg = tmp_path / "task.cfg"
     cfg.write_text("N = 2\nseed = 9\n")
-    proc = run_cli("verify", "eom", "--config", str(cfg))
+    proc = run_cli("verify", "radial", "--config", str(cfg))
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["task"]["N"] == 2
@@ -180,3 +189,115 @@ def test_params_key_without_a_flag_is_a_usage_error():
     proc = run_cli("verify", "weyl", "--params", "kappa=1/2")
     assert_usage_error(proc)
     assert proc.stderr.strip() == "usage error: kappa is not a parameter of verify weyl"
+
+
+def test_config_without_a_path_is_a_usage_error():
+    # was an IndexError traceback
+    assert_usage_error(run_cli("verify", "eom", "--config"))
+
+
+def test_missing_config_file_is_a_usage_error():
+    # was a FileNotFoundError traceback
+    assert_usage_error(run_cli("verify", "eom", "--config", "/nonexistent/task.cfg"))
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "weyl", "--N", "1", "--prec", "300", "--seed", "5"),
+        ("verify", "zero-curvature", "--params", "b=1/3"),
+        ("verify", "n1", "--params", "b=1/3"),
+        ("verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--params", "a=5"),
+        ("verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--controls"),
+        ("verify", "pde", "--family", "V", "--mode", "symbolic", "--level", "2"),
+        ("verify", "pde", "--family", "II", "--params", "b=-1/3"),
+        ("verify", "pde", "--family", "V", "--params", "b=-1/3,b=-1/5"),
+        ("print", "hamiltonian", "--family", "V", "--kind", "cp", "--kappa", "9", "--params", "b=-1/3,c=-1/5"),
+        ("print", "hamiltonian", "--family", "V", "--kind", "cp", "--params", "b=-1/3,c=-1/5,th0=4"),
+        ("print", "hamiltonian", "--family", "V", "--kind", "nagoya", "--m", "2", "--params", "a=1,b=-1/3,c=-1/5"),
+        ("print", "hamiltonian", "--family", "V", "--seed", "1", "--params", "b=-1/3,c=-1/5"),
+    ],
+)
+def test_what_a_task_does_not_read_is_a_usage_error(argv):
+    # each of these exited 0 with the flag or key dropped
+    assert_usage_error(run_cli(*argv))
+
+
+def test_parser_errors_are_one_usage_line():
+    assert_usage_error(run_cli("verify", "weyl", "--N", "two"))
+    assert_usage_error(run_cli("verify", "table1", "--mode", "sideways"))
+
+
+def test_exact_tasks_echo_no_precision():
+    proc = run_cli("verify", "pde", "--family", "II", "--N", "1", "--m", "1", "--mode", "symbolic")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["environment"]["precision_bits"] is None
+
+# every int flag that sizes a run is capped, and each also reaches below its floor
+CAPPED = {
+    "N": st.sampled_from((0, 1, 2, 2)),
+    "m": st.sampled_from((0, 1, 2, 2)),
+    "level": st.sampled_from((-1, 0, 1, 2)),
+    "kmax": st.sampled_from((1, 2, 3, 4)),
+    "trials": st.sampled_from((0, 1, 2)),
+    "prec": st.sampled_from((52, 64, 96)),
+}
+RATIONAL = st.sampled_from(("0", "1", "2", "1/2", "-1/3", "-1/5", "5/4", "1/0", "x"))
+TEXT = RATIONAL | st.sampled_from(families.NAMES)
+
+
+@st.composite
+def task_argv(draw):
+    """An argv for one row of the task table (the suite is too long to fuzz)."""
+    (verb, name), task = draw(st.sampled_from([row for row in TASKS.items() if row[0][0] != "suite"]))
+    argv = [verb, name]
+    specs = dict(task.argspecs)
+    mode = None
+    if task.by:
+        mode = draw(st.sampled_from(specs[task.by]["choices"]))
+        argv += [f"--{task.by}", mode]
+    for flag, spec in task.argspecs:
+        if flag == task.by:
+            continue
+        read = flag not in task.only or mode in task.only[flag]
+        # a flag the mode does not read is a usage error, so it comes rarely
+        if not (flag in CAPPED and read or spec.get("required") or draw(st.integers(0, 3 if read else 7)) == 0):
+            continue
+        if spec.get("action") == "store_true":
+            argv.append(f"--{flag}")
+        elif flag == "params":
+            keys = st.sampled_from(task.keys + ("t", "zz"))
+            pairs = draw(st.lists(st.tuples(keys, RATIONAL), max_size=3))
+            argv += ["--params", ",".join(f"{k}={v}" for k, v in pairs)]
+        else:
+            if "choices" in spec:
+                value = draw(st.sampled_from(spec["choices"]))
+            elif spec.get("type") is int:
+                value = str(draw(CAPPED.get(flag, st.integers(-1, 9))))
+            else:
+                value = draw(TEXT)
+            # now and then a value or a flag that argparse itself rejects
+            argv += [f"--{flag}", draw(st.sampled_from((value,) * 8 + ("x", "-x")))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    return argv, task
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(task_argv())
+def test_fuzz_task_table(case):
+    # every argv ends in a report (exit 0 or 1), printed output, or one usage line
+    argv, task = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: "), (argv, err.getvalue())
+    elif task.report:
+        assert code in (0, 1), argv
+        assert json.loads(out.getvalue())["schema"] == 1
+    else:
+        assert code == 0 and out.getvalue(), argv
