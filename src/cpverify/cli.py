@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -85,12 +86,17 @@ def _table1(args):
     return checks.run_table1(fams, modes, hb, (args.N,), args.m), echo, None
 
 
+def _family_reads(args, keys):
+    """Reject a --params key that the family never reads."""
+    for key in args.params:
+        if key not in keys:
+            raise UsageError(f"{key} is not a parameter of family {args.family}")
+
+
 def _pde(args):
     hbar = parse_hbar(args.hbar)
     echo = {"family": args.family, "N": args.N, "m": args.m, "hbar": args.hbar, "mode": args.mode}
-    for key in args.params:
-        if key not in families.weighted(args.family).cp_keys:
-            raise UsageError(f"{key} is not a parameter of family {args.family}")
+    _family_reads(args, families.weighted(args.family).cp_keys)
     if args.mode == "symbolic" and hbar.denominator != 1:
         raise UsageError("the symbolic path needs a positive integer hbar; use --mode numeric")
     # pde_params derives a (and d for VI) from the solvability conditions
@@ -104,6 +110,10 @@ def _pde(args):
 
 def _print_hamiltonian(args):
     hbar = parse_hbar(args.hbar)
+    if args.kind == "radial":
+        _family_reads(args, families.family("II" if args.family == "II_pre" else args.family).radial_keys)
+    else:
+        _family_reads(args, ("a",) * (args.kind == "nagoya") + families.weighted(args.family).cp_keys)
     if args.kind == "cp":
         op = diffop.build_cp_hamiltonian(session_registry(args.N), args.family, args.N, args.m, hbar, **args.params)
     elif args.kind == "nagoya":
@@ -124,19 +134,34 @@ def _oracle(args):
     return checks.run_oracle_moments(args.family, kmax=args.kmax, prec=args.prec, seed=args.seed), echo, args.prec
 
 
+def _timed(tag: str, fn) -> list:
+    """One block of the suite: its records, tagged and timed.
+
+    A runner that timed its own records keeps those times.  The rest of the
+    block's time is split evenly over the other records, with the integer
+    remainder on the last, so that a block's records add up to the block.
+    """
+    start = time.perf_counter()
+    recs = fn()
+    block_ms = int((time.perf_counter() - start) * 1000)
+    untimed = [r for r in recs if not r.ms]
+    if untimed:
+        share, extra = divmod(max(0, block_ms - sum(r.ms for r in recs)), len(untimed))
+        for r in untimed:
+            r.ms = share
+        untimed[-1].ms += extra
+    for r in recs:
+        r.name = f"[{tag}] {r.name}"
+    return recs
+
+
 def acceptance_suite(args):
     """The full acceptance matrix; one record block per criterion."""
     seed, prec = args.seed, args.prec
     records = []
 
     def timed(tag, fn):
-        # a runner that timed its own records keeps those times
-        start = time.time()
-        recs = fn()
-        for r in recs:
-            r.ms = r.ms or int((time.time() - start) * 1000)
-            r.name = f"[{tag}] {r.name}"
-        records.extend(recs)
+        records.extend(_timed(tag, fn))
 
     for N in (1, 2, 3):
         timed("weyl", lambda n=N: checks.run_weyl(n))
@@ -261,10 +286,21 @@ def _apply_config(argv):
     return argv[:i] + argv[i + 2 :] + extra
 
 
+def _attach_negative_values(argv):
+    """``--hbar -1/3`` as ``--hbar=-1/3``: argparse takes a token like -1/3 for a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return run(build_parser().parse_args(_apply_config(argv)))
+        return run(build_parser().parse_args(_attach_negative_values(_apply_config(argv))))
     except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

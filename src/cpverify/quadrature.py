@@ -6,10 +6,14 @@ serves every t, k and s that needs it.  The m-fold wave-function coefficients
 come from one nested tanh-sinh sweep over the ordered simplex u_1 > ... > u_m,
 where the coupling prod (u_i - u_j)^{2 hbar} is positive and single valued;
 only the weight's t-dependent factor is evaluated per t, so the Schroedinger
-residual takes t and its four finite-difference shifts from one sweep.
-One-dimensional moments for a set of (k, s) take one pass: on [0, 1] one
-tanh-sinh grid whose coarse error sum reuses the fine nodes, elsewhere one
-mpmath.quad per k with the weight memoized per node.
+residual takes t and its four finite-difference shifts from one sweep.  A
+leaf's additions for a t are skipped when an exponent bound puts every addend
+below a quarter ulp of its accumulator (``_negligible``): round-to-nearest
+returns such a sum unchanged, so the skip changes no bit.
+One-dimensional moments for a set of (k, s): on [0, 1] one pass over one
+tanh-sinh grid whose coarse error sum reuses the fine nodes; elsewhere one
+mpmath.quad per k over a weight memoized per node (on the polyline both legs,
+theta(u) and theta(u omega), once per node).
 
 Each family's weight, contour and admissibility constraints are in
 ``families.py``.
@@ -58,11 +62,15 @@ def theta(J: str, u, t, params: dict, omu=None):
 
 
 def _theta_memo(J: str, tv, p: dict):
-    """theta at a fixed t, memoized per node and precision (mpmath.quad reuses its nodes)."""
+    """theta at a fixed t, memoized per node and precision (mpmath.quad reuses its nodes).
+
+    The keys are the nodes' raw mpf tuples, which hash and compare far faster
+    than the mpf objects and are equal exactly when the numbers are.
+    """
     memo = {}
 
     def th(u, omu=None):
-        key = (u, omu, mp.prec)
+        key = (u._mpf_, None if omu is None else omu._mpf_, mp.prec)
         if key not in memo:
             memo[key] = theta(J, u, tv, p, omu=omu)
         return memo[key]
@@ -112,14 +120,25 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
                         coarse[key] += v
             return {key: (fine[key], abs(fine[key] - 2 * coarse[key])) for key in keys}
 
-        th = _theta_memo(J, tv, p)
-        omega = mpmath.exp(-2j * mpmath.pi / 3)
+        if fam.contour == POLYLINE:
+            # both legs u and u*omega at once: (theta(u), u*omega, theta(u*omega))
+            # once per node and precision, shared by every k
+            omega = mpmath.exp(-2j * mpmath.pi / 3)
+            legs = {}
 
-        def f(u, k):
-            if fam.contour != POLYLINE:
+            def f(u, k):
+                key = (u._mpf_, mp.prec)
+                if key not in legs:
+                    u2 = u * omega
+                    legs[key] = (theta(J, u, tv, p), u2, theta(J, u2, tv, p))
+                th1, u2, th2 = legs[key]
+                return u**k * th1 - omega * (u2**k * th2)
+
+        else:
+            th = _theta_memo(J, tv, p)
+
+            def f(u, k):
                 return u**k * th(u)
-            u2 = u * omega
-            return u**k * th(u) - omega * (u2**k * th(u2))
 
         return {(k, s): mpmath.quad(lambda u, k=k: f(u, k), [0, mpmath.inf], error=True, maxdegree=10) for k, s in keys}
 
@@ -228,6 +247,18 @@ def _coupling(chain, beta):
     return (d12 * d13 * d23) ** beta
 
 
+def _negligible(bound: int, accs, prec: int) -> bool:
+    """True when adding any x with |x| < 2^bound rounds each raw mpf in ``accs`` back to itself.
+
+    With E = exp + bc, a nonzero acc has 2^(E-1) <= |acc| < 2^E and ulp
+    2^(E-prec) at ``prec`` bits.  Round-to-nearest returns acc for |x| below
+    half the spacing on either side; at a power of two the spacing below is
+    half the ulp, so the margin is a quarter ulp, 2^(E-prec-2).  A zero
+    accumulator takes any addend, so it never allows a skip.
+    """
+    return all(a[1] and bound <= a[2] + a[3] - prec - 2 for a in accs)
+
+
 def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, level: int, with_dt: bool):
     """One simplex sweep for every t in ``ts``: (coeffs per t, dt_coeffs, err).
 
@@ -237,6 +268,13 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
     share one across all t; III and IV have one per t) and serve each t in it.
     A key's value is the prefix product (base * e_k1) * e_k2 ..., skipping the
     factors e_0 = 1.
+
+    Each value is below 2^(E(base) + N max(0, max_r E(e_r)) + N + 1), with
+    E = exp + bc of the raw mpf.  A t whose values all fall below a quarter
+    ulp of every accumulator they would join (its own, and for ts[0] the dt
+    accumulator, times |dt|, and on coarse nodes the coarse one) is skipped
+    at that leaf: each of those round-to-nearest additions would return the
+    accumulator unchanged.
     """
     if m > 3:
         raise UsageError("desk scale: m <= 3")
@@ -263,10 +301,22 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
                 weight *= x
             coupling = _coupling(chain, beta)
             es = [e._mpf_ for e in _elementary(xs, m)]
+            # every key's value is below 2^(E(base) + grow) (see the docstring)
+            grow = N * max(0, max(e[2] + e[3] for e in es[1:])) + N + 1
             for i, th in zip(idx, ths):
                 base = weight * th if coupling is None else weight * th * coupling
                 if not mpmath.isfinite(base):
                     raise QuadratureError(f"non-finite integrand near {xs}")
+                # skip the t when round-to-nearest would discard each of its additions
+                bound = base._mpf_[2] + base._mpf_[3] + grow
+                skip = _negligible(bound, accs[i], prec)
+                if skip and i == 0:
+                    # a dt addend is val * dt, below 2^(bound + E(dt) + 1)
+                    skip = (not with_dt or _negligible(bound + dt._mpf_[2] + dt._mpf_[3] + 1, acc_dt, prec)) and (
+                        not isc or _negligible(bound, acc_coarse, prec)
+                    )
+                if skip:
+                    continue
                 vals = [base._mpf_]
                 for _ in range(N):
                     vals = [val if r == 0 else mul(val, es[r], prec, rnd) for val in vals for r in range(m + 1)]

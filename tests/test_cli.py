@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cpverify import families
+from cpverify import cli, families
+from cpverify.checks import CheckRecord
 from cpverify.cli import TASKS, main
 
 
@@ -217,11 +218,47 @@ def test_missing_config_file_is_a_usage_error():
         ("print", "hamiltonian", "--family", "V", "--kind", "cp", "--params", "b=-1/3,c=-1/5,th0=4"),
         ("print", "hamiltonian", "--family", "V", "--kind", "nagoya", "--m", "2", "--params", "a=1,b=-1/3,c=-1/5"),
         ("print", "hamiltonian", "--family", "V", "--seed", "1", "--params", "b=-1/3,c=-1/5"),
+        ("print", "hamiltonian", "--family", "II", "--kind", "cp", "--params", "b=5"),
+        ("print", "hamiltonian", "--family", "IV", "--kind", "cp", "--params", "b=-1/3,c=1"),
+        ("print", "hamiltonian", "--family", "II", "--kind", "nagoya", "--params", "a=1,b=5"),
+        ("print", "hamiltonian", "--family", "II_pre", "--kind", "radial", "--params", "th=1,th0=2"),
     ],
 )
 def test_what_a_task_does_not_read_is_a_usage_error(argv):
     # each of these exited 0 with the flag or key dropped
     assert_usage_error(run_cli(*argv))
+
+
+def test_print_reads_each_key_of_the_family():
+    for kind, family, params in (("nagoya", "II", "a=1"), ("radial", "II_pre", "th=1"), ("cp", "IV", "b=-1/3")):
+        proc = run_cli("print", "hamiltonian", "--family", family, "--kind", kind, "--params", params)
+        assert proc.returncode == 0 and "C (multiplication)" in proc.stdout, (kind, family)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "gauge", "--N", "2", "--hbar", "-1/3"),
+        ("verify", "pde", "--mode", "numeric", "--family", "V", "--hbar", "1/2", "--level", "0", "--t", "-5/4"),
+    ],
+)
+def test_negative_rational_values_parse_like_the_equals_form(argv):
+    # argparse took -1/3 for a flag: exit 2, "expected one argument"
+    joined = run_cli(*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    spaced = run_cli(*argv)
+    assert joined.returncode in (0, 1)
+    assert (spaced.returncode, spaced.stdout) == (joined.returncode, joined.stdout)
+
+
+def test_suite_block_time_is_split_over_its_records(monkeypatch):
+    # every record without a time of its own used to carry the whole block's time
+    clock = iter([5.0, 6.0015])
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    recs = [CheckRecord(f"c{i}", "anchor", True) for i in range(4)]
+    recs[1].ms = 100  # timed by its runner
+    out = cli._timed("stub", lambda: recs)
+    assert [r.ms for r in out] == [300, 100, 300, 301]
+    assert [r.name for r in out] == ["[stub] c0", "[stub] c1", "[stub] c2", "[stub] c3"]
 
 
 def test_parser_errors_are_one_usage_line():

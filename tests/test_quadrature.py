@@ -1,9 +1,14 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, fzero, mpf_add, round_nearest
 
+from cpverify import families
 from cpverify.errors import DomainError, UsageError
 from cpverify.exact import session_registry
 from cpverify import quadrature
@@ -213,6 +218,11 @@ GOLDEN_MOMENTS = {
 }
 
 
+# run_oracle_moments("II") at the suite's seed 42: k = 0..6 at 192 bits at each
+# point families.weighted("II").sample draws (t = 2, -1, -1)
+GOLDEN_ORACLE_II = ("9b119cb50cdb5f40", "477bbf686107a677", "477bbf686107a677")
+
+
 @pytest.mark.parametrize("shape", sorted(GOLDEN_SIMPLEX_V))
 @pytest.mark.parametrize("t", SHIFTS, ids=str)
 def test_simplex_phi_coeffs_bit_identical(shape, t):
@@ -251,6 +261,15 @@ def test_moments_bit_identical(name):
     assert digest([out[key] for key in keys]) == golden
     # the one-key evaluator is the same pass
     assert moment_numeric(J, kmax, s_values[-1], t, params, prec=128) == out[(kmax, s_values[-1])]
+
+
+def test_polyline_moments_bit_identical_at_the_oracle_points():
+    rng = random.Random(42)
+    keys = [(k, 0) for k in range(7)]
+    for golden in GOLDEN_ORACLE_II:
+        t, params = families.weighted("II").sample(rng)
+        out = moments_numeric("II", keys, t, params, prec=192)
+        assert digest([out[key] for key in keys]) == golden
 
 
 def test_vi_tail_point_reaches_past_the_fine_list():
@@ -300,3 +319,48 @@ def test_ts_nodes_share_one_list_per_level_and_precision():
     assert _bits(long) == _bits(direct_ts_nodes(level, prec, 6.0))
     assert len(short) < len(long) and _bits(long[: len(short)]) == _bits(short)
     assert _bits(ts_nodes(level, prec, 2.2)) == _bits(short)
+
+
+# ---------------------------------------------------------------------------
+# The simplex sweep skips an addition only when round-to-nearest discards it.
+# ---------------------------------------------------------------------------
+
+
+def top(x):
+    """E = exp + bc of a raw mpf: |x| < 2^E."""
+    return x[2] + x[3]
+
+
+def test_skip_margin_is_a_quarter_ulp_at_a_power_of_two():
+    prec = 53
+    acc = from_man_exp(1, 10, prec)  # 2^10: the spacing is 2^(10-52) above, 2^(10-53) below
+    half_below = from_man_exp(1, 10 - prec - 1)
+    assert not quadrature._negligible(top(half_below), [acc], prec)
+    # an addend under that same bound which round-to-nearest keeps
+    x = from_man_exp(-(2**20 - 1), 10 - prec - 20)
+    assert top(x) == top(half_below) and mpf_add(acc, x, prec, round_nearest) != acc
+    assert quadrature._negligible(top(half_below) - 1, [acc], prec)
+
+
+def test_zero_accumulator_never_allows_a_skip():
+    acc = from_man_exp(3, 0, 53)
+    assert quadrature._negligible(-1000, [acc], 53)
+    assert not quadrature._negligible(-1000, [fzero], 53)
+    assert not quadrature._negligible(-1000, [acc, fzero], 53)
+
+
+MANTISSA = st.integers(1, 2**300) | st.integers(0, 300).map(lambda j: 2**j)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.integers(53, 256),
+    st.booleans(), MANTISSA, st.integers(-400, 400),
+    st.booleans(), MANTISSA, st.integers(-6, 2),
+)
+def test_a_skipped_addition_leaves_the_sum_unchanged(prec, neg, man, exp, neg_x, man_x, offset):
+    acc = from_man_exp(-man if neg else man, exp, prec, round_nearest)
+    # addends from well inside the margin to just past it
+    x = from_man_exp(-man_x if neg_x else man_x, top(acc) - prec + offset - man_x.bit_length())
+    if quadrature._negligible(top(x), [acc], prec):
+        assert mpf_add(acc, x, prec, round_nearest) == acc
