@@ -75,7 +75,7 @@ def run_weyl(N: int, expr: str | None = None) -> list[CheckRecord]:
                 f"expression {expr!r}",
                 "using the commutation relation",
                 True,
-                detail=value.to_str() if hasattr(value, "to_str") else str(value),
+                detail=value.to_str(),
             )
         )
     return out
@@ -270,10 +270,7 @@ def _split_scalar_sumz(expr: RatFun, reg, N: int):
     s0, s1 = sum(pts0.values()), sum(pts1.values())
     beta = (e1 - e0) * (1 / Fraction(s1 - s0))
     alpha = e0 - beta * s0
-    sumz = RatFun.const(reg, 0)
-    for zn in zs:
-        sumz = sumz + RatFun.var(reg, zn)
-    if (expr - alpha - beta * sumz).is_zero():
+    if (expr - alpha - beta * diffop.power_sum(reg, N, 1)).is_zero():
         return alpha, beta
     return None
 
@@ -484,23 +481,7 @@ def numeric_pde_params(J: str, m: int, hbar, base: dict) -> dict:
     return moments.pde_params(J, m, hbar, **base)
 
 
-def run_pde_numeric(
-    J: str,
-    N: int = 2,
-    m: int = 2,
-    hbar=Fraction(1, 2),
-    t=None,
-    params: dict | None = None,
-    prec: int = 64,
-    level: int = 4,
-) -> list[CheckRecord]:
-    # a missing t or missing params is defaulted alone; what was given is kept
-    if t is None or params is None:
-        if J not in NUMERIC_POINTS:
-            raise UsageError(f"family {J} has no default numeric point: give both t and params")
-        default_t, base = NUMERIC_POINTS[J][0]
-        t = default_t if t is None else t
-        params = numeric_pde_params(J, m, hbar, base) if params is None else params
+def run_pde_numeric(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 64, level: int = 4) -> list[CheckRecord]:
     rep = quadrature.pde_residual_numeric(J, N, m, hbar, t, params, prec=prec, level=level)
     ok = rep["residual"] < mpmath.mpf("1e-6") and rep["dt_agreement"] < mpmath.mpf("1e-8")
     return [
@@ -569,7 +550,7 @@ def run_andreief(prec: int = 96) -> list[CheckRecord]:
     params = {"b": Fraction(-1, 3)}
     t = Fraction(1, 3)
     z = [Fraction(3, 2), Fraction(-2, 3)]
-    coeffs, err = quadrature.phi_numeric("IV", 2, 2, 1, t, params, prec=prec, level=5)
+    coeffs, _, _ = quadrature.simplex_phi_coeffs("IV", 2, 2, 1, t, params, prec=prec, level=5, with_dt=False)
     with mpmath.mp.workprec(prec):
         simplex_val = quadrature.phi_value(coeffs, [mpmath.mpf(x.numerator) / x.denominator for x in z], 2)
         det_val = quadrature.andreief_phi("IV", z, t, 2, params, prec=prec)

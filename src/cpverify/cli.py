@@ -34,8 +34,8 @@ REPORT = (
     ("timings", dict(action="store_true", default=False, help="include wall-clock timings (breaks byte-identical reports)")),
 )
 PARAMS = ("params", dict(default="", help="rational parameters, e.g. b=-1/3,c=-1/5"))
-CP_KEYS = ("a", "b", "c", "d")
-THETA_KEYS = ("th", "th0", "th1", "th2", "tht", "k2")
+CP_KEYS = tuple(dict.fromkeys(k for fam in families.TABLE for k in fam.cp_keys))
+THETA_KEYS = tuple(dict.fromkeys(k for fam in families.TABLE for k in fam.radial_keys))
 # the smallest size, precision, grid level and trial count any task accepts
 LOWER = (("N", 1), ("m", 1), ("prec", 53), ("level", 0), ("trials", 1))
 
@@ -94,18 +94,27 @@ def _family_reads(args, keys):
 
 
 def _pde(args):
-    hbar = parse_hbar(args.hbar)
-    echo = {"family": args.family, "N": args.N, "m": args.m, "hbar": args.hbar, "mode": args.mode}
-    _family_reads(args, families.weighted(args.family).cp_keys)
+    J, hbar = args.family, parse_hbar(args.hbar)
+    _family_reads(args, families.weighted(J).cp_keys)
     if args.mode == "symbolic" and hbar.denominator != 1:
         raise UsageError("the symbolic path needs a positive integer hbar; use --mode numeric")
-    # pde_params derives a (and d for VI) from the solvability conditions
-    params = moments.pde_params(args.family, args.m, hbar, **args.params) if args.params else None
-    if args.mode == "symbolic":
-        return checks.run_pde_symbolic(args.family, args.N, args.m, int(hbar), params, controls=args.controls), echo, None
+    # the numeric path defaults a missing t, or missing params, alone; pde_params
+    # derives a (and d for VI) from the solvability conditions
     t = parse_rational(args.t) if args.t is not None else None
+    base = {}
+    if args.mode == "numeric" and (t is None or not args.params):
+        if J not in checks.NUMERIC_POINTS:
+            raise UsageError(f"family {J} has no default numeric point: give both t and params")
+        default_t, base = checks.NUMERIC_POINTS[J][0]
+        t = default_t if t is None else t
+    params = moments.pde_params(J, args.m, hbar, **(args.params or base))
+    echo = {"family": J, "N": args.N, "m": args.m, "hbar": args.hbar, "mode": args.mode}
+    echo["params"] = {k: str(v) for k, v in params.items()}
+    if args.mode == "symbolic":
+        return checks.run_pde_symbolic(J, args.N, args.m, int(hbar), params, controls=args.controls), echo, None
+    echo["t"] = str(t)
     prec = min(args.prec, 128)
-    return checks.run_pde_numeric(args.family, args.N, args.m, hbar, t, params, prec=prec, level=args.level), echo, prec
+    return checks.run_pde_numeric(J, args.N, args.m, hbar, t, params, prec=prec, level=args.level), echo, prec
 
 
 def _print_hamiltonian(args):

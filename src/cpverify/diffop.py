@@ -15,12 +15,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .exact import MPoly, RatFun, Registry, as_rat, session_registry
+from .exact import RatFun, Registry, as_rat, as_ratfun, session_registry
 from .families import weighted
 
 
 def zvars(reg: Registry):
     return [n for n in reg.names if n.startswith("z") and n[1:].isdigit()]
+
+
+def power_sum(reg: Registry, N: int, j: int) -> RatFun:
+    """Sum_rho z_rho^j over the first N z-variables, added in order.
+
+    The sum is taken on polynomials and made a RatFun once: over the
+    denominator one that is the same function, without a RatFun
+    normalization per term.
+    """
+    acc = reg.zero()
+    for zn in zvars(reg)[:N]:
+        acc = acc + reg.var(zn) ** j
+    return RatFun.from_mpoly(acc)
 
 
 class DiffOp:
@@ -51,7 +64,7 @@ class DiffOp:
         return self + other.scale(-1)
 
     def scale(self, c) -> "DiffOp":
-        c = c if isinstance(c, RatFun) else RatFun.const(self.reg, as_rat(c))
+        c = as_ratfun(c, self.reg)
         return DiffOp(self.reg, self.N, [a * c for a in self.A], [b * c for b in self.B], self.C * c)
 
     def subs(self, values: dict) -> "DiffOp":
@@ -149,8 +162,7 @@ def _poly_at(reg: Registry, f, zname: str) -> RatFun:
     z = RatFun.var(reg, zname)
     acc = RatFun.const(reg, 0)
     for k, c in enumerate(f):
-        c = c if isinstance(c, RatFun) else RatFun.const(reg, as_rat(c)) if not isinstance(c, MPoly) else RatFun.from_mpoly(c)
-        acc = acc + c * z**k
+        acc = acc + as_ratfun(c, reg) * z**k
     return acc
 
 
@@ -158,17 +170,9 @@ def canonicalize(terms, reg: Registry, N: int) -> DiffOp:
     """Absorb all term shapes into canonical (A, B, C); linear and order-free."""
     zs = zvars(reg)[:N]
     op = DiffOp(reg, N)
-
-    def rf(x):
-        if isinstance(x, RatFun):
-            return x
-        if isinstance(x, MPoly):
-            return RatFun.from_mpoly(x)
-        return RatFun.const(reg, as_rat(x))
-
     for term in terms:
         if isinstance(term, Plain):
-            c = rf(term.coeff)
+            c = as_ratfun(term.coeff, reg)
             if term.order == 0:
                 op.C = op.C + c
             elif term.order == 1:
@@ -178,7 +182,7 @@ def canonicalize(terms, reg: Registry, N: int) -> DiffOp:
             else:
                 raise UsageError("operators are at most second order")
         elif isinstance(term, DividedDifference):
-            s = rf(term.scale)
+            s = as_ratfun(term.scale, reg)
             for rho, sigma in itertools.permutations(range(N), 2):
                 zr = RatFun.var(reg, zs[rho])
                 zsg = RatFun.var(reg, zs[sigma])
@@ -186,7 +190,7 @@ def canonicalize(terms, reg: Registry, N: int) -> DiffOp:
                 op.B[rho] = op.B[rho] + s * _poly_at(reg, term.f, zs[rho]) * inv
                 op.B[sigma] = op.B[sigma] - s * _poly_at(reg, term.f, zs[sigma]) * inv
         elif isinstance(term, (PotentialSingle, PotentialPair)):
-            s = rf(term.scale)
+            s = as_ratfun(term.scale, reg)
             for rho, sigma in itertools.permutations(range(N), 2):
                 zr = RatFun.var(reg, zs[rho])
                 zsg = RatFun.var(reg, zs[sigma])
@@ -200,14 +204,12 @@ def canonicalize(terms, reg: Registry, N: int) -> DiffOp:
     return op
 
 
-def apply_op(op: DiffOp, f, *, assert_polynomial: bool = False):
+def apply_op(op: DiffOp, f) -> RatFun:
     """Apply the operator to a polynomial (MPoly or polynomial RatFun).
 
-    The input must be symmetric in the z-variables.  Returns a RatFun; with
-    ``assert_polynomial`` the result is divided out exactly (raising
-    ExactDivisionError on failure) and returned with denominator one.
+    The input must be symmetric in the z-variables.
     """
-    phi = f if isinstance(f, RatFun) else RatFun.from_mpoly(f)
+    phi = as_ratfun(f, op.reg)
     zs = zvars(op.reg)[: op.N]
     for i in range(op.N - 1):
         swap = {zs[i]: zs[i + 1], zs[i + 1]: zs[i]}
@@ -217,8 +219,6 @@ def apply_op(op: DiffOp, f, *, assert_polynomial: bool = False):
     for rho, zn in enumerate(zs):
         d1 = phi.deriv(zn)
         acc = acc + op.B[rho] * d1 + op.A[rho] * d1.deriv(zn)
-    if assert_polynomial:
-        return RatFun.from_mpoly(acc.as_mpoly())
     return acc
 
 
@@ -406,10 +406,7 @@ def build_gauge_pair(reg: Registry, N: int, a: int, hbar, kappa):
     elif a == 2:
         printed = RatFun.const(reg, Fraction(N * (N - 1) * (N - 2), 3))
     else:
-        sz = RatFun.const(reg, 0)
-        for zn in zs:
-            sz = sz + RatFun.var(reg, zn)
-        printed = Fraction((N - 1) * (N - 2)) * sz
+        printed = Fraction((N - 1) * (N - 2)) * power_sum(reg, N, 1)
     return h_op, ht_base, printed
 
 

@@ -63,8 +63,8 @@ def as_rat(x) -> Rat:
 class Registry:
     """Ordered list of named commuting variables, fixed for a session.
 
-    The canonical session ordering is z_1 < ... < z_N < t < hbar < seed
-    symbols; helpers below build registries in that order.  The registry also
+    The canonical session ordering is z_1 < ... < z_N < t < seed symbols;
+    ``session_registry`` builds registries in that order.  The registry also
     fixes the exponent packing: variable i sits at bit ``_shifts[i]`` and
     ``_guard`` holds the guard bit of every field.
     """
@@ -129,15 +129,9 @@ class Registry:
         return _new(self, {1 << self._shifts[self.index[name]]: 1}, _ONE)
 
 
-def session_registry(N: int, *, with_t=True, with_hbar=False, seeds=()) -> Registry:
-    """Registry with the deterministic ordering z_1 < ... < z_N < t < hbar < seeds."""
-    names = [f"z{i}" for i in range(1, N + 1)]
-    if with_t:
-        names.append("t")
-    if with_hbar:
-        names.append("hbar")
-    names.extend(seeds)
-    return Registry(names)
+def session_registry(N: int, *, seeds=()) -> Registry:
+    """Registry with the deterministic ordering z_1 < ... < z_N < t < seeds."""
+    return Registry([f"z{i}" for i in range(1, N + 1)] + ["t", *seeds])
 
 
 class MPoly:
@@ -678,12 +672,12 @@ class RatFun:
 
     def equal(self, other: "RatFun") -> bool:
         """a/b == c/d decided by a*d - c*b == 0."""
-        other = _as_ratfun(other, self.reg)
+        other = as_ratfun(other, self.reg)
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (RatFun, MPoly, int, Fraction)):
-            return self.equal(_as_ratfun(other, self.reg))
+            return self.equal(as_ratfun(other, self.reg))
         return NotImplemented
 
     def __hash__(self):
@@ -695,7 +689,7 @@ class RatFun:
         return RatFun(-self.num, self.den)
 
     def __add__(self, other):
-        other = _as_ratfun(other, self.reg)
+        other = as_ratfun(other, self.reg)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -707,13 +701,13 @@ class RatFun:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-_as_ratfun(other, self.reg))
+        return self + (-as_ratfun(other, self.reg))
 
     def __rsub__(self, other):
-        return (-self) + _as_ratfun(other, self.reg)
+        return (-self) + as_ratfun(other, self.reg)
 
     def __mul__(self, other):
-        other = _as_ratfun(other, self.reg)
+        other = as_ratfun(other, self.reg)
         if self.is_zero() or other.is_zero():
             return RatFun(self.reg.zero(), self.reg.one())
         return RatFun(self.num * other.num, self.den * other.den)
@@ -721,13 +715,13 @@ class RatFun:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_ratfun(other, self.reg)
+        other = as_ratfun(other, self.reg)
         if other.is_zero():
             raise ZeroDivisionError("division by zero RatFun")
         return RatFun(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _as_ratfun(other, self.reg) / self
+        return as_ratfun(other, self.reg) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -750,10 +744,6 @@ class RatFun:
             raise ZeroDivisionError(f"denominator vanishes at {point}")
         return self.num.eval(point) / d
 
-    def as_mpoly(self) -> MPoly:
-        """Exact numerator/denominator division; raises if not a polynomial."""
-        return exact_div(self.num, self.den)
-
     def to_str(self) -> str:
         if self.den.is_constant():
             c = self.den.constant_value()
@@ -764,7 +754,8 @@ class RatFun:
     __str__ = to_str
 
 
-def _as_ratfun(x, reg: Registry) -> RatFun:
+def as_ratfun(x, reg: Registry) -> RatFun:
+    """A RatFun as is, an MPoly over one, an int or Fraction as a constant over ``reg``."""
     if isinstance(x, RatFun):
         return x
     if isinstance(x, MPoly):

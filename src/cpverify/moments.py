@@ -20,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import families
-from .diffop import apply_op, build_cp_hamiltonian, zvars
+from .diffop import apply_op, build_cp_hamiltonian, power_sum, zvars
 from .errors import InternalError, UsageError
-from .exact import MPoly, RatFun, Registry, _as_ratfun, as_rat, session_registry
+from .exact import MPoly, RatFun, Registry, as_rat, as_ratfun, session_registry
 
 
 class MasterFunction:
@@ -40,8 +40,8 @@ class MasterFunction:
         self.reg = reg
         self.params = {k: as_rat(v) for k, v in params.items() if v is not None}
         clearing, logd_num = fam.log_derivative(RatFun.var(reg, "t"), self.params)
-        self.clearing = {j: _as_ratfun(c, reg) for j, c in clearing.items()}
-        self.logd_num = {j: _as_ratfun(c, reg) for j, c in logd_num.items()}
+        self.clearing = {j: as_ratfun(c, reg) for j, c in clearing.items()}
+        self.logd_num = {j: as_ratfun(c, reg) for j, c in logd_num.items()}
         self.min_n = fam.min_n
         self.dt_log = fam.dt_log(self.params)
 
@@ -61,13 +61,11 @@ class MomentExpr:
 
     @classmethod
     def symbol(cls, reg, kind: str, k: int, coeff=1):
-        c = coeff if isinstance(coeff, RatFun) else RatFun.const(reg, as_rat(coeff))
-        return cls(reg, {((kind, k),): c})
+        return cls(reg, {((kind, k),): as_ratfun(coeff, reg)})
 
     @classmethod
     def const(cls, reg, c):
-        c = c if isinstance(c, RatFun) else RatFun.const(reg, as_rat(c))
-        return cls(reg, {(): c})
+        return cls(reg, {(): as_ratfun(c, reg)})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -84,7 +82,7 @@ class MomentExpr:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = c if isinstance(c, RatFun) else RatFun.const(self.reg, as_rat(c))
+        c = as_ratfun(c, self.reg)
         return MomentExpr(self.reg, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -417,10 +415,7 @@ def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None =
     phi, reducer = build_phi(J, N, m, hbar, params, reg)
     op = build_cp_hamiltonian(reg, J, N, m, hbar, **params)
     if mutate == "m_shift":
-        zsum = RatFun.const(reg, 0)
-        for zn in zvars(reg)[:N]:
-            zsum = zsum + RatFun.var(reg, zn)
-        op.C = op.C + zsum
+        op.C = op.C + power_sum(reg, N, 1)
     elif mutate is not None:
         raise UsageError(f"unknown mutation {mutate!r}")
     hphi = apply_op(op, phi)

@@ -5,8 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UsageError
+from .families import TABLE
 
-RATIONAL_KEYS = ("hbar", "kappa", "th", "th0", "th1", "th2", "tht", "k2", "a", "b", "c", "d", "t")
+# hbar, kappa and t, and every family's radial and multi-particle keys
+RATIONAL_KEYS = ("hbar", "kappa", *dict.fromkeys(k for fam in TABLE for k in fam.radial_keys + fam.cp_keys), "t")
 INT_KEYS = ("N", "m")
 KEYS = ("family",) + INT_KEYS + RATIONAL_KEYS
 

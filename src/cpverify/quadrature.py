@@ -15,6 +15,12 @@ tanh-sinh grid whose coarse error sum reuses the fine nodes; elsewhere one
 mpmath.quad per k over a weight memoized per node (on the polyline both legs,
 theta(u) and theta(u omega), once per node).
 
+Entry points: ``theta`` (the weight at one point), ``moments_numeric`` (the
+1-D moments; ``moment_numeric`` for one key), ``simplex_phi_coeffs`` (the
+m-fold coefficients at one t; ``phi_value`` sums them at z),
+``pde_residual_numeric`` (the Schroedinger residual), ``andreief_phi`` (the
+hbar = 1 determinant cross-path) and ``ts_nodes`` (the shared node lists).
+
 Each family's weight, contour and admissibility constraints are in
 ``families.py``.
 """
@@ -225,7 +231,9 @@ def simplex_phi_coeffs(J: str, N: int, m: int, hbar, t, params: dict, prec: int 
 
     Returns (coeffs, dt_coeffs, err) where err is the difference to the next
     coarser level, taken over the largest coefficient.  dt_coeffs are the
-    t-derivatives computed by differentiating under the integral.
+    t-derivatives computed by differentiating under the integral, None
+    without ``with_dt``.  The full symmetric-domain integral is m! times the
+    coefficients when the integrand is symmetric (integer hbar).
     """
     accs, acc_dt, err = _simplex_sweep(J, N, m, hbar, [t], params, prec, level, with_dt)
     return accs[0], acc_dt, err
@@ -374,16 +382,6 @@ def _elementary(us, m):
             total += prod
         es.append(total)
     return es
-
-
-def phi_numeric(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 96, level: int = 6):
-    """Wave-function coefficients over the ordered simplex (see module docstring).
-
-    The full symmetric-domain integral is m! times these values when the
-    integrand is symmetric (integer hbar).
-    """
-    coeffs, _, err = simplex_phi_coeffs(J, N, m, hbar, t, params, prec, level, with_dt=False)
-    return coeffs, err
 
 
 def phi_value(coeffs, z, m):

@@ -31,6 +31,7 @@ from .diffop import (
     _f6,
     _want,
     canonicalize,
+    power_sum,
     zvars,
 )
 from .errors import DegeneratePointError, UsageError
@@ -158,23 +159,6 @@ def _jmat_mul(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _mat_inv(g):
-    n = len(g)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise UsageError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @dataclass
 class RationalMatrixPoint:
     """Q = G Z G^{-1} with rational distinct eigenvalues Z and invertible G.
@@ -192,10 +176,11 @@ class RationalMatrixPoint:
         n = len(self.Z)
         if len(set(self.Z)) != n:
             raise DegeneratePointError(f"eigenvalues collide: {self.Z}")
-        ginv = _mat_inv(self.G)
+        # the columns of G^{-1}; a singular G raises UsageError
+        ginv = [solve_linear(self.G, [int(i == j) for i in range(n)]) for j in range(n)]
         gz = [[self.G[i][j] * self.Z[j] for j in range(n)] for i in range(n)]
         self.Q = [
-            [sum(gz[i][s] * ginv[s][j] for s in range(n)) for j in range(n)] for i in range(n)
+            [sum(gz[i][s] * ginv[j][s] for s in range(n)) for j in range(n)] for i in range(n)
         ]
         self.jets = [
             [Jet.const(n * n, self.Q[i][j]) + Jet.var(n * n, i * n + j) for j in range(n)] for i in range(n)
@@ -355,13 +340,6 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
     zs = zvars(reg)[:N]
     half = Fraction(1, 2)
     terms: list = []
-
-    def sum_z(power=1):
-        acc = RatFun.const(reg, 0)
-        for zn in zs:
-            acc = acc + RatFun.var(reg, zn) ** power
-        return acc
-
     if J in ("I", "II", "II_pre"):
         terms.append(DividedDifference((1,), hb * hb * half))
         terms.append(PotentialSingle((1,), -hb * hb * kk * half))
@@ -394,7 +372,7 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
             z = RatFun.var(reg, zn)
             terms.append(Plain(hb * hb * z, rho, 2))
             terms.append(Plain(-hb * (z**2 + t * z - th0 - hb), rho, 1))
-        terms.append(Plain(-(hb * N + th0 + th1) * sum_z(), None, 0))
+        terms.append(Plain(-(hb * N + th0 + th1) * power_sum(reg, N, 1), None, 0))
         terms.append(Plain(-t * hb * N * N, None, 0))
     elif J == "V":
         th0, th1, th2 = p["th0"], p["th1"], p["th2"]
@@ -404,7 +382,7 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
             z = RatFun.var(reg, zn)
             terms.append(Plain(hb * hb * z * (z - 1), rho, 2))
             terms.append(Plain(hb * (t * z**2 + (2 * hb + th0 - th2 - t) * z + th2 - hb), rho, 1))
-        terms.append(Plain(t * (hb * N + th0 + th1) * sum_z(), None, 0))
+        terms.append(Plain(t * (hb * N + th0 + th1) * power_sum(reg, N, 1), None, 0))
         terms.append(
             Plain(
                 (RatFun.const(reg, th0 - th2) - t) * (N * N * hb)
@@ -425,7 +403,7 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
             c1 = -hb * (1 + t) + t * (th0 + th1) + th0 + tht
             terms.append(Plain(hb * ((3 * hb - theta) * z**2 + c1 * z + t * (hb - th0)), rho, 1))
         zcoef = N * N * hb * hb - theta * N * hb - (k2 - theta * theta) / 4 + (N - 1) * kk * hb * hb
-        terms.append(Plain(zcoef * sum_z(), None, 0))
+        terms.append(Plain(zcoef * power_sum(reg, N, 1), None, 0))
         terms.append(
             Plain(
                 RatFun.const(reg, -Fraction(N**3) * hb * hb * half + hb * N * N * (th0 + tht))
@@ -462,10 +440,7 @@ def correction_op(reg: Registry, N: int, corr: dict) -> DiffOp:
     if s0 or s1:
         terms.append(Plain(RatFun.const(reg, s0) + t * s1, None, 0))
     if e0 or e1:
-        sz = RatFun.const(reg, 0)
-        for zn in zs:
-            sz = sz + RatFun.var(reg, zn)
-        terms.append(Plain((RatFun.const(reg, e0) + t * e1) * sz, None, 0))
+        terms.append(Plain((RatFun.const(reg, e0) + t * e1) * power_sum(reg, N, 1), None, 0))
     return canonicalize(terms, reg, N)
 
 
@@ -489,14 +464,7 @@ def radial_value(op: DiffOp, f: MPoly, zs_point: list, t_point) -> Fraction:
 
 
 def _trace_values(reg: Registry, N: int) -> dict:
-    zs = zvars(reg)[:N]
-    values = {}
-    for j in range(1, MAX_TRACE_POWER + 1):
-        acc = reg.zero()
-        for zn in zs:
-            acc = acc + reg.var(zn) ** j
-        values[f"T{j}"] = acc
-    return values
+    return {f"T{j}": power_sum(reg, N, j).num for j in range(1, MAX_TRACE_POWER + 1)}
 
 
 def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2), corrections=None):
@@ -550,12 +518,10 @@ def qkp2_radial_op(reg: Registry, N: int, k: int, hbar, kappa) -> DiffOp:
         if k >= 1:
             terms.append(Plain(hb * hb * Fraction(k) * z ** (k - 1), rho, 1))
     for j in range(k):
-        power_sum = RatFun.const(reg, 0)
-        for zn in zs:
-            power_sum = power_sum + RatFun.var(reg, zn) ** j
+        pj = power_sum(reg, N, j)
         for rho, zn in enumerate(zs):
             z = RatFun.var(reg, zn)
-            terms.append(Plain(-hb * hb * power_sum * z ** (k - 1 - j), rho, 1))
+            terms.append(Plain(-hb * hb * pj * z ** (k - 1 - j), rho, 1))
     return canonicalize(terms, reg, N)
 
 
@@ -581,7 +547,7 @@ def verify_qkp2(N: int, kmax: int, trials: int, seed: int, hbar=Fraction(1, 3)):
 # ---------------------------------------------------------------------------
 
 
-def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7, verify_trials: int = 6):
+def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
     """Fit the discrepancy between the matrix operator and the printed radial
     form as (t-linear) first-order corrections per z-power plus a zeroth part,
     then re-verify exact equality with the corrected operator.
@@ -628,7 +594,7 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7, verify_trial
         "sum_z": (sol[2 * nalpha + 2], sol[2 * nalpha + 3]),
     }
     is_zero = all(x == 0 for x in sol)
-    check = verify_radial_match(J, N, verify_trials, seed + 1, hbar=hb, corrections=None if is_zero else corr)
+    check = verify_radial_match(J, N, 6, seed + 1, hbar=hb, corrections=None if is_zero else corr)
     return corr, {"printed_exact": is_zero, "verified": check["ok"], "family": J, "N": N}
 
 

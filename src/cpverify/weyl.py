@@ -10,6 +10,11 @@ coefficient):
                    {p_ab, q_cd} = d_ad d_bc.
 * ``free``      -- no relations at all (abstract letters P, Q); coefficients
                    are rational functions, used by the zero-curvature check.
+
+An :class:`NCMatrix` of such elements multiplies and adds an NCPoly on either
+side, the NCPoly taken as that multiple of the identity.
+:func:`evaluate_expression` reads a small operator grammar into an NCPoly or
+an NCMatrix; both print deterministically through ``to_str``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 from . import families
 from .errors import UnsupportedModeError, UsageError
-from .exact import MPoly, RatFun, Registry, as_rat
+from .exact import MPoly, RatFun, Registry, as_rat, as_ratfun
 from .params import parse_rational
 
 WEYL_REGISTRY = Registry(("hbar", "t", "th", "th0", "th1", "th2", "tht", "k"))
@@ -36,29 +41,21 @@ def _letter_key(letter):
 class WeylAlgebra:
     """Container fixing matrix size, mode and the coefficient ring."""
 
-    def __init__(self, N: int, mode: str = "weyl", registry: Registry | None = None):
+    def __init__(self, N: int, mode: str = "weyl"):
         if mode not in ("weyl", "classical", "free"):
             raise UsageError(f"unknown mode {mode!r}")
         if mode != "free" and not (1 <= N <= 4):
             raise UsageError("matrix size N must be between 1 and 4")
         self.N = N
         self.mode = mode
-        if registry is None:
-            registry = FREE_REGISTRY if mode == "free" else WEYL_REGISTRY
-        if mode == "weyl" and "hbar" not in registry:
-            raise UsageError("weyl mode needs 'hbar' in the coefficient registry")
-        self.registry = registry
+        self.registry = FREE_REGISTRY if mode == "free" else WEYL_REGISTRY
         self._cache: dict = {}
 
     # -- coefficient ring helpers -----------------------------------------
 
     def coeff(self, x):
         if self.mode == "free":
-            if isinstance(x, RatFun):
-                return x
-            if isinstance(x, MPoly):
-                return RatFun.from_mpoly(x)
-            return RatFun.const(self.registry, as_rat(x))
+            return as_ratfun(x, self.registry)
         if isinstance(x, MPoly):
             return x
         return self.registry.const(as_rat(x))
@@ -275,10 +272,8 @@ def normal_order(x: NCPoly) -> NCPoly:
     return NCPoly(x.alg, dict(x.terms))
 
 
-def commutator(a: NCPoly, b):
-    """[a, b] = ab - ba, entrywise when b is a matrix."""
-    if isinstance(b, NCMatrix):
-        return NCMatrix(b.alg, [[commutator(a, e) for e in row] for row in b.rows])
+def commutator(a, b):
+    """[a, b] = ab - ba for any mix of NCPoly and NCMatrix."""
     return a * b - b * a
 
 
@@ -309,14 +304,14 @@ class NCMatrix:
     def identity(cls, alg, n):
         return cls(alg, [[alg.one() if i == j else alg.zero() for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def scalar(cls, alg, n, c):
-        return cls(alg, [[alg.scalar(c) if i == j else alg.zero() for j in range(n)] for i in range(n)])
-
     def __add__(self, other):
+        if isinstance(other, NCPoly):
+            other = NCMatrix.identity(self.alg, len(self.rows)) * other
         if self.shape != other.shape:
             raise UsageError("matrix shape mismatch")
         return NCMatrix(self.alg, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)
@@ -342,6 +337,9 @@ class NCMatrix:
             return NCMatrix(self.alg, out)
         return self.scale(other)
 
+    def __rmul__(self, other):
+        return self.map_entries(lambda e: other * e)
+
     def scale(self, c):
         return NCMatrix(self.alg, [[e * c if isinstance(c, NCPoly) else e.scale(c) for e in r] for r in self.rows])
 
@@ -357,9 +355,8 @@ class NCMatrix:
     def map_entries(self, fn):
         return NCMatrix(self.alg, [[fn(e) for e in r] for r in self.rows])
 
-
-def matrix_anticommutator(a: NCMatrix, b: NCMatrix) -> NCMatrix:
-    return a * b + b * a
+    def to_str(self) -> str:
+        return "[" + ", ".join("[" + ", ".join(e.to_str() for e in r) + "]" for r in self.rows) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +414,20 @@ def evolution_polynomials(alg: WeylAlgebra):
         + Q.scale((th0 + th1) * t)
         - Q2.scale(theta)
         - QPQ.scale(2)
-        + matrix_anticommutator(P, Q).scale(t)
-        - matrix_anticommutator(P, Q2).scale(t)
-        + matrix_anticommutator(QPQ, Q)
+        + anticommutator(P, Q).scale(t)
+        - anticommutator(P, Q2).scale(t)
+        + anticommutator(QPQ, Q)
     )
     quarter = Fraction(1, 4)
     b = (
         ident.scale((k * k - theta * theta) * alg.coeff(quarter))
         - P.scale(th0 + tht)
         - P.scale((th0 + th1) * t)
-        + matrix_anticommutator(Q, P).scale(theta)
+        + anticommutator(Q, P).scale(theta)
         - (P * P).scale(t)
-        + matrix_anticommutator(Q, P * P).scale(t)
+        + anticommutator(Q, P * P).scale(t)
         + P * (Q.scale(2) - Q2) * P
-        - matrix_anticommutator(Q, PQP)
+        - anticommutator(Q, PQP)
     )
     return a, b
 
@@ -585,16 +582,16 @@ def _tokenize(text: str):
     return out
 
 
-def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
+def evaluate_expression(alg: WeylAlgebra, text: str):
     """Evaluate a small operator expression to an NCPoly or NCMatrix.
 
     Bare letters p, q denote the full matrices; p[i][j] a single entry;
-    Tr(p*q^2*...) a trace word; [a, b] the commutator; names from ``env``
-    (for example a Hamiltonian) are substituted as-is.
+    Tr(p*q^2*...) a trace word; [a, b] the commutator; hbar and the other
+    coefficient-registry names are scalars.  A polynomial added to a matrix
+    is that multiple of the identity.  Either value prints with ``to_str``.
     """
     toks = _tokenize(text)
     pos = [0]
-    env = env or {}
 
     def peek():
         return toks[pos[0]]
@@ -611,24 +608,6 @@ def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
         if tok is None or not tok.isdigit():
             raise UsageError(f"expected an integer, found {tok!r}")
         return int(tok)
-
-    def mul(a, b):
-        if isinstance(a, NCMatrix) and isinstance(b, NCMatrix):
-            return a * b
-        if isinstance(a, NCMatrix):
-            return a.map_entries(lambda e: e * b)
-        if isinstance(b, NCMatrix):
-            return b.map_entries(lambda e: a * e)
-        return a * b
-
-    def add(a, b, sign=1):
-        if isinstance(a, NCMatrix) != isinstance(b, NCMatrix):
-            n = alg.N
-            if not isinstance(a, NCMatrix):
-                a = NCMatrix(alg, [[a if i == j else alg.zero() for j in range(n)] for i in range(n)])
-            else:
-                b = NCMatrix(alg, [[b if i == j else alg.zero() for j in range(n)] for i in range(n)])
-        return a + b if sign > 0 else a - b
 
     def parse_trace():
         # collect the whole word first, then contract indices once
@@ -659,18 +638,11 @@ def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
             take(",")
             b = parse_expr()
             take("]")
-            if isinstance(a, NCMatrix) and isinstance(b, NCMatrix):
-                return a * b - b * a
-            if isinstance(b, NCMatrix):
-                return commutator(a, b)
-            if isinstance(a, NCMatrix):
-                return (commutator(b, a)).map_entries(lambda e: -e)
             return commutator(a, b)
         if tok == "Tr(":
             return parse_trace()
         if tok == "-":
-            val = parse_factor()
-            return val.map_entries(lambda e: -e) if isinstance(val, NCMatrix) else -val
+            return -parse_factor()
         if tok is None:
             raise UsageError("unexpected end of expression")
         if tok[0].isdigit():
@@ -685,10 +657,6 @@ def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
                 take("]")
                 return alg.letter(tok, i, j)
             return alg.matrix(tok)
-        if tok == "hbar":
-            return alg.scalar(alg.registry.var("hbar"))
-        if tok in env:
-            return env[tok]
         if tok in alg.registry:
             return alg.scalar(alg.registry.var(tok))
         raise UsageError(f"unknown name {tok!r} in expression")
@@ -697,14 +665,14 @@ def evaluate_expression(alg: WeylAlgebra, text: str, env: dict | None = None):
         val = parse_factor()
         while peek() == "*":
             take()
-            val = mul(val, parse_factor())
+            val = val * parse_factor()
         return val
 
     def parse_expr():
         val = parse_term()
         while peek() in ("+", "-"):
-            sign = 1 if take() == "+" else -1
-            val = add(val, parse_term(), sign)
+            sign = take()
+            val = val + parse_term() if sign == "+" else val - parse_term()
         return val
 
     result = parse_expr()

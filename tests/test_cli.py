@@ -119,6 +119,33 @@ def test_pde_numeric_echoes_the_precision_used():
     assert rep["checks"][0]["name"].endswith("t=5/4")
 
 
+def test_pde_echoes_the_parameters_it_used():
+    # a = m hbar and the default c = -1/5 run alongside the given b
+    proc = run_cli("verify", "pde", "--family", "V", "--N", "1", "--m", "1", "--hbar", "1", "--params", "b=-1/2")
+    assert proc.returncode == 0
+    task = json.loads(proc.stdout)["task"]
+    assert task["params"] == {"a": "1", "b": "-1/2", "c": "-1/5"} and "t" not in task
+    # numeric: the missing t, or the missing params, comes from the family's first numeric point
+    common = ("verify", "pde", "--mode", "numeric", "--hbar", "1/2", "--level", "2")
+    proc = run_cli(*common, "--family", "V", "--params", "b=-2/3,c=-1/2")
+    task = json.loads(proc.stdout)["task"]
+    assert task["params"] == {"a": "1", "b": "-2/3", "c": "-1/2"} and task["t"] == "3/2"
+    proc = run_cli(*common, "--family", "VI", "--t", "5/2")
+    task = json.loads(proc.stdout)["task"]
+    assert task["params"] == {"a": "1", "b": "-3/2", "c": "-1/5", "d": "11/5"} and task["t"] == "5/2"
+
+
+def test_weyl_matrix_expressions_print_their_entries():
+    # a matrix value prints entry by entry, so two runs agree byte for byte
+    for expr in ("[Tr(p*p), q]", "p"):
+        first = run_cli("verify", "weyl", "--N", "2", "--expr", expr)
+        assert first.returncode == 0
+        assert first.stdout == run_cli("verify", "weyl", "--N", "2", "--expr", expr).stdout
+        assert "object at" not in json.loads(first.stdout)["checks"][-1]["detail"]
+    detail = json.loads(first.stdout)["checks"][-1]["detail"]
+    assert detail == "[[(1)*p[1][1], (1)*p[1][2]], [(1)*p[2][1], (1)*p[2][2]]]"
+
+
 def test_print_radial_without_its_parameters_is_a_usage_error():
     proc = run_cli("print", "hamiltonian", "--family", "VI", "--N", "2", "--kind", "radial")
     assert_usage_error(proc)

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from cpverify.cli import main
 from cpverify.diffop import (
     DividedDifference,
     Plain,
@@ -51,8 +53,7 @@ def test_canonicalize_order_independent():
 def test_apply_divided_difference_examples():
     op = canonicalize([DividedDifference((1,), 1)], R2, 2)
     z1, z2 = R2.var("z1"), R2.var("z2")
-    out = apply_op(op, z1 * z1 + z2 * z2, assert_polynomial=True)
-    assert out.equal(RatFun.const(R2, 4))
+    assert apply_op(op, z1 * z1 + z2 * z2).equal(RatFun.const(R2, 4))
     assert apply_op(op, z1 + z2).is_zero()
     with pytest.raises(DomainError):
         apply_op(op, z1 * z1)
@@ -148,3 +149,45 @@ def test_table_params_printed_rows():
     ) + 4 * (2 - 1) * (1 - Fraction(1, 2)) + 2 * (2 - 1) * (1 - Fraction(1, 2)) * (3 * Fraction(1, 2) - th)
     with pytest.raises(UsageError):
         table_params("II", Fraction(1, 2), "ungauged", 2, 3)
+
+
+# sha256 of `print hamiltonian` stdout at N = 2, hbar = 1/2 (m = 2 for cp,
+# kappa = 1/3 for radial); nagoya is single-particle and reads no N
+PRINT_PARAMS = {
+    "cp": {"II": "", "III": "b=-1/3", "IV": "b=-1/3", "V": "b=-1/3,c=-1/5", "VI": "a=-1/2,b=-1/3,c=-1/5,d=2/7"},
+    "nagoya": {
+        "II": "a=3/2", "III": "a=3/2,b=-1/3", "IV": "a=3/2,b=-1/3", "V": "a=3/2,b=-1/3,c=-1/5",
+        "VI": "a=-1/2,b=-1/3,c=-1/5,d=2/7",
+    },
+    "radial": {
+        "I": "", "II": "th=2/3", "II_pre": "th=2/3", "III": "th0=1/2,th1=-2/3", "IV": "th0=1/2,th1=-2/3",
+        "V": "th0=1/2,th1=-2/3,th2=3/4", "VI": "th0=1/2,th1=-2/3,tht=3/4,k2=5/7",
+    },
+}
+PRINT_FLAGS = {"cp": ["--N", "2", "--m", "2"], "nagoya": [], "radial": ["--N", "2", "--kappa", "1/3"]}
+GOLDEN_PRINT = {
+    ("cp", "II"): "a6a8cc2a9537d592ac9a7e7fe4bc13334c5ee77328e07205dfba4d8a6ab789c0",
+    ("cp", "III"): "177b72c507d588f541a6dda7040b70c71d170ea37bedc24699ec149c4b357776",
+    ("cp", "IV"): "e05c6a8bec2d7fc00e699ba460309d4348753f8ced348e0085926e213af6ded6",
+    ("cp", "V"): "334012c244e516b3eda1bfa5fb0782b4f122aa270b0201325ff303aae279534e",
+    ("cp", "VI"): "d4ce4d98530eaf8c37344292096e655e0b56fe79caa332c04c50a91bd2fc9dd3",
+    ("nagoya", "II"): "cf563c427a3df138aa9a9d6b5b8520fe9c0fc0f0278029f3ac69f34e331155ab",
+    ("nagoya", "III"): "3db5b5682a5b4cd9d3899af5e126fabd4953a870c310b4db3d13848964b26710",
+    ("nagoya", "IV"): "5c6130a7576867e32c57a678842b3b313d26995c89393b5fc7f4619e7e6a830b",
+    ("nagoya", "V"): "8ba5132acf8ceabe6d861c6d0e6ca58047a96713fe8e1b1bc805ab3c46592a3a",
+    ("nagoya", "VI"): "c0c4c25bdc71d038b5398285a450a4d8f1f034f7ac0b8659221534f37a3829f8",
+    ("radial", "I"): "69e1fc54958e9adecfbb70ad4bef6f018b1ffe2b087768c639f28fe5ac6dd812",
+    ("radial", "II"): "f98b9cc9b4ea8590281c36a427660cad73e16545e504e8a1205ee9229c93856a",
+    ("radial", "II_pre"): "0d7ffaf43e43ec5f939c797d7d6cdc1f832eec1c5ea314c2be26e1ba52b57c75",
+    ("radial", "III"): "407bcbb26ecb9c7fc36a66f0961bfd86592db6d119260bc67785e26c7d49f9cb",
+    ("radial", "IV"): "ab8ad5f247babb78f07c9b3233314958dd316c8cdeef2861d6173cec61b4f155",
+    ("radial", "V"): "43a942377fae1200b28925ae5dbade9db629556eb592af7982f3f02702b996cc",
+    ("radial", "VI"): "124e097bd963e5238478c12b6fc1ded7922090ff5ce2fb2037d56a96d0812fc5",
+}
+
+
+@pytest.mark.parametrize("kind, family", sorted(GOLDEN_PRINT))
+def test_golden_print_hamiltonian(kind, family, capsys):
+    argv = ["print", "hamiltonian", "--family", family, "--kind", kind, "--hbar", "1/2", *PRINT_FLAGS[kind]]
+    assert main(argv + ["--params", PRINT_PARAMS[kind][family]]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_PRINT[(kind, family)]

@@ -19,7 +19,6 @@ from cpverify.quadrature import (
     moment_numeric,
     moments_numeric,
     pde_residual_numeric,
-    phi_numeric,
     phi_value,
     simplex_phi_coeffs,
     ts_nodes,
@@ -101,7 +100,7 @@ def test_vi_partial_relation_with_rho():
 def test_phi_numeric_matches_seed_moments():
     # N=1, m=1: Phi(z) = z nu0 - nu1 numerically
     t, params = ADMISSIBLE["V"]
-    coeffs, err = phi_numeric("V", 1, 1, 1, t, params, prec=96, level=5)
+    coeffs, _, _ = simplex_phi_coeffs("V", 1, 1, 1, t, params, prec=96, level=5, with_dt=False)
     nu0 = moment_numeric("V", 0, 0, t, params, prec=96)[0]
     nu1 = moment_numeric("V", 1, 0, t, params, prec=96)[0]
     assert abs(coeffs[(0,)] - nu0) / abs(nu0) < mpmath.mpf("1e-20")
@@ -133,7 +132,7 @@ def test_pde_residual_negative_control():
 def test_andreief_matches_simplex():
     params = {"b": Fraction(-1, 3)}
     z = [Fraction(3, 2), Fraction(-2, 3)]
-    coeffs, _ = phi_numeric("IV", 2, 2, 1, Fraction(1, 3), params, prec=96, level=5)
+    coeffs, _, _ = simplex_phi_coeffs("IV", 2, 2, 1, Fraction(1, 3), params, prec=96, level=5, with_dt=False)
     simplex_val = phi_value(coeffs, [mpq(x) for x in z], 2)
     det_val = andreief_phi("IV", z, Fraction(1, 3), 2, params, prec=96)
     # at hbar = 1 the symmetric full-domain integral is m! * simplex
