@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -295,11 +294,19 @@ def _apply_config(argv):
     return argv[:i] + argv[i + 2 :] + extra
 
 
+# the flags that take a value; the store_true switches never take one
+VALUED = {f"--{flag}" for task in TASKS.values() for flag, spec in task.argspecs if spec.get("action") != "store_true"}
+
+
 def _attach_negative_values(argv):
-    """``--hbar -1/3`` as ``--hbar=-1/3``: argparse takes a token like -1/3 for a flag."""
+    """``--hbar -1/3`` as ``--hbar=-1/3``: argparse takes a token like -1/3 or -p for a flag.
+
+    A flag in ``VALUED`` takes the next token when it starts with a single -,
+    unless it is -h.
+    """
     out = []
     for arg in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", arg):
+        if out and out[-1] in VALUED and arg.startswith("-") and not arg.startswith("--") and arg != "-h":
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -10,10 +10,11 @@ residual takes t and its four finite-difference shifts from one sweep.  A
 leaf's additions for a t are skipped when an exponent bound puts every addend
 below a quarter ulp of its accumulator (``_negligible``): round-to-nearest
 returns such a sum unchanged, so the skip changes no bit.
-One-dimensional moments for a set of (k, s): on [0, 1] one pass over one
-tanh-sinh grid whose coarse error sum reuses the fine nodes; elsewhere one
-mpmath.quad per k over a weight memoized per node (on the polyline both legs,
-theta(u) and theta(u omega), once per node).
+One-dimensional moments for a set of (k, s): on every real contour one pass
+over the same tanh-sinh grid, whose coarse error sum reuses the fine nodes;
+only family II's complex polyline takes one mpmath.quad per k, with both legs,
+theta(u) and theta(u omega), evaluated once per node.  The hbar = 1
+determinant cross-path takes its modified moments from one such pass.
 
 Entry points: ``theta`` (the weight at one point), ``moments_numeric`` (the
 1-D moments; ``moment_numeric`` for one key), ``simplex_phi_coeffs`` (the
@@ -58,30 +59,9 @@ def check_domain(J: str, t, params: dict):
         raise DomainError(f"family {J} {fam.requirement}")
 
 
-def theta(J: str, u, t, params: dict, omu=None):
-    """The weight function at u (mpf or mpc).
-
-    ``omu`` optionally passes 1-u computed without cancellation; the factors
-    (1-u) and (t-u) = (t-1)+(1-u) are singular or near-singular at u -> 1.
-    """
-    return weighted(J).theta(u, t, params, 1 - u if omu is None else omu)
-
-
-def _theta_memo(J: str, tv, p: dict):
-    """theta at a fixed t, memoized per node and precision (mpmath.quad reuses its nodes).
-
-    The keys are the nodes' raw mpf tuples, which hash and compare far faster
-    than the mpf objects and are equal exactly when the numbers are.
-    """
-    memo = {}
-
-    def th(u, omu=None):
-        key = (u._mpf_, None if omu is None else omu._mpf_, mp.prec)
-        if key not in memo:
-            memo[key] = theta(J, u, tv, p, omu=omu)
-        return memo[key]
-
-    return th
+def theta(J: str, u, t, params: dict):
+    """The weight function at u (mpf or mpc)."""
+    return weighted(J).theta(u, t, params, 1 - u)
 
 
 def _mp_params(params):
@@ -96,7 +76,10 @@ def moment_numeric(J: str, k: int, s: int, t, params: dict, prec: int = DEFAULT_
 def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> dict:
     """{(k, s): (value, error)} for int u^k (t-u)^{-s} Theta_J(u) du, all keys in one pass.
 
-    s = 1 is the rho-moment and is meaningful for family VI only.
+    s = 1 is the rho-moment and is meaningful for family VI only.  The half
+    line is cut to the window (0, L(t)) the simplex sweep cuts, so III's
+    moments carry its e^{-L} cut: near 1e-57 for k <= 7, far below the
+    oracle's 1e-10 threshold.
     """
     if any(s not in (0, 1) for _, s in keys):
         raise UsageError("s must be 0 or 1")
@@ -107,24 +90,6 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
     with mp.workprec(prec):
         tv = _to_mpf(as_rat(t))
         p = _mp_params(params)
-
-        if fam.contour == UNIT:
-            # own tanh-sinh grid: nodes carry (u, 1-u) stably and extend far
-            # enough into the corners for the singular endpoint exponents.  The
-            # coarser grid is the even fine nodes at twice the weight, plus the
-            # tail past the fine list, so its sum is twice the sum of their terms.
-            pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(J, params))
-            fine, coarse = dict.fromkeys(keys, mpmath.mpf(0)), dict.fromkeys(keys, mpmath.mpf(0))
-            for u, omu, w, on_coarse, on_fine in [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]:
-                th = fam.theta(u, tv, p, omu)
-                terms = {k: w * u**k * th for k in {k for k, _ in keys}}
-                for key in keys:
-                    v = terms[key[0]] / ((tv - 1) + omu) if key[1] else terms[key[0]]
-                    if on_fine:
-                        fine[key] += v
-                    if on_coarse:
-                        coarse[key] += v
-            return {key: (fine[key], abs(fine[key] - 2 * coarse[key])) for key in keys}
 
         if fam.contour == POLYLINE:
             # both legs u and u*omega at once: (theta(u), u*omega, theta(u*omega))
@@ -140,13 +105,29 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
                 th1, u2, th2 = legs[key]
                 return u**k * th1 - omega * (u2**k * th2)
 
-        else:
-            th = _theta_memo(J, tv, p)
+            return {(k, s): mpmath.quad(lambda u, k=k: f(u, k), [0, mpmath.inf], error=True, maxdegree=10) for k, s in keys}
 
-            def f(u, k):
-                return u**k * th(u)
-
-        return {(k, s): mpmath.quad(lambda u, k=k: f(u, k), [0, mpmath.inf], error=True, maxdegree=10) for k, s in keys}
+        # own tanh-sinh grid: nodes carry (u, 1-u) stably and extend far enough
+        # into the corners for the singular endpoint exponents; on the half line
+        # a node v sits at x = L v with weight w L.  The coarser grid is the even
+        # fine nodes at twice the weight, plus the tail past the fine list, so
+        # its sum is twice the sum of their terms.
+        pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(J, params))
+        window = None if fam.contour == UNIT else _to_mpf(fam.window(tv))
+        fine, coarse = dict.fromkeys(keys, mpmath.mpf(0)), dict.fromkeys(keys, mpmath.mpf(0))
+        for u, omu, w, on_coarse, on_fine in [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]:
+            if window is not None:
+                u, w = u * window, w * window
+                omu = 1 - u
+            th = fam.theta(u, tv, p, omu)
+            terms = {k: w * u**k * th for k in {k for k, _ in keys}}
+            for key in fine:
+                v = terms[key[0]] / ((tv - 1) + omu) if key[1] else terms[key[0]]
+                if on_fine:
+                    fine[key] += v
+                if on_coarse:
+                    coarse[key] += v
+        return {key: (fine[key], abs(fine[key] - 2 * coarse[key])) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -501,30 +482,17 @@ def andreief_phi(J: str, z, t, m: int, params: dict, prec: int = DEFAULT_PREC):
     """Full-domain Phi(z) via m! det of one-dimensional modified moments.
 
     Valid at hbar = 1 where the coupling is the squared Vandermonde; the
-    returned value equals m! times the ordered-simplex integral.  The weight
-    is memoized per node across the 2m-1 moments.
+    returned value equals m! times the ordered-simplex integral.  The modified
+    moment int u^k prod_rho (z_rho - u) Theta du is sum_l c_l nu_{k+l}, with
+    c_l the exact coefficients of prod_rho (z_rho - u) and every nu from one
+    ``moments_numeric`` pass.
     """
-    check_domain(J, t, params)
+    c = [Fraction(1)]
+    for x in z:
+        c = [as_rat(x) * a - b for a, b in zip(c + [0], [0] + c)]
+    nu = moments_numeric(J, [(k, 0) for k in range(2 * m - 1 + len(z))], t, params, prec)
     with mp.workprec(prec):
-        tv = _to_mpf(as_rat(t))
-        th = _theta_memo(J, tv, _mp_params(params))
-        zv = [_to_mpf(as_rat(x)) for x in z]
-
-        def modified_moment(k):
-            def core(u, omu):
-                prod = th(u, omu) * u**k
-                for x in zv:
-                    prod *= x - u
-                return prod
-
-            if weighted(J).contour == UNIT:
-                half = mpmath.mpf(1) / 2
-                left = mpmath.quad(lambda u: core(u, 1 - u), [0, half], maxdegree=10)
-                right = mpmath.quad(lambda v: core(1 - v, v), [0, half], maxdegree=10)
-                return left + right
-            return mpmath.quad(lambda u: core(u, 1 - u), [0, mpmath.inf], maxdegree=10)
-
-        mom = [modified_moment(k) for k in range(2 * m - 1)]
+        mom = [sum(_to_mpf(cl) * nu[(k + l, 0)][0] for l, cl in enumerate(c)) for k in range(2 * m - 1)]
         mat = mpmath.matrix(m, m)
         for i in range(m):
             for j in range(m):

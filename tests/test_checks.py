@@ -141,3 +141,10 @@ def test_table1_records_carry_their_own_time():
     elapsed_ms = (time.perf_counter() - start) * 1000
     assert len(recs) == 2 and all(r.ms > 0 for r in recs)
     assert sum(r.ms for r in recs) <= elapsed_ms  # not the block's cumulative time
+
+
+@pytest.mark.parametrize("seed", [-1, 1, 2, 4, 6, 7, 8])
+def test_oracle_moments_iv_passes_at_64_bits(seed):
+    # one mpmath.quad per k on (0, inf) missed the u^(-b-1) endpoint at these seeds
+    recs = checks.run_oracle_moments("IV", kmax=4, prec=64, points=3, seed=seed)
+    assert ok_all(recs), recs[0].residual

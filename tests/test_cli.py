@@ -277,6 +277,19 @@ def test_negative_rational_values_parse_like_the_equals_form(argv):
     assert (spaced.returncode, spaced.stdout) == (joined.returncode, joined.stdout)
 
 
+def test_negative_looking_expressions_parse_like_the_equals_form():
+    # argparse took -p for a flag: exit 2, "expected one argument"
+    for expr in ("-p", "-Tr(p*q)"):
+        joined = run_cli("verify", "weyl", "--N", "1", f"--expr={expr}")
+        spaced = run_cli("verify", "weyl", "--N", "1", "--expr", expr)
+        assert joined.returncode == 0
+        assert (spaced.returncode, spaced.stdout) == (joined.returncode, joined.stdout)
+    assert cli._attach_negative_values(["--N", "2", "--hbar", "-1/3"]) == ["--N", "2", "--hbar=-1/3"]
+    # a switch never takes a value, and -h stays the help flag
+    assert cli._attach_negative_values(["--json", "-p", "--expr", "-h"]) == ["--json", "-p", "--expr", "-h"]
+    assert_usage_error(run_cli("verify", "weyl", "--json", "-p"))
+
+
 def test_suite_block_time_is_split_over_its_records(monkeypatch):
     # every record without a time of its own used to carry the whole block's time
     clock = iter([5.0, 6.0015])
