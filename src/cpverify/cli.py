@@ -35,8 +35,9 @@ REPORT = (
 PARAMS = ("params", dict(default="", help="rational parameters, e.g. b=-1/3,c=-1/5"))
 CP_KEYS = tuple(dict.fromkeys(k for fam in families.TABLE for k in fam.cp_keys))
 THETA_KEYS = tuple(dict.fromkeys(k for fam in families.TABLE for k in fam.radial_keys))
-# the smallest size, precision, grid level and trial count any task accepts
-LOWER = (("N", 1), ("m", 1), ("prec", 53), ("level", 0), ("trials", 1))
+# the smallest size, precision, grid level, trial count and seed any task accepts;
+# random.Random(-s) draws the stream of s, so a negative seed is no seed of its own
+LOWER = (("N", 1), ("m", 1), ("prec", 53), ("level", 0), ("trials", 1), ("seed", 0))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 A :class:`DiffOp` stores per-variable second- and first-order coefficients and
 a zeroth-order coefficient, all exact rational functions of (z_1..z_N, t) with
-every parameter (including hbar) evaluated at rationals.  Builders produce the
-printed Hamiltonian families; the divided-difference and Calogero-potential
-sums range over ordered pairs rho != sigma throughout (Sum_{rho<sigma} forms
-are converted on construction).
+every parameter (including hbar) evaluated at rationals.  Builders list terms
+of three shapes, :class:`Plain`, :class:`DividedDifference` and
+:class:`PotentialPair`, that :func:`canonicalize` folds into a DiffOp; the
+last two sum over ordered pairs rho != sigma (Sum_{rho<sigma} forms are
+converted on construction).  :func:`calogero_terms` gives the part every
+printed operator shares, from its family's sigma(z).
 """
 
 from __future__ import annotations
@@ -142,14 +144,6 @@ class DividedDifference:
 
 
 @dataclass(frozen=True)
-class PotentialSingle:
-    """scale * Sum_{rho != sigma} f(z_rho)/(z_rho - z_sigma)^2."""
-
-    f: tuple
-    scale: object
-
-
-@dataclass(frozen=True)
 class PotentialPair:
     """scale * Sum_{rho != sigma} (f(z_rho) + f(z_sigma))/(z_rho - z_sigma)^2."""
 
@@ -189,15 +183,13 @@ def canonicalize(terms, reg: Registry, N: int) -> DiffOp:
                 inv = 1 / (zr - zsg)
                 op.B[rho] = op.B[rho] + s * _poly_at(reg, term.f, zs[rho]) * inv
                 op.B[sigma] = op.B[sigma] - s * _poly_at(reg, term.f, zs[sigma]) * inv
-        elif isinstance(term, (PotentialSingle, PotentialPair)):
+        elif isinstance(term, PotentialPair):
             s = as_ratfun(term.scale, reg)
             for rho, sigma in itertools.permutations(range(N), 2):
                 zr = RatFun.var(reg, zs[rho])
                 zsg = RatFun.var(reg, zs[sigma])
                 inv2 = (1 / (zr - zsg)) ** 2
-                num = _poly_at(reg, term.f, zs[rho])
-                if isinstance(term, PotentialPair):
-                    num = num + _poly_at(reg, term.f, zs[sigma])
+                num = _poly_at(reg, term.f, zs[rho]) + _poly_at(reg, term.f, zs[sigma])
                 op.C = op.C + s * num * inv2
         else:
             raise UsageError(f"unknown term {term!r}")
@@ -227,6 +219,16 @@ def apply_op(op: DiffOp, f) -> RatFun:
 # ---------------------------------------------------------------------------
 
 
+def calogero_terms(reg: Registry, N: int, f, second, dd, pot=0) -> list:
+    """dd * the divided differences of sigma(z) = Sum_k f[k] z^k, pot * its
+    potential (none at pot = 0), then second * sigma(z_rho) d^2_rho per rho;
+    builders append their own terms, so each coefficient adds in printed order."""
+    terms = [DividedDifference(f, dd)]
+    if pot != 0:
+        terms.append(PotentialPair(f, pot))
+    return terms + [Plain(second * _poly_at(reg, f, zn), rho, 2) for rho, zn in enumerate(zvars(reg)[:N])]
+
+
 def _want(params: dict, *names):
     missing = [n for n in names if params.get(n) is None]
     if missing:
@@ -242,49 +244,34 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
     fam = weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
-    zs = zvars(reg)[:N]
-    terms: list = []
+    zs = [RatFun.var(reg, zn) for zn in zvars(reg)[:N]]
+    terms = calogero_terms(reg, N, fam.sigma(t), hb * hb, hb)
     half = Fraction(1, 2)
 
     if J == "II":
-        terms.append(DividedDifference((1,), hb * half))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(RatFun.const(reg, hb * hb * half), rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(Plain(-hb * (z**2 + t * half), rho, 1))
             terms.append(Plain(RatFun.const(reg, m * hb) * z, None, 0))
     elif J == "III":
         (b,) = _want(params, "b")
-        terms.append(DividedDifference((0, 0, 1), hb))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z**2, rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(Plain(-hb * (z**2 + (b + N - 1) * z + t), rho, 1))
             terms.append(Plain(m * hb * z, None, 0))
     elif J == "IV":
         (b,) = _want(params, "b")
-        terms.append(DividedDifference((0, 1), hb))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z, rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(Plain(-hb * (z**2 + t * z + b), rho, 1))
             terms.append(Plain(m * hb * z, None, 0))
         terms.append(Plain(hb * Fraction(N * m) * t, None, 0))
     elif J == "V":
         b, c = _want(params, "b", "c")
-        terms.append(DividedDifference((0, -1, 1), hb))
         terms.append(Plain(hb * Fraction(N * m) * (b + c + t - hb * (m - 1) - N + 1), None, 0))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z * (z - 1), rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(Plain(hb * (t * z**2 - (b + c + t) * z + b), rho, 1))
             terms.append(Plain(-m * hb * t * z, None, 0))
     else:  # VI
         a, b, c, d = _want(params, "a", "b", "c", "d")
-        terms.append(DividedDifference(_f6(reg), hb))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z * (z - 1) * (z - t), rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(
                 Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + (d + N - 1) * z * (z - 1)), rho, 1)
             )
@@ -293,54 +280,33 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
     return _cleared(canonicalize(terms, reg, N), fam, t)
 
 
-def _f6(reg: Registry):
-    t = RatFun.var(reg, "t")
-    one = RatFun.const(reg, 1)
-    # u(u-1)(u-t) = t*u - (1+t)*u^2 + u^3
-    return (RatFun.const(reg, 0), t, -(one + t), one)
-
-
 def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
     """Printed single-particle Hamiltonians (N = 1)."""
     fam = weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
-    zn = zvars(reg)[0]
-    z = RatFun.var(reg, zn)
+    z = RatFun.var(reg, zvars(reg)[0])
     half = Fraction(1, 2)
+    terms = calogero_terms(reg, 1, fam.sigma(t), hb * hb, hb)
 
     if J == "II":
         (a,) = _want(params, "a")
-        terms = [
-            Plain(RatFun.const(reg, hb * hb * half), 0, 2),
-            Plain(-hb * (z**2 + t * half), 0, 1),
-            Plain(a * z, None, 0),
-        ]
+        terms += [Plain(-hb * (z**2 + t * half), 0, 1), Plain(a * z, None, 0)]
     elif J == "III":
         a, b = _want(params, "a", "b")
-        terms = [
-            Plain(hb * hb * z**2, 0, 2),
-            Plain(-hb * (z**2 + b * z + t), 0, 1),
-            Plain(a * z, None, 0),
-        ]
+        terms += [Plain(-hb * (z**2 + b * z + t), 0, 1), Plain(a * z, None, 0)]
     elif J == "IV":
         a, b = _want(params, "a", "b")
-        terms = [
-            Plain(hb * hb * z, 0, 2),
-            Plain(-hb * (z**2 + t * z + b), 0, 1),
-            Plain(a * (z + t), None, 0),
-        ]
+        terms += [Plain(-hb * (z**2 + t * z + b), 0, 1), Plain(a * (z + t), None, 0)]
     elif J == "V":
         a, b, c = _want(params, "a", "b", "c")
-        terms = [
-            Plain(hb * hb * z * (z - 1), 0, 2),
+        terms += [
             Plain(hb * (t * z**2 - (b + c + t) * z + b), 0, 1),
             Plain(RatFun.const(reg, a * (b + c - a + hb)) + a * (t - t * z), None, 0),
         ]
     else:  # VI
         a, b, c, d = _want(params, "a", "b", "c", "d")
-        terms = [
-            Plain(hb * hb * z * (z - 1) * (z - t), 0, 2),
+        terms += [
             Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + d * z * (z - 1)), 0, 1),
             Plain((b + c + d + hb) * a * (z - t), None, 0),
         ]
@@ -391,16 +357,9 @@ def build_gauge_pair(reg: Registry, N: int, a: int, hbar, kappa):
     hb = as_rat(hbar)
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
     f = tuple(1 if k == a else 0 for k in range(a + 1))
-    zs = zvars(reg)[:N]
-    plain2 = [Plain(hb * hb * _poly_at(reg, f, zn), rho, 2) for rho, zn in enumerate(zs)]
     # 2 hbar Sum_{rho<sigma} == hbar Sum_{rho != sigma}
-    h_op = canonicalize(plain2 + [DividedDifference(f, hb)], reg, N)
-    ht_base = canonicalize(
-        plain2
-        + [DividedDifference(f, hb * hb), PotentialPair(f, -hb * hb * kk * Fraction(1, 2))],
-        reg,
-        N,
-    )
+    h_op = canonicalize(calogero_terms(reg, N, f, hb * hb, hb), reg, N)
+    ht_base = canonicalize(calogero_terms(reg, N, f, hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2)), reg, N)
     if a in (0, 1):
         printed = RatFun.const(reg, 0)
     elif a == 2:

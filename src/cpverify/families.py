@@ -28,6 +28,9 @@ class Family:
 
     ``hamiltonian(t, p)`` is ``prefactor(t)`` * H with ``p`` keyed by
     ``radial_keys``; ``cp_keys`` are the multi-particle operator's parameters.
+    ``sigma(t)`` gives the z-coefficients of sigma(z), constant term first:
+    every operator of the family has the Calogero shape hbar^2 sigma(z_rho)
+    d^2_rho plus sigma's divided differences (and, radially, its potential).
     Families II-VI carry a weight Theta(u) on ``contour``: Theta'/Theta =
     logd_num/clearing, u-polynomials {power: coefficient} given by
     ``log_derivative(t, p)``, with divergence indices from ``min_n``;
@@ -43,6 +46,7 @@ class Family:
     prefactor: Callable
     cp_keys: tuple
     radial_keys: tuple
+    sigma: Callable
     contour: str | None = None
     log_derivative: Callable | None = None
     min_n: int = 0
@@ -118,7 +122,10 @@ def _log_derivative_vi(t, p):
 
 
 TABLE = (
-    Family("I", lambda t, p: [(HALF, "pp"), (-HALF, "qqq"), (-t * Fraction(1, 4), "q")], lambda t: 1, (), ()),
+    Family(
+        "I", lambda t, p: [(HALF, "pp"), (-HALF, "qqq"), (-t * Fraction(1, 4), "q")], lambda t: 1, (), (),
+        sigma=lambda t: (HALF,),
+    ),
     Family(
         "II",
         # Tr(p^2/2 - (q^2 + t/2)^2/2 - th*q) with the square expanded
@@ -132,6 +139,7 @@ TABLE = (
         lambda t: 1,
         (),
         ("th",),
+        sigma=lambda t: (HALF,),
         contour=POLYLINE,
         log_derivative=lambda t, p: ({0: 1}, {0: -t, 2: -2}),
         dt_log=lambda p: (-1, 1, 0),
@@ -151,6 +159,7 @@ TABLE = (
         lambda t: t,
         ("b",),
         ("th0", "th1"),
+        sigma=lambda t: (0, 0, 1),
         contour=HALF_LINE,
         log_derivative=lambda t, p: ({2: 1}, {0: -t, 1: -(p["b"] + 1), 2: -1}),
         # the weight vanishes to all orders at u = 0 for t < 0
@@ -177,6 +186,7 @@ TABLE = (
         lambda t: 1,
         ("b",),
         ("th0", "th1"),
+        sigma=lambda t: (0, 1),
         contour=HALF_LINE,
         log_derivative=lambda t, p: ({1: 1}, {0: -(p["b"] + 1), 1: -t, 2: -1}),
         dt_log=lambda p: (-1, 1, 0),
@@ -201,6 +211,7 @@ TABLE = (
         lambda t: t,
         ("b", "c"),
         ("th0", "th1", "th2"),
+        sigma=lambda t: (0, -1, 1),
         contour=UNIT,
         # u(1-u) [-(b+1)/u + (c+1)/(1-u) + t] = -(b+1)(1-u) + (c+1)u + t u(1-u)
         log_derivative=lambda t, p: ({1: 1, 2: -1}, {0: -(p["b"] + 1), 1: p["b"] + p["c"] + 2 + t, 2: -t}),
@@ -217,6 +228,8 @@ TABLE = (
         lambda t: t * (t - 1),
         ("a", "b", "c", "d"),
         ("th0", "th1", "tht", "k2"),
+        # u(u-1)(u-t) = t*u - (1+t)*u^2 + u^3
+        sigma=lambda t: (0, t, -(1 + t), 1),
         contour=UNIT,
         log_derivative=_log_derivative_vi,
         dt_log=lambda p: (-p["d"], 0, 1),

@@ -22,18 +22,7 @@ from functools import reduce
 from math import gcd
 
 from . import families
-from .diffop import (
-    DiffOp,
-    DividedDifference,
-    Plain,
-    PotentialPair,
-    PotentialSingle,
-    _f6,
-    _want,
-    canonicalize,
-    power_sum,
-    zvars,
-)
+from .diffop import DiffOp, Plain, _cleared, _want, calogero_terms, canonicalize, power_sum, zvars
 from .errors import DegeneratePointError, UsageError
 from .exact import MPoly, RatFun, Registry, as_rat, session_registry, solve_linear
 
@@ -337,15 +326,11 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
     p = dict(zip(fam.radial_keys, _want(params, *fam.radial_keys)))
     t = RatFun.var(reg, "t")
-    zs = zvars(reg)[:N]
+    zs = [RatFun.var(reg, zn) for zn in zvars(reg)[:N]]
     half = Fraction(1, 2)
-    terms: list = []
+    terms = calogero_terms(reg, N, fam.sigma(t), hb * hb, hb * hb, -hb * hb * kk * half)
     if J in ("I", "II", "II_pre"):
-        terms.append(DividedDifference((1,), hb * hb * half))
-        terms.append(PotentialSingle((1,), -hb * hb * kk * half))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(RatFun.const(reg, hb * hb * half), rho, 2))
+        for rho, z in enumerate(zs):
             if J == "I":
                 terms.append(Plain(-(z**3 * half + t * z / 4), None, 0))
             elif J == "II_pre":
@@ -356,31 +341,19 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
                 terms.append(Plain((half - p["th"] - hb * N) * z, None, 0))
     elif J == "III":
         th0, th1 = p["th0"], p["th1"]
-        terms.append(DividedDifference((0, 0, 1), hb * hb))
-        terms.append(PotentialPair((0, 0, 1), -hb * hb * kk * half))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z**2, rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(Plain(-hb * (z**2 - (2 * hb - th0 + th1) * z - t), rho, 1))
             terms.append(Plain(-(hb * N + th1) * z, None, 0))
         terms.append(Plain(RatFun.const(reg, hb * hb * Fraction(N * (1 + N * N), 2)), None, 0))
     elif J == "IV":
         th0, th1 = p["th0"], p["th1"]
-        terms.append(DividedDifference((0, 1), hb * hb))
-        terms.append(PotentialPair((0, 1), -hb * hb * kk * half))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z, rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(Plain(-hb * (z**2 + t * z - th0 - hb), rho, 1))
         terms.append(Plain(-(hb * N + th0 + th1) * power_sum(reg, N, 1), None, 0))
         terms.append(Plain(-t * hb * N * N, None, 0))
     elif J == "V":
         th0, th1, th2 = p["th0"], p["th1"], p["th2"]
-        terms.append(DividedDifference((0, -1, 1), hb * hb))
-        terms.append(PotentialPair((0, -1, 1), -hb * hb * kk * half))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z * (z - 1), rho, 2))
+        for rho, z in enumerate(zs):
             terms.append(Plain(hb * (t * z**2 + (2 * hb + th0 - th2 - t) * z + th2 - hb), rho, 1))
         terms.append(Plain(t * (hb * N + th0 + th1) * power_sum(reg, N, 1), None, 0))
         terms.append(
@@ -394,12 +367,7 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
     else:  # VI
         th0, th1, tht, k2 = p["th0"], p["th1"], p["tht"], p["k2"]
         theta = th0 + th1 + tht
-        f6 = _f6(reg)
-        terms.append(DividedDifference(f6, hb * hb))
-        terms.append(PotentialPair(f6, -hb * hb * kk * half))
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(hb * hb * z * (z - 1) * (z - t), rho, 2))
+        for rho, z in enumerate(zs):
             c1 = -hb * (1 + t) + t * (th0 + th1) + th0 + tht
             terms.append(Plain(hb * ((3 * hb - theta) * z**2 + c1 * z + t * (hb - th0)), rho, 1))
         zcoef = N * N * hb * hb - theta * N * hb - (k2 - theta * theta) / 4 + (N - 1) * kk * hb * hb
@@ -414,13 +382,9 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
             )
         )
     op = canonicalize(terms, reg, N)
-
     if corrections is not None:
         op = op + correction_op(reg, N, corrections)
-    clearing = fam.prefactor(RatFun.var(reg, "t"))
-    if clearing != 1:
-        op = op.scale(1 / clearing)
-    return op
+    return _cleared(op, fam, t)
 
 
 def correction_op(reg: Registry, N: int, corr: dict) -> DiffOp:
@@ -508,15 +472,11 @@ def qkp2_radial_op(reg: Registry, N: int, k: int, hbar, kappa) -> DiffOp:
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
     f = tuple(1 if j == k else 0 for j in range(k + 1))
     zs = zvars(reg)[:N]
-    terms: list = [
-        DividedDifference(f, hb * hb),
-        PotentialSingle(f, -hb * hb * kk),
-    ]
-    for rho, zn in enumerate(zs):
-        z = RatFun.var(reg, zn)
-        terms.append(Plain(hb * hb * z**k, rho, 2))
-        if k >= 1:
-            terms.append(Plain(hb * hb * Fraction(k) * z ** (k - 1), rho, 1))
+    # Sum_{rho != sigma} f(z_rho)/(z_rho - z_sigma)^2 is half the pair potential
+    terms = calogero_terms(reg, N, f, hb * hb, hb * hb, -hb * hb * kk / 2)
+    if k >= 1:
+        for rho, zn in enumerate(zs):
+            terms.append(Plain(hb * hb * Fraction(k) * RatFun.var(reg, zn) ** (k - 1), rho, 1))
     for j in range(k):
         pj = power_sum(reg, N, j)
         for rho, zn in enumerate(zs):

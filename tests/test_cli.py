@@ -195,6 +195,18 @@ def test_radial_with_no_trials_is_a_usage_error():
     assert_usage_error(run_cli("verify", "radial", "--family", "II", "--N", "2", "--trials", "0"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "radial", "--family", "IV", "--N", "2", "--trials", "2"),
+        ("oracle", "moments", "--family", "IV", "--kmax", "4", "--prec", "64"),
+    ],
+)
+def test_negative_seed_is_a_usage_error(argv):
+    # was run on the points of --seed 1 and echoed as seed -1
+    assert_usage_error(run_cli(*argv, "--seed=-1"))
+
+
 def test_params_cannot_set_t():
     # was run at the default t = 3/2 with t=5/4 dropped
     proc = run_cli(

@@ -8,7 +8,6 @@ from cpverify.diffop import (
     DividedDifference,
     Plain,
     PotentialPair,
-    PotentialSingle,
     apply_op,
     build_cp_hamiltonian,
     build_nagoya_single,
@@ -35,10 +34,19 @@ def test_canonicalize_divided_difference():
 
 def test_canonicalize_potentials():
     z1, z2 = R2.var("z1"), R2.var("z2")
-    single = canonicalize([PotentialSingle((1,), 1)], R2, 2)
-    assert single.C.equal(RatFun(R2.const(2), (z1 - z2) ** 2))
     pair = canonicalize([PotentialPair((1,), 1)], R2, 2)
     assert pair.C.equal(RatFun(R2.const(4), (z1 - z2) ** 2))
+    # s Sum_{rho != sigma} f(z_rho)/(z_rho - z_sigma)^2 is the pair potential at scale s/2
+    s = Fraction(-3, 7)
+    zs = [R3.var(f"z{i}") for i in (1, 2, 3)]
+    for k in range(4):
+        by_hand = RatFun.const(R3, 0)
+        for rho in range(3):
+            for sigma in range(3):
+                if rho != sigma:
+                    by_hand = by_hand + RatFun(zs[rho] ** k * s, (zs[rho] - zs[sigma]) ** 2)
+        f = (0,) * k + (1,)
+        assert canonicalize([PotentialPair(f, s / 2)], R3, 3).C.equal(by_hand)
     empty = canonicalize([], R2, 2)
     assert empty.is_zero()
 

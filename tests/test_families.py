@@ -1,7 +1,9 @@
 """The family table: weight data against numeric derivatives, samplers
-against admissibility, and the rendered Hamiltonians against the forms the
-builders printed before they were rendered from the table."""
+against admissibility, the rendered Hamiltonians against the forms the
+builders printed before they were rendered from the table, and sigma against
+the checks that can see it."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -9,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cpverify import families, quadrature
+from cpverify import families, moments, quadrature, radial
 from cpverify.exact import session_registry
 from cpverify.moments import MasterFunction
 from cpverify.radial import hamiltonian_trace_spec
@@ -132,3 +134,20 @@ def test_rendered_ncpoly_matches_the_printed_builders(J, mode, N):
 def test_rendered_radial_spec_matches_the_printed_builders(J, N):
     assert digest(repr(hamiltonian_trace_spec(J, N, T, **THETAS))) == GOLDEN_SPEC[(J, N)]
 
+
+# the resolved additive correction to the printed VI operator at hbar = 1/2, N = 2
+VI_CORRECTION = {"first_order": [(0, 0), (Fraction(-1, 4),) * 2, (0, 0), (0, 0)], "scalar": (0, 0), "sum_z": (0, 0)}
+
+
+@pytest.mark.parametrize("J", families.WEIGHTED)
+def test_a_wrong_sigma_fails_the_matrix_side_and_the_ansatz(J, monkeypatch):
+    # both operators of n1 and table1 take their sigma from the table, so those
+    # cannot see a wrong one; the trace words and the beta-integral ansatz can
+    fam = families.weighted(J)
+    corrections = VI_CORRECTION if J == "VI" else None
+    assert radial.verify_radial_match(J, 2, 3, 5, corrections=corrections)["ok"]
+    assert moments.verify_pde_symbolic(J, 2, 1, 1)["ok"]
+    wrong = dataclasses.replace(fam, sigma=lambda t: tuple(2 * c for c in fam.sigma(t)))
+    monkeypatch.setitem(families._BY_NAME, J, wrong)
+    assert not radial.verify_radial_match(J, 2, 3, 5, corrections=corrections)["ok"]
+    assert not moments.verify_pde_symbolic(J, 2, 1, 1)["ok"]
