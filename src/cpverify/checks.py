@@ -13,11 +13,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
 from . import diffop, families, moments, quadrature, radial, weyl
-from .errors import UsageError
+from .errors import QuadratureError, UsageError
 from .exact import RatFun, as_rat, session_registry
 
 FAMS = families.WEIGHTED
@@ -52,7 +53,8 @@ def run_weyl(N: int, expr: str | None = None) -> list[CheckRecord]:
         _rec(
             f"worked commutator N={N}: [p, Tr(pqpq)] = 2 hbar pqp + hbar^2 N p",
             "using the commutation relation",
-            rep["derived_ok"],
+            # the printed remainder hbar^2 p must fail at N > 1 and hold at N = 1
+            rep["derived_ok"] and rep["printed_ok"] == (N == 1),
             resolved=N > 1,
             detail=(
                 None
@@ -139,31 +141,24 @@ def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2))
             )
         )
     else:
+        # corr is None only where the printed form is exact, which fails the record
         corr, rep = resolved_radial_corrections("VI", N, hbar)
         printed = radial.verify_radial_match("VI", N, max(1, trials // 2), seed, hbar=hbar)
-        if corr is None:
-            out.append(
-                _rec(
-                    f"radial reduction VI, N={N}: printed eigenvalue form exact",
-                    "is called the Harish-Chandra map",
-                    printed["ok"],
-                )
+        check = radial.verify_radial_match("VI", N, trials, seed, hbar=hbar, corrections=corr)
+        a10, a11 = corr["first_order"][1] if corr else (0, 0)
+        shift = -as_rat(hbar) ** 2
+        out.append(
+            _rec(
+                f"radial reduction VI, N={N}: exact after solved first-order correction",
+                "is called the Harish-Chandra map",
+                (not printed["ok"]) and check["ok"] and rep["verified"] and (a10, a11) == (shift, shift),
+                resolved=True,
+                detail=(
+                    "printed first-order z-coefficient -hbar(1+t) must read -2 hbar(1+t): "
+                    f"fitted additive correction ({a10} + {a11} t) sum_rho z_rho d_rho inside t(t-1)"
+                ),
             )
-        else:
-            check = radial.verify_radial_match("VI", N, trials, seed, hbar=hbar, corrections=corr)
-            a10, a11 = corr["first_order"][1]
-            out.append(
-                _rec(
-                    f"radial reduction VI, N={N}: exact after solved first-order correction",
-                    "is called the Harish-Chandra map",
-                    (not printed["ok"]) and check["ok"] and rep["verified"],
-                    resolved=True,
-                    detail=(
-                        "printed first-order z-coefficient -hbar(1+t) must read -2 hbar(1+t): "
-                        f"fitted additive correction ({a10} + {a11} t) sum_rho z_rho d_rho inside t(t-1)"
-                    ),
-                )
-            )
+        )
     qk = radial.verify_qkp2(N, kmax=3, trials=2, seed=seed + 1, hbar=hbar)
     out.append(
         _rec(
@@ -213,8 +208,14 @@ def run_gauge(N_values=(2, 3), hbar_values=(Fraction(1, 2), Fraction(1, 3), Frac
                 resolved_any = False
                 for a in (0, 1, 2, 3):
                     rep = diffop.theorem_gauge_check(N, a, hb, kappa)
-                    ok_all &= rep["status"] in ("pass", "resolved-with-correction")
-                    resolved_any |= rep["status"] == "resolved-with-correction"
+                    resolved = rep["status"] == "resolved-with-correction"
+                    # the printed a = 2, 3 corrections carry the factor N - 2 and
+                    # need exactly the prefactor hbar^2 - 1; every other power holds as printed
+                    if a >= 2 and N >= 3:
+                        ok_all &= resolved and rep["lambda"] == as_rat(hb) ** 2 - 1
+                    else:
+                        ok_all &= rep["status"] == "pass"
+                    resolved_any |= resolved
                     if a in (2, 3):
                         lam_seen.append((a, rep.get("lambda")))
                 detail = ", ".join(f"a={a}: lambda={lam}" for a, lam in lam_seen)
@@ -233,11 +234,12 @@ def run_gauge(N_values=(2, 3), hbar_values=(Fraction(1, 2), Fraction(1, 3), Frac
             rep = table1_resolve("II", "gauged", hb, m, N)
             solved = rep["solved"].get("theta")
             printed = diffop.table_params("II", hb, "gauged", m, N)["theta"]
+            theta = printed if solved is None else solved
             out.append(
                 _rec(
                     f"gauged identification, family II, N={N}, hbar={hb}, m={m}: theta solved exactly",
                     "equivalent to the action of",
-                    rep["ok"],
+                    rep["ok"] and theta == Fraction(3, 2) - N - as_rat(hb) * (1 + m),
                     resolved=solved != printed,
                     detail=f"theta solved = {solved}; printed = {printed}"
                     + ("" if solved == printed else " (printed value holds only at N = 1 or hbar = 1)"),
@@ -373,7 +375,10 @@ def run_table1(
                     start = time.perf_counter()
                     rep = table1_resolve(J, mode, hb, m, N)
                     ms = int((time.perf_counter() - start) * 1000)
-                    resolved = rep["ok"] and not rep["exact_as_printed"]
+                    # the printed gauged VI k^2 holds only at N = 1 or hbar = 1; elsewhere it is re-solved
+                    resolves_k2 = (J, mode) == ("VI", "gauged") and N > 1 and hb != 1
+                    ok = rep["ok"] and (J != "VI" or ("k2" in rep["solved"]) == resolves_k2)
+                    resolved = ok and not rep["exact_as_printed"]
                     bits = []
                     if rep["time_reflected"]:
                         bits.append("needs the time reflection t -> -t (with H -> -H)")
@@ -389,7 +394,7 @@ def run_table1(
                         _rec(
                             f"parameter table {J} {mode}, hbar={hb}, N={N}, m={m}",
                             "correspondence of parameters between",
-                            rep["ok"],
+                            ok,
                             resolved=resolved,
                             detail="; ".join(bits) if bits else "exact as printed",
                             ms=ms,
@@ -441,15 +446,19 @@ def run_n1(m: int = 2, hbar=Fraction(1, 2)) -> list[CheckRecord]:
 
 def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, controls: bool = False) -> list[CheckRecord]:
     rep = moments.verify_pde_symbolic(J, N, m, hbar, params)
+    # an ok record has tau = N, so the printed hbar d/dt holds exactly at N = 1
+    resolved = rep["ok"] and N > 1
     detail = f"time normalization tau = {rep.get('time_factor')}"
-    if N > 1 and rep["ok"]:
+    if resolved:
         detail += " (the stated hbar d/dt holds only at N = 1; the derivations carry hbar N d/dt)"
+    elif not rep["ok"] and rep.get("time_factor"):
+        detail += f" instead of N = {N}"
     out = [
         _rec(
             f"Schroedinger identity {J}, N={N}, m={m}, hbar={hbar}: residual exactly zero",
             "solution to the multi-variable version",
             rep["ok"],
-            resolved=rep["ok"] and not rep["naive_time_factor_ok"],
+            resolved=resolved,
             detail=detail,
         )
     ]
@@ -482,12 +491,18 @@ def numeric_pde_params(J: str, m: int, hbar, base: dict) -> dict:
 
 
 def run_pde_numeric(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 64, level: int = 4) -> list[CheckRecord]:
-    rep = quadrature.pde_residual_numeric(J, N, m, hbar, t, params, prec=prec, level=level)
+    name = f"numeric Schroedinger residual {J}, N={N}, m={m}, hbar={hbar}, t={t}"
+    anchor = "satisfying the Schrodinger equation"
+    try:
+        rep = quadrature.pde_residual_numeric(J, N, m, hbar, t, params, prec=prec, level=level)
+    except QuadratureError as exc:
+        return [_rec(name, anchor, False, detail=f"quadrature failed: {exc}")]
+    # the two dPhi/dt computations must agree before the residual means anything
     ok = rep["residual"] < mpmath.mpf("1e-6") and rep["dt_agreement"] < mpmath.mpf("1e-8")
     return [
         _rec(
-            f"numeric Schroedinger residual {J}, N={N}, m={m}, hbar={hbar}, t={t}",
-            "satisfying the Schrodinger equation",
+            name,
+            anchor,
             ok,
             residual=mpmath.nstr(rep["residual"], 6),
             detail=f"d/dt cross-check {mpmath.nstr(rep['dt_agreement'], 4)}; grid error {mpmath.nstr(rep['grid_error'], 4)}; tau = {rep['time_factor']}",
@@ -563,3 +578,37 @@ def run_andreief(prec: int = 96) -> list[CheckRecord]:
             residual=mpmath.nstr(rel, 4),
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# The acceptance matrix
+# ---------------------------------------------------------------------------
+
+
+def acceptance_matrix(seed: int = 42, prec: int = 192, level: int = 4) -> list:
+    """The acceptance suite's blocks in report order, as (criterion, tag, thunk).
+
+    Each thunk returns its block's records; a criterion holds when every
+    record of its blocks is ok.  The weyl blocks carry criteria 1 and 2.
+    ``cpverify suite acceptance`` and the tier-1 acceptance test both read
+    this list, at the suite's defaults unless given other settings.
+    """
+    half = Fraction(1, 2)
+    blocks = [(1, "weyl", partial(run_weyl, N)) for N in (1, 2, 3)]
+    blocks += [(3, "eom", partial(run_eom, 2)), (4, "zero-curvature", run_zero_curvature)]
+    blocks += [(5, "radial", partial(run_radial, J, N, trials=5, seed=seed)) for J in families.NAMES for N in (2, 3)]
+    blocks += [(6, "gauge-scalar", run_gauge_transformation), (6, "gauge", run_gauge), (7, "table1", run_table1), (8, "n1", run_n1)]
+    blocks += [
+        (9, "pde-symbolic", partial(run_pde_symbolic, J, N, m, 1, controls=(N, m) == (2, 2)))
+        for J in FAMS
+        for (N, m) in ((1, 1), (1, 2), (2, 1), (2, 2))
+    ]
+    blocks += [(9, "pde-symbolic", partial(run_pde_symbolic, J, 2, 2, 2)) for J in ("II", "IV")]
+    blocks += [
+        (10, "pde-numeric", partial(run_pde_numeric, J, 2, 2, half, t, numeric_pde_params(J, 2, half, base), prec=64, level=level))
+        for J in ("V", "VI")
+        for t, base in NUMERIC_POINTS[J]
+    ]
+    blocks += [(11, "oracle", partial(run_oracle_moments, J, kmax=6, prec=prec, points=3, seed=seed)) for J in FAMS]
+    blocks.append((11, "cross-path", partial(run_andreief, prec=96)))
+    return blocks

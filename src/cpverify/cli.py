@@ -165,41 +165,10 @@ def _timed(tag: str, fn) -> list:
 
 
 def acceptance_suite(args):
-    """The full acceptance matrix; one record block per criterion."""
-    seed, prec = args.seed, args.prec
-    records = []
-
-    def timed(tag, fn):
-        records.extend(_timed(tag, fn))
-
-    for N in (1, 2, 3):
-        timed("weyl", lambda n=N: checks.run_weyl(n))
-    timed("eom", lambda: checks.run_eom(2))
-    timed("zero-curvature", checks.run_zero_curvature)
-    for J in families.NAMES:
-        for N in (2, 3):
-            timed("radial", lambda j=J, n=N: checks.run_radial(j, n, trials=5, seed=seed))
-    timed("gauge-scalar", checks.run_gauge_transformation)
-    timed("gauge", checks.run_gauge)
-    timed("table1", checks.run_table1)
-    timed("n1", checks.run_n1)
-    for J in checks.FAMS:
-        for (n, m) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            timed("pde-symbolic", lambda j=J, nn=n, mm=m: checks.run_pde_symbolic(j, nn, mm, 1, controls=(nn, mm) == (2, 2)))
-    for J in ("II", "IV"):
-        timed("pde-symbolic", lambda j=J: checks.run_pde_symbolic(j, 2, 2, 2))
+    """The full acceptance matrix, one timed record block per entry."""
     level = 3 if args.fast else 4
-    for J in ("V", "VI"):
-        for t, base in checks.NUMERIC_POINTS[J]:
-            params = checks.numeric_pde_params(J, 2, Fraction(1, 2), base)
-            timed(
-                "pde-numeric",
-                lambda j=J, tt=t, pp=params: checks.run_pde_numeric(j, 2, 2, Fraction(1, 2), tt, pp, prec=64, level=level),
-            )
-    for J in checks.FAMS:
-        timed("oracle", lambda j=J: checks.run_oracle_moments(j, kmax=6, prec=prec, points=3, seed=seed))
-    timed("cross-path", lambda: checks.run_andreief(prec=96))
-    return records, {"seed": seed, "prec": prec}, prec
+    records = [rec for _, tag, fn in checks.acceptance_matrix(args.seed, args.prec, level) for rec in _timed(tag, fn)]
+    return records, {"seed": args.seed, "prec": args.prec}, args.prec
 
 
 TASKS = {

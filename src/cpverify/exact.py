@@ -189,10 +189,6 @@ class MPoly:
         s = self.reg._shifts[self._vidx(name)]
         return max(((e >> s) & _FIELD for e in self._t), default=0)
 
-    def uses(self, name: str) -> bool:
-        s = self.reg._shifts[self._vidx(name)]
-        return bool((reduce(or_, self._t, 0) >> s) & _FIELD)
-
     def _vidx(self, name: str) -> int:
         try:
             return self.reg.index[name]

@@ -401,13 +401,14 @@ def pde_params(J: str, m: int, hbar, b=None, c=None) -> dict:
 
 
 def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, mutate: str | None = None):
-    """Check hbar * tau * dPhi/dt = H_J Phi exactly, solving the z- and
-    seed-free time normalization tau from the data rather than assuming it
-    (the appendix derivations carry tau = N for families II..V).
+    """Check hbar * tau * dPhi/dt = H_J Phi exactly, solving the time
+    normalization tau from the data rather than assuming it.
 
     ``mutate='m_shift'`` perturbs the m hbar sum(z) coefficient by one as a
     negative control.  Returns a report dict; ``ok`` means the residual is
-    identically zero with a t-only tau.
+    identically zero with tau the rational constant N, the value the
+    appendix derivations carry.  A wrong family prefactor moves into tau,
+    so any other tau fails.
     """
     if params is None:
         params = pde_params(J, m, hbar)
@@ -420,7 +421,6 @@ def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None =
         raise UsageError(f"unknown mutation {mutate!r}")
     hphi = apply_op(op, phi)
     dphi = phi_time_derivative(phi, reducer) * RatFun.const(reg, as_rat(hbar))
-    naive_zero = (dphi - hphi).is_zero()
     point = {zn: Fraction(3 + 2 * i, 2) for i, zn in enumerate(zvars(reg)[:N])}
     point["nu0"] = Fraction(5, 7)
     point["nu1"] = Fraction(-3, 11)
@@ -429,14 +429,12 @@ def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None =
         return {"ok": False, "family": J, "reason": "time derivative vanished at the probe point"}
     tau = r1 / r2
     residual_zero = (hphi - tau * dphi).is_zero()
-    tau_tfree = not any(tau.num.uses(n) or tau.den.uses(n) for n in reg.names if n != "t")
     return {
-        "ok": residual_zero and tau_tfree,
+        "ok": residual_zero and (tau - RatFun.const(reg, N)).is_zero(),
         "family": J,
         "N": N,
         "m": m,
         "hbar": hbar,
-        "time_factor": tau.to_str() if residual_zero and tau_tfree else None,
-        "naive_time_factor_ok": naive_zero,
+        "time_factor": tau.to_str() if residual_zero else None,
         "params": params,
     }

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cpverify import families, moments, quadrature, radial
+from cpverify import checks, families, moments, quadrature, radial
 from cpverify.exact import session_registry
 from cpverify.moments import MasterFunction
 from cpverify.radial import hamiltonian_trace_spec
@@ -151,3 +151,19 @@ def test_a_wrong_sigma_fails_the_matrix_side_and_the_ansatz(J, monkeypatch):
     monkeypatch.setitem(families._BY_NAME, J, wrong)
     assert not radial.verify_radial_match(J, 2, 3, 5, corrections=corrections)["ok"]
     assert not moments.verify_pde_symbolic(J, 2, 1, 1)["ok"]
+
+
+# a wrong printed prefactor (1, t or t(t-1)); V's is t, so its mutant drops it
+WRONG_PREFACTOR = {"II": lambda t: 1 + t, "III": lambda t: t * t, "IV": lambda t: 1 + t, "V": lambda t: 1, "VI": lambda t: t}
+
+
+@pytest.mark.parametrize("J", sorted(WRONG_PREFACTOR))
+def test_a_wrong_prefactor_fails_the_symbolic_pde(J, monkeypatch):
+    # the builders divide the prefactor out, so a wrong one moves into the
+    # solved time factor tau, which the record pins to N (criterion 9 of the
+    # acceptance matrix runs the unmutated check)
+    wrong = dataclasses.replace(families.weighted(J), prefactor=WRONG_PREFACTOR[J])
+    monkeypatch.setitem(families._BY_NAME, J, wrong)
+    (rec,) = checks.run_pde_symbolic(J, 2, 2, 1)
+    assert not rec.ok
+    assert rec.detail.endswith("instead of N = 2")

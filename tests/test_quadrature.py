@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_add, round_nearest
 
-from cpverify import families
+from cpverify import families, moments
 from cpverify.errors import DomainError, UsageError
 from cpverify.exact import session_registry
 from cpverify import quadrature
@@ -19,7 +19,6 @@ from cpverify.quadrature import (
     moment_numeric,
     moments_numeric,
     pde_residual_numeric,
-    phi_value,
     simplex_phi_coeffs,
     ts_nodes,
 )
@@ -132,14 +131,13 @@ def test_pde_residual_negative_control():
     assert rep["residual"] > mpmath.mpf("0.1")
 
 
-def test_andreief_matches_simplex():
-    params = {"b": Fraction(-1, 3)}
-    z = [Fraction(3, 2), Fraction(-2, 3)]
-    coeffs, _, _ = simplex_phi_coeffs("IV", 2, 2, 1, Fraction(1, 3), params, prec=96, level=5, with_dt=False)
-    simplex_val = phi_value(coeffs, [mpq(x) for x in z], 2)
-    det_val = andreief_phi("IV", z, Fraction(1, 3), 2, params, prec=96)
-    # at hbar = 1 the symmetric full-domain integral is m! * simplex
-    assert abs(2 * simplex_val - det_val) / abs(det_val) < mpmath.mpf("1e-8")
+@pytest.mark.parametrize("J", ["III", "IV"])
+def test_the_shifted_ts_share_one_window(J):
+    # III's and IV's windows grow with |t|; a window per shift made the
+    # difference quotient differentiate the grid (gaps of 1e-2 and 4e-2 here)
+    t, base = ADMISSIBLE[J]
+    rep = pde_residual_numeric(J, 2, 2, 1, t, moments.pde_params(J, 2, 1, **base), prec=64, level=2)
+    assert rep["dt_agreement"] < mpmath.mpf("1e-8")
 
 
 def test_andreief_agrees_with_its_higher_precision_value():
