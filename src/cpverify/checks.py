@@ -198,28 +198,43 @@ def run_gauge_transformation(N: int = 2) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
-def run_gauge(N_values=(2, 3), hbar_values=(Fraction(1, 2), Fraction(1, 3), Fraction(2)), m: int = 2) -> list[CheckRecord]:
-    out = []
+GAUGE_N = (2, 3)
+GAUGE_HBAR = (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+# the report's names for table_params' two gauged kappa choices, in its order
+KAPPA_BRANCHES = ("kappa=1/hbar-1", "kappa=-1/hbar")
+
+
+def _one_coupling(maps: dict) -> bool:
+    """Every printed kappa choice gives the coupling kappa(kappa+1) = R(R+1) of
+    the Vandermonde gauge Delta^R (R = 0 ungauged), so one operator serves all."""
+    R = maps.get("R", 0)
+    return all(k * (k + 1) == R * (R + 1) for k in maps["kappa_choices"])
+
+
+def run_gauge(N_values=GAUGE_N, hbar_values=GAUGE_HBAR, m: int = 2) -> list[CheckRecord]:
+    powers, lemmas = [], []
     for N in N_values:
         for hb in hbar_values:
-            for branch, kappa in (("kappa=1/hbar-1", 1 / as_rat(hb) - 1), ("kappa=-1/hbar", -1 / as_rat(hb))):
-                lam_seen = []
-                ok_all = True
-                resolved_any = False
-                for a in (0, 1, 2, 3):
-                    rep = diffop.theorem_gauge_check(N, a, hb, kappa)
-                    resolved = rep["status"] == "resolved-with-correction"
-                    # the printed a = 2, 3 corrections carry the factor N - 2 and
-                    # need exactly the prefactor hbar^2 - 1; every other power holds as printed
-                    if a >= 2 and N >= 3:
-                        ok_all &= resolved and rep["lambda"] == as_rat(hb) ** 2 - 1
-                    else:
-                        ok_all &= rep["status"] == "pass"
-                    resolved_any |= resolved
-                    if a in (2, 3):
-                        lam_seen.append((a, rep.get("lambda")))
-                detail = ", ".join(f"a={a}: lambda={lam}" for a, lam in lam_seen)
-                out.append(
+            # family II's gauged row: its kappa choices, and the theta the lemma below reads
+            maps = diffop.table_params("II", hb, "gauged", m, N)
+            lam_seen = []
+            ok_all = _one_coupling(maps)
+            resolved_any = False
+            for a in (0, 1, 2, 3):
+                rep = diffop.theorem_gauge_check(N, a, hb, maps["kappa_choices"][0])
+                resolved = rep["status"] == "resolved-with-correction"
+                # the printed a = 2, 3 corrections carry the factor N - 2 and
+                # need exactly the prefactor hbar^2 - 1; every other power holds as printed
+                if a >= 2 and N >= 3:
+                    ok_all &= resolved and rep["lambda"] == as_rat(hb) ** 2 - 1
+                else:
+                    ok_all &= rep["status"] == "pass"
+                resolved_any |= resolved
+                if a in (2, 3):
+                    lam_seen.append((a, rep.get("lambda")))
+            detail = ", ".join(f"a={a}: lambda={lam}" for a, lam in lam_seen)
+            for branch in KAPPA_BRANCHES:
+                powers.append(
                     _rec(
                         f"gauge conjugation powers a=0..3, N={N}, hbar={hb}, {branch}",
                         "Define the two sequences of differential operators",
@@ -228,24 +243,23 @@ def run_gauge(N_values=(2, 3), hbar_values=(Fraction(1, 2), Fraction(1, 3), Frac
                         detail=f"printed corrections need the prefactor hbar^2-1 ({detail})" if resolved_any else detail,
                     )
                 )
-    # printed lemma for family II: solve theta and compare
-    for N in N_values:
-        for hb in hbar_values:
+            # printed lemma for family II: solve theta and compare
             rep = table1_resolve("II", "gauged", hb, m, N)
             solved = rep["solved"].get("theta")
-            printed = diffop.table_params("II", hb, "gauged", m, N)["theta"]
+            printed = maps["theta"]
             theta = printed if solved is None else solved
-            out.append(
+            resolved = solved is not None and solved != printed
+            lemmas.append(
                 _rec(
                     f"gauged identification, family II, N={N}, hbar={hb}, m={m}: theta solved exactly",
                     "equivalent to the action of",
                     rep["ok"] and theta == Fraction(3, 2) - N - as_rat(hb) * (1 + m),
-                    resolved=solved != printed,
+                    resolved=resolved,
                     detail=f"theta solved = {solved}; printed = {printed}"
-                    + ("" if solved == printed else " (printed value holds only at N = 1 or hbar = 1)"),
+                    + (" (printed value holds only at N = 1 or hbar = 1)" if resolved else ""),
                 )
             )
-    return out
+    return powers + lemmas
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +291,18 @@ def _split_scalar_sumz(expr: RatFun, reg, N: int):
     return None
 
 
+TABLE1_MODES = ("ungauged", "gauged")
+TABLE1_HBAR = (Fraction(1, 2), Fraction(2))
+
+
 def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None = None):
     """Compare CP_J with the (conjugated) radial form under the printed maps.
 
     Any mismatch is resolved into: a solved parameter (theta for II, k^2 for
     VI), a scalar-in-t gauge residual, and for family III the documented time
-    reflection t -> -t with a Hamiltonian sign flip.  Returns a report dict.
+    reflection t -> -t with a Hamiltonian sign flip.  The radial form is built
+    and resolved once: kappa enters only through kappa(kappa+1), which every
+    printed kappa choice must share.  Returns a report dict.
     """
     hb = as_rat(hbar)
     if family is None:
@@ -295,74 +315,54 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
     corr = None
     if J == "VI":
         corr, rep = resolved_radial_corrections("VI", N, hb)
-    results = []
-    for kappa in maps["kappa_choices"]:
-        ht = radial.build_radial_hamiltonian(reg, J, N, hb, kappa, corrections=corr, **theta_kwargs)
-        conj = diffop.conjugate_by_vandermonde(ht, maps["R"]) if mode == "gauged" else ht
-        reflected = False
-        diff = conj - cp
-        if not all(x.is_zero() for x in diff.A) or not all(x.is_zero() for x in diff.B):
-            refl = conj.time_reflected() - cp
-            if all(x.is_zero() for x in refl.A) and all(x.is_zero() for x in refl.B):
-                diff, reflected = refl, True
-            else:
-                results.append({"kappa": kappa, "ok": False, "why": "derivative coefficients differ"})
-                continue
-        split = _split_scalar_sumz(diff.C, reg, N)
-        if split is None:
-            results.append({"kappa": kappa, "ok": False, "why": "zeroth order not scalar + sum z"})
-            continue
-        alpha, beta = split
-        solved = {}
-        ok = True
-        if not beta.is_zero():
-            t = RatFun.var(reg, "t")
-            if J == "II":
-                delta = _ratfun_constant(beta)
-                if delta is None:
-                    ok = False
-                else:
-                    solved["theta"] = maps["theta"] + delta
-            elif J == "VI":
-                k2c = _ratfun_constant(beta * 4 * t * (t - 1))
-                if k2c is None:
-                    ok = False
-                else:
-                    solved["k2"] = maps["k2"] + k2c
-            else:
-                ok = False
-        alpha_str = None if alpha.is_zero() else alpha.to_str()
-        results.append(
-            {
-                "kappa": kappa,
-                "ok": ok,
-                "time_reflected": reflected,
-                "scalar_residual": alpha_str,
-                "solved": solved,
-            }
-        )
-    ok = all(r["ok"] for r in results)
-    solved = results[0].get("solved", {}) if results else {}
-    exact_as_printed = ok and all(
-        not r.get("solved") and r.get("scalar_residual") is None and not r.get("time_reflected") for r in results
-    )
-    # both kappa branches must agree (kappa enters through kappa(kappa+1) only)
-    branches_agree = len({str(sorted((r.get("solved") or {}).items())) for r in results}) <= 1
-    return {
-        "ok": ok and branches_agree,
-        "exact_as_printed": exact_as_printed,
-        "results": results,
-        "solved": solved,
+    ht = radial.build_radial_hamiltonian(reg, J, N, hb, maps["kappa_choices"][0], corrections=corr, **theta_kwargs)
+    conj = diffop.conjugate_by_vandermonde(ht, maps["R"]) if mode == "gauged" else ht
+    out = {
+        "ok": False,
+        "exact_as_printed": False,
+        "solved": {},
         "printed": {k: v for k, v in maps.items() if k not in ("kappa_choices", "R")},
-        "time_reflected": any(r.get("time_reflected") for r in results),
-        "scalar_residual": results[0].get("scalar_residual") if results else None,
+        "time_reflected": False,
+        "scalar_residual": None,
     }
+    reflected = False
+    diff = conj - cp
+    if not all(x.is_zero() for x in diff.A + diff.B):
+        diff, reflected = conj.time_reflected() - cp, True
+        if not all(x.is_zero() for x in diff.A + diff.B):
+            return out  # the derivative coefficients differ
+    split = _split_scalar_sumz(diff.C, reg, N)
+    if split is None:
+        return out  # the zeroth order is not a scalar plus a multiple of sum z
+    alpha, beta = split
+    solved = {}
+    ok = True
+    if not beta.is_zero():
+        t = RatFun.var(reg, "t")
+        if J == "II":
+            delta = _ratfun_constant(beta)
+            if delta is None:
+                ok = False
+            else:
+                solved["theta"] = maps["theta"] + delta
+        elif J == "VI":
+            k2c = _ratfun_constant(beta * 4 * t * (t - 1))
+            if k2c is None:
+                ok = False
+            else:
+                solved["k2"] = maps["k2"] + k2c
+        else:
+            ok = False
+    residual = None if alpha.is_zero() else alpha.to_str()
+    out.update(ok=ok and _one_coupling(maps), solved=solved, time_reflected=reflected, scalar_residual=residual)
+    out["exact_as_printed"] = out["ok"] and not solved and residual is None and not reflected
+    return out
 
 
 def run_table1(
     families=FAMS,
-    modes=("ungauged", "gauged"),
-    hbar_values=(Fraction(1, 2), Fraction(2)),
+    modes=TABLE1_MODES,
+    hbar_values=TABLE1_HBAR,
     N_values=(2, 3),
     m: int = 2,
 ) -> list[CheckRecord]:

@@ -13,7 +13,6 @@ import io
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import checks, diffop, families, moments, radial
@@ -72,16 +71,16 @@ def _radial(args):
 
 
 def _gauge(args):
-    n_values = (args.N,) if args.N else (2, 3)
-    hb_values = (parse_hbar(args.hbar),) if args.hbar is not None else (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+    n_values = (args.N,) if args.N else checks.GAUGE_N
+    hb_values = (parse_hbar(args.hbar),) if args.hbar is not None else checks.GAUGE_HBAR
     echo = {"N": list(n_values), "hbar": [str(h) for h in hb_values]}
     return checks.run_gauge(n_values, hb_values), echo, None
 
 
 def _table1(args):
     fams = (args.family,) if args.family else checks.FAMS
-    modes = (args.mode,) if args.mode else ("ungauged", "gauged")
-    hb = (parse_hbar(args.hbar),) if args.hbar is not None else (Fraction(1, 2), Fraction(2))
+    modes = (args.mode,) if args.mode else checks.TABLE1_MODES
+    hb = (parse_hbar(args.hbar),) if args.hbar is not None else checks.TABLE1_HBAR
     echo = {"families": list(fams), "modes": list(modes), "N": args.N, "m": args.m}
     return checks.run_table1(fams, modes, hb, (args.N,), args.m), echo, None
 
@@ -183,7 +182,7 @@ TASKS = {
     ),
     ("verify", "gauge"): Task(_gauge, (("N", dict(type=int)), ("hbar", {}))),
     ("verify", "table1"): Task(
-        _table1, (("family", dict(choices=checks.FAMS)), ("mode", dict(choices=("ungauged", "gauged"))), ("hbar", {}), N, M)
+        _table1, (("family", dict(choices=checks.FAMS)), ("mode", dict(choices=checks.TABLE1_MODES)), ("hbar", {}), N, M)
     ),
     ("verify", "n1"): Task(
         lambda args: (checks.run_n1(args.m, parse_hbar(args.hbar)), {"m": args.m, "hbar": args.hbar}, None),

@@ -2,18 +2,18 @@
 
 A :class:`DiffOp` stores per-variable second- and first-order coefficients and
 a zeroth-order coefficient, all exact rational functions of (z_1..z_N, t) with
-every parameter (including hbar) evaluated at rationals.  Builders list terms
-of three shapes, :class:`Plain`, :class:`DividedDifference` and
-:class:`PotentialPair`, that :func:`canonicalize` folds into a DiffOp; the
-last two sum over ordered pairs rho != sigma (Sum_{rho<sigma} forms are
-converted on construction).  :func:`calogero_terms` gives the part every
-printed operator shares, from its family's sigma(z).
+every parameter (including hbar) evaluated at rationals.  :func:`calogero_op`
+builds the part every printed operator shares from its family's sigma(z): the
+divided differences and the pair potential, summed over ordered pairs
+rho != sigma (Sum_{rho<sigma} forms are converted on construction), and the
+second-order terms.  Each builder then adds its own terms straight into A, B
+and C.  One conjugation rule, d_rho -> d_rho + g_rho, serves both the
+Vandermonde gauge Delta^R and the scalar gauge e^{S/hbar}.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
@@ -121,36 +121,6 @@ def operator_equal(a: DiffOp, b: DiffOp) -> bool:
     )
 
 
-# ---------------------------------------------------------------------------
-# Term specifications and canonicalization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Plain:
-    """coeff * d^order_{z_rho} (rho ignored for order 0)."""
-
-    coeff: object
-    rho: int | None
-    order: int
-
-
-@dataclass(frozen=True)
-class DividedDifference:
-    """scale * Sum_{rho != sigma} (f(z_rho) d_rho - f(z_sigma) d_sigma)/(z_rho - z_sigma)."""
-
-    f: tuple
-    scale: object
-
-
-@dataclass(frozen=True)
-class PotentialPair:
-    """scale * Sum_{rho != sigma} (f(z_rho) + f(z_sigma))/(z_rho - z_sigma)^2."""
-
-    f: tuple
-    scale: object
-
-
 def _poly_at(reg: Registry, f, zname: str) -> RatFun:
     """Evaluate the univariate coefficient list f at the variable zname."""
     z = RatFun.var(reg, zname)
@@ -158,42 +128,6 @@ def _poly_at(reg: Registry, f, zname: str) -> RatFun:
     for k, c in enumerate(f):
         acc = acc + as_ratfun(c, reg) * z**k
     return acc
-
-
-def canonicalize(terms, reg: Registry, N: int) -> DiffOp:
-    """Absorb all term shapes into canonical (A, B, C); linear and order-free."""
-    zs = zvars(reg)[:N]
-    op = DiffOp(reg, N)
-    for term in terms:
-        if isinstance(term, Plain):
-            c = as_ratfun(term.coeff, reg)
-            if term.order == 0:
-                op.C = op.C + c
-            elif term.order == 1:
-                op.B[term.rho] = op.B[term.rho] + c
-            elif term.order == 2:
-                op.A[term.rho] = op.A[term.rho] + c
-            else:
-                raise UsageError("operators are at most second order")
-        elif isinstance(term, DividedDifference):
-            s = as_ratfun(term.scale, reg)
-            for rho, sigma in itertools.permutations(range(N), 2):
-                zr = RatFun.var(reg, zs[rho])
-                zsg = RatFun.var(reg, zs[sigma])
-                inv = 1 / (zr - zsg)
-                op.B[rho] = op.B[rho] + s * _poly_at(reg, term.f, zs[rho]) * inv
-                op.B[sigma] = op.B[sigma] - s * _poly_at(reg, term.f, zs[sigma]) * inv
-        elif isinstance(term, PotentialPair):
-            s = as_ratfun(term.scale, reg)
-            for rho, sigma in itertools.permutations(range(N), 2):
-                zr = RatFun.var(reg, zs[rho])
-                zsg = RatFun.var(reg, zs[sigma])
-                inv2 = (1 / (zr - zsg)) ** 2
-                num = _poly_at(reg, term.f, zs[rho]) + _poly_at(reg, term.f, zs[sigma])
-                op.C = op.C + s * num * inv2
-        else:
-            raise UsageError(f"unknown term {term!r}")
-    return op
 
 
 def apply_op(op: DiffOp, f) -> RatFun:
@@ -219,14 +153,30 @@ def apply_op(op: DiffOp, f) -> RatFun:
 # ---------------------------------------------------------------------------
 
 
-def calogero_terms(reg: Registry, N: int, f, second, dd, pot=0) -> list:
-    """dd * the divided differences of sigma(z) = Sum_k f[k] z^k, pot * its
-    potential (none at pot = 0), then second * sigma(z_rho) d^2_rho per rho;
-    builders append their own terms, so each coefficient adds in printed order."""
-    terms = [DividedDifference(f, dd)]
+def calogero_op(reg: Registry, N: int, f, second, dd, pot=0) -> DiffOp:
+    """The part every printed operator shares, from sigma(z) = Sum_k f[k] z^k.
+
+    In order: dd Sum_{rho != sigma} (sigma(z_rho) d_rho - sigma(z_sigma) d_sigma)/(z_rho - z_sigma),
+    then pot Sum_{rho != sigma} (sigma(z_rho) + sigma(z_sigma))/(z_rho - z_sigma)^2 (none at
+    pot = 0), then second sigma(z_rho) d^2_rho per rho.  Builders add their own
+    terms to A, B and C after these, so each coefficient adds in printed order.
+    """
+    zs = zvars(reg)[:N]
+    sig = [_poly_at(reg, f, zn) for zn in zs]
+    op = DiffOp(reg, N)
+    s = as_ratfun(dd, reg)
+    for rho, sigma in itertools.permutations(range(N), 2):
+        inv = 1 / (RatFun.var(reg, zs[rho]) - RatFun.var(reg, zs[sigma]))
+        op.B[rho] += s * sig[rho] * inv
+        op.B[sigma] -= s * sig[sigma] * inv
     if pot != 0:
-        terms.append(PotentialPair(f, pot))
-    return terms + [Plain(second * _poly_at(reg, f, zn), rho, 2) for rho, zn in enumerate(zvars(reg)[:N])]
+        s = as_ratfun(pot, reg)
+        for rho, sigma in itertools.permutations(range(N), 2):
+            inv2 = (1 / (RatFun.var(reg, zs[rho]) - RatFun.var(reg, zs[sigma]))) ** 2
+            op.C += s * (sig[rho] + sig[sigma]) * inv2
+    for rho in range(N):
+        op.A[rho] += second * sig[rho]
+    return op
 
 
 def _want(params: dict, *names):
@@ -245,39 +195,37 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
     zs = [RatFun.var(reg, zn) for zn in zvars(reg)[:N]]
-    terms = calogero_terms(reg, N, fam.sigma(t), hb * hb, hb)
+    op = calogero_op(reg, N, fam.sigma(t), hb * hb, hb)
     half = Fraction(1, 2)
 
     if J == "II":
         for rho, z in enumerate(zs):
-            terms.append(Plain(-hb * (z**2 + t * half), rho, 1))
-            terms.append(Plain(RatFun.const(reg, m * hb) * z, None, 0))
+            op.B[rho] += -hb * (z**2 + t * half)
+            op.C += RatFun.const(reg, m * hb) * z
     elif J == "III":
         (b,) = _want(params, "b")
         for rho, z in enumerate(zs):
-            terms.append(Plain(-hb * (z**2 + (b + N - 1) * z + t), rho, 1))
-            terms.append(Plain(m * hb * z, None, 0))
+            op.B[rho] += -hb * (z**2 + (b + N - 1) * z + t)
+            op.C += m * hb * z
     elif J == "IV":
         (b,) = _want(params, "b")
         for rho, z in enumerate(zs):
-            terms.append(Plain(-hb * (z**2 + t * z + b), rho, 1))
-            terms.append(Plain(m * hb * z, None, 0))
-        terms.append(Plain(hb * Fraction(N * m) * t, None, 0))
+            op.B[rho] += -hb * (z**2 + t * z + b)
+            op.C += m * hb * z
+        op.C += hb * Fraction(N * m) * t
     elif J == "V":
         b, c = _want(params, "b", "c")
-        terms.append(Plain(hb * Fraction(N * m) * (b + c + t - hb * (m - 1) - N + 1), None, 0))
+        op.C += hb * Fraction(N * m) * (b + c + t - hb * (m - 1) - N + 1)
         for rho, z in enumerate(zs):
-            terms.append(Plain(hb * (t * z**2 - (b + c + t) * z + b), rho, 1))
-            terms.append(Plain(-m * hb * t * z, None, 0))
+            op.B[rho] += hb * (t * z**2 - (b + c + t) * z + b)
+            op.C += -m * hb * t * z
     else:  # VI
         a, b, c, d = _want(params, "a", "b", "c", "d")
         for rho, z in enumerate(zs):
-            terms.append(
-                Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + (d + N - 1) * z * (z - 1)), rho, 1)
-            )
-            terms.append(Plain(-hb * m * (N - 1 - hb * m) * z, None, 0))
-        terms.append(Plain(-hb * Fraction(m * N) * (hb * m + 1 - N) * t, None, 0))
-    return _cleared(canonicalize(terms, reg, N), fam, t)
+            op.B[rho] += -hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + (d + N - 1) * z * (z - 1))
+            op.C += -hb * m * (N - 1 - hb * m) * z
+        op.C += -hb * Fraction(m * N) * (hb * m + 1 - N) * t
+    return _cleared(op, fam, t)
 
 
 def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
@@ -287,30 +235,29 @@ def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
     t = RatFun.var(reg, "t")
     z = RatFun.var(reg, zvars(reg)[0])
     half = Fraction(1, 2)
-    terms = calogero_terms(reg, 1, fam.sigma(t), hb * hb, hb)
+    op = calogero_op(reg, 1, fam.sigma(t), hb * hb, hb)
 
     if J == "II":
         (a,) = _want(params, "a")
-        terms += [Plain(-hb * (z**2 + t * half), 0, 1), Plain(a * z, None, 0)]
+        op.B[0] += -hb * (z**2 + t * half)
+        op.C += a * z
     elif J == "III":
         a, b = _want(params, "a", "b")
-        terms += [Plain(-hb * (z**2 + b * z + t), 0, 1), Plain(a * z, None, 0)]
+        op.B[0] += -hb * (z**2 + b * z + t)
+        op.C += a * z
     elif J == "IV":
         a, b = _want(params, "a", "b")
-        terms += [Plain(-hb * (z**2 + t * z + b), 0, 1), Plain(a * (z + t), None, 0)]
+        op.B[0] += -hb * (z**2 + t * z + b)
+        op.C += a * (z + t)
     elif J == "V":
         a, b, c = _want(params, "a", "b", "c")
-        terms += [
-            Plain(hb * (t * z**2 - (b + c + t) * z + b), 0, 1),
-            Plain(RatFun.const(reg, a * (b + c - a + hb)) + a * (t - t * z), None, 0),
-        ]
+        op.B[0] += hb * (t * z**2 - (b + c + t) * z + b)
+        op.C += RatFun.const(reg, a * (b + c - a + hb)) + a * (t - t * z)
     else:  # VI
         a, b, c, d = _want(params, "a", "b", "c", "d")
-        terms += [
-            Plain(-hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + d * z * (z - 1)), 0, 1),
-            Plain((b + c + d + hb) * a * (z - t), None, 0),
-        ]
-    return _cleared(canonicalize(terms, reg, 1), fam, t)
+        op.B[0] += -hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + d * z * (z - 1))
+        op.C += (b + c + d + hb) * a * (z - t)
+    return _cleared(op, fam, t)
 
 
 def _cleared(op: DiffOp, fam, t) -> DiffOp:
@@ -333,20 +280,26 @@ def _w(reg: Registry, zs, rho: int) -> RatFun:
     return acc
 
 
+def _conjugate(op: DiffOp, g: list) -> DiffOp:
+    """op after d_rho -> d_rho + g[rho]: the conjugation by a function whose
+    logarithmic z_rho-derivative is g[rho]."""
+    out = DiffOp(op.reg, op.N, list(op.A), list(op.B), op.C)
+    for rho, zn in enumerate(zvars(op.reg)[: op.N]):
+        out.B[rho] += op.A[rho] * 2 * g[rho]
+        # two additions into C, not one of a sum: adding the two terms to each
+        # other first forms a larger common denominator and doubles the cost
+        out.C += op.A[rho] * (g[rho] * g[rho] + g[rho].deriv(zn))
+        out.C += op.B[rho] * g[rho]
+    return out
+
+
 def conjugate_by_vandermonde(op: DiffOp, R) -> DiffOp:
     """Delta^{-R} op Delta^{R} via d_rho -> d_rho + R w_rho, w_rho = Sum 1/(z_rho - z_sigma)."""
     R = as_rat(R)
     if R == 0:
         return op
-    reg = op.reg
-    zs = zvars(reg)[: op.N]
-    out = DiffOp(reg, op.N, list(op.A), list(op.B), op.C)
-    for rho in range(op.N):
-        w = _w(reg, zs, rho)
-        dw = w.deriv(zs[rho])
-        out.B[rho] = out.B[rho] + op.A[rho] * (2 * R) * w
-        out.C = out.C + op.A[rho] * (R * R * w * w + R * dw) + op.B[rho] * R * w
-    return out
+    zs = zvars(op.reg)[: op.N]
+    return _conjugate(op, [R * _w(op.reg, zs, rho) for rho in range(op.N)])
 
 
 def build_gauge_pair(reg: Registry, N: int, a: int, hbar, kappa):
@@ -358,8 +311,8 @@ def build_gauge_pair(reg: Registry, N: int, a: int, hbar, kappa):
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
     f = tuple(1 if k == a else 0 for k in range(a + 1))
     # 2 hbar Sum_{rho<sigma} == hbar Sum_{rho != sigma}
-    h_op = canonicalize(calogero_terms(reg, N, f, hb * hb, hb), reg, N)
-    ht_base = canonicalize(calogero_terms(reg, N, f, hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2)), reg, N)
+    h_op = calogero_op(reg, N, f, hb * hb, hb)
+    ht_base = calogero_op(reg, N, f, hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2))
     if a in (0, 1):
         printed = RatFun.const(reg, 0)
     elif a == 2:

@@ -10,16 +10,6 @@ from .families import TABLE
 # hbar, kappa and t, and every family's radial and multi-particle keys
 RATIONAL_KEYS = ("hbar", "kappa", *dict.fromkeys(k for fam in TABLE for k in fam.radial_keys + fam.cp_keys), "t")
 INT_KEYS = ("N", "m")
-KEYS = ("family",) + INT_KEYS + RATIONAL_KEYS
-
-
-class ParamSet(dict):
-    """The keys given, by name; a known key that was not given reads None."""
-
-    def __getattr__(self, key):
-        if key in KEYS:
-            return self.get(key)
-        raise AttributeError(key)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -37,13 +27,13 @@ def parse_hbar(text: str) -> Fraction:
     return hbar
 
 
-def parse_params(text: str) -> ParamSet:
-    """Parse ``b=-1/3,c=-1/5`` style parameter lists into a ParamSet.
+def parse_params(text: str) -> dict:
+    """Parse ``b=-1/3,c=-1/5`` style parameter lists into a dict.
 
     Rejects unknown and repeated keys and hbar = 0 (the quantization
     parameter never vanishes in any verified identity).
     """
-    ps = ParamSet()
+    ps = {}
     for item in text.split(","):
         item = item.strip()
         if not item:

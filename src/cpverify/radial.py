@@ -22,7 +22,7 @@ from functools import reduce
 from math import gcd
 
 from . import families
-from .diffop import DiffOp, Plain, _cleared, _want, calogero_terms, canonicalize, power_sum, zvars
+from .diffop import DiffOp, _cleared, _conjugate, _want, calogero_op, power_sum, zvars
 from .errors import DegeneratePointError, UsageError
 from .exact import MPoly, RatFun, Registry, as_rat, session_registry, solve_linear
 
@@ -328,60 +328,51 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
     t = RatFun.var(reg, "t")
     zs = [RatFun.var(reg, zn) for zn in zvars(reg)[:N]]
     half = Fraction(1, 2)
-    terms = calogero_terms(reg, N, fam.sigma(t), hb * hb, hb * hb, -hb * hb * kk * half)
+    op = calogero_op(reg, N, fam.sigma(t), hb * hb, hb * hb, -hb * hb * kk * half)
     if J in ("I", "II", "II_pre"):
         for rho, z in enumerate(zs):
             if J == "I":
-                terms.append(Plain(-(z**3 * half + t * z / 4), None, 0))
+                op.C += -(z**3 * half + t * z / 4)
             elif J == "II_pre":
-                terms.append(Plain(-half * (z**2 + t * half) ** 2, None, 0))
-                terms.append(Plain(-p["th"] * z, None, 0))
+                op.C += -half * (z**2 + t * half) ** 2
+                op.C += -p["th"] * z
             else:
-                terms.append(Plain(-hb * (z**2 + t * half), rho, 1))
-                terms.append(Plain((half - p["th"] - hb * N) * z, None, 0))
+                op.B[rho] += -hb * (z**2 + t * half)
+                op.C += (half - p["th"] - hb * N) * z
     elif J == "III":
         th0, th1 = p["th0"], p["th1"]
         for rho, z in enumerate(zs):
-            terms.append(Plain(-hb * (z**2 - (2 * hb - th0 + th1) * z - t), rho, 1))
-            terms.append(Plain(-(hb * N + th1) * z, None, 0))
-        terms.append(Plain(RatFun.const(reg, hb * hb * Fraction(N * (1 + N * N), 2)), None, 0))
+            op.B[rho] += -hb * (z**2 - (2 * hb - th0 + th1) * z - t)
+            op.C += -(hb * N + th1) * z
+        op.C += RatFun.const(reg, hb * hb * Fraction(N * (1 + N * N), 2))
     elif J == "IV":
         th0, th1 = p["th0"], p["th1"]
         for rho, z in enumerate(zs):
-            terms.append(Plain(-hb * (z**2 + t * z - th0 - hb), rho, 1))
-        terms.append(Plain(-(hb * N + th0 + th1) * power_sum(reg, N, 1), None, 0))
-        terms.append(Plain(-t * hb * N * N, None, 0))
+            op.B[rho] += -hb * (z**2 + t * z - th0 - hb)
+        op.C += -(hb * N + th0 + th1) * power_sum(reg, N, 1)
+        op.C += -t * hb * N * N
     elif J == "V":
         th0, th1, th2 = p["th0"], p["th1"], p["th2"]
         for rho, z in enumerate(zs):
-            terms.append(Plain(hb * (t * z**2 + (2 * hb + th0 - th2 - t) * z + th2 - hb), rho, 1))
-        terms.append(Plain(t * (hb * N + th0 + th1) * power_sum(reg, N, 1), None, 0))
-        terms.append(
-            Plain(
-                (RatFun.const(reg, th0 - th2) - t) * (N * N * hb)
-                + RatFun.const(reg, N * hb * hb * Fraction(1 + N * N, 2)),
-                None,
-                0,
-            )
+            op.B[rho] += hb * (t * z**2 + (2 * hb + th0 - th2 - t) * z + th2 - hb)
+        op.C += t * (hb * N + th0 + th1) * power_sum(reg, N, 1)
+        op.C += (
+            (RatFun.const(reg, th0 - th2) - t) * (N * N * hb)
+            + RatFun.const(reg, N * hb * hb * Fraction(1 + N * N, 2))
         )
     else:  # VI
         th0, th1, tht, k2 = p["th0"], p["th1"], p["tht"], p["k2"]
         theta = th0 + th1 + tht
         for rho, z in enumerate(zs):
             c1 = -hb * (1 + t) + t * (th0 + th1) + th0 + tht
-            terms.append(Plain(hb * ((3 * hb - theta) * z**2 + c1 * z + t * (hb - th0)), rho, 1))
+            op.B[rho] += hb * ((3 * hb - theta) * z**2 + c1 * z + t * (hb - th0))
         zcoef = N * N * hb * hb - theta * N * hb - (k2 - theta * theta) / 4 + (N - 1) * kk * hb * hb
-        terms.append(Plain(zcoef * power_sum(reg, N, 1), None, 0))
-        terms.append(
-            Plain(
-                RatFun.const(reg, -Fraction(N**3) * hb * hb * half + hb * N * N * (th0 + tht))
-                + t * hb * N * N * (th0 + th1)
-                - RatFun.const(reg, hb * hb * Fraction(N * (N - 1), 2) * kk),
-                None,
-                0,
-            )
+        op.C += zcoef * power_sum(reg, N, 1)
+        op.C += (
+            RatFun.const(reg, -Fraction(N**3) * hb * hb * half + hb * N * N * (th0 + tht))
+            + t * hb * N * N * (th0 + th1)
+            - RatFun.const(reg, hb * hb * Fraction(N * (N - 1), 2) * kk)
         )
-    op = canonicalize(terms, reg, N)
     if corrections is not None:
         op = op + correction_op(reg, N, corrections)
     return _cleared(op, fam, t)
@@ -391,21 +382,19 @@ def correction_op(reg: Registry, N: int, corr: dict) -> DiffOp:
     """Correction data -> operator: per-power first-order terms and a zeroth
     part, each with t-linear coefficients (the fit ansatz)."""
     t = RatFun.var(reg, "t")
-    zs = zvars(reg)[:N]
-    terms = []
+    op = DiffOp(reg, N)
     for k, (a0, a1) in enumerate(corr.get("first_order", ())):
         if a0 == 0 and a1 == 0:
             continue
-        for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain((RatFun.const(reg, a0) + t * a1) * z**k, rho, 1))
+        for rho, zn in enumerate(zvars(reg)[:N]):
+            op.B[rho] += (RatFun.const(reg, a0) + t * a1) * RatFun.var(reg, zn) ** k
     s0, s1 = corr.get("scalar", (Fraction(0), Fraction(0)))
     e0, e1 = corr.get("sum_z", (Fraction(0), Fraction(0)))
     if s0 or s1:
-        terms.append(Plain(RatFun.const(reg, s0) + t * s1, None, 0))
+        op.C += RatFun.const(reg, s0) + t * s1
     if e0 or e1:
-        terms.append(Plain((RatFun.const(reg, e0) + t * e1) * power_sum(reg, N, 1), None, 0))
-    return canonicalize(terms, reg, N)
+        op.C += (RatFun.const(reg, e0) + t * e1) * power_sum(reg, N, 1)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +462,15 @@ def qkp2_radial_op(reg: Registry, N: int, k: int, hbar, kappa) -> DiffOp:
     f = tuple(1 if j == k else 0 for j in range(k + 1))
     zs = zvars(reg)[:N]
     # Sum_{rho != sigma} f(z_rho)/(z_rho - z_sigma)^2 is half the pair potential
-    terms = calogero_terms(reg, N, f, hb * hb, hb * hb, -hb * hb * kk / 2)
+    op = calogero_op(reg, N, f, hb * hb, hb * hb, -hb * hb * kk / 2)
     if k >= 1:
         for rho, zn in enumerate(zs):
-            terms.append(Plain(hb * hb * Fraction(k) * RatFun.var(reg, zn) ** (k - 1), rho, 1))
+            op.B[rho] += hb * hb * Fraction(k) * RatFun.var(reg, zn) ** (k - 1)
     for j in range(k):
         pj = power_sum(reg, N, j)
         for rho, zn in enumerate(zs):
-            z = RatFun.var(reg, zn)
-            terms.append(Plain(-hb * hb * pj * z ** (k - 1 - j), rho, 1))
-    return canonicalize(terms, reg, N)
+            op.B[rho] += -hb * hb * pj * RatFun.var(reg, zn) ** (k - 1 - j)
+    return op
 
 
 def verify_qkp2(N: int, kmax: int, trials: int, seed: int, hbar=Fraction(1, 3)):
@@ -566,13 +554,6 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
 def gauge_scalar_conjugate(op: DiffOp, S: MPoly, hbar) -> DiffOp:
     """e^{S/hbar} op e^{-S/hbar} + dS/dt  via d_rho -> d_rho - (d_rho S)/hbar."""
     hb = as_rat(hbar)
-    reg = op.reg
-    out = DiffOp(reg, op.N, list(op.A), list(op.B), op.C)
-    zs = zvars(reg)[: op.N]
-    for rho, zn in enumerate(zs):
-        g = RatFun.from_mpoly(S.partial(zn)) * (1 / hb)
-        dg = g.deriv(zn)
-        out.B[rho] = out.B[rho] - op.A[rho] * 2 * g
-        out.C = out.C + op.A[rho] * (g * g - dg) - op.B[rho] * g
-    out.C = out.C + RatFun.from_mpoly(S.partial("t"))
+    out = _conjugate(op, [RatFun.from_mpoly(S.partial(zn)) * (-1 / hb) for zn in zvars(op.reg)[: op.N]])
+    out.C += RatFun.from_mpoly(S.partial("t"))
     return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpverify import checks
+from cpverify import checks, diffop, radial
 from cpverify.checks import table1_resolve
 from cpverify.errors import QuadratureError, UsageError
 from cpverify.params import parse_params
@@ -66,6 +66,42 @@ def test_table1_ungauged_ii_exact():
     assert rep["ok"] and rep["exact_as_printed"]
 
 
+def test_gauge_lemma_with_nothing_solved_is_not_resolved():
+    # at hbar = 1 the printed theta holds, so nothing is solved and nothing resolved
+    lemma = checks.run_gauge(N_values=(2,), hbar_values=(Fraction(1),))[-1]
+    assert lemma.ok and not lemma.resolved
+    assert lemma.detail == "theta solved = None; printed = -7/2"
+
+
+def test_one_build_per_coupling(monkeypatch):
+    builds, powers = [], []
+    build, check = radial.build_radial_hamiltonian, diffop.theorem_gauge_check
+    monkeypatch.setattr(radial, "build_radial_hamiltonian", lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    monkeypatch.setattr(diffop, "theorem_gauge_check", lambda *a: powers.append(a) or check(*a))
+    assert table1_resolve("IV", "gauged", Fraction(1, 2), 2, 2)["ok"]
+    assert len(builds) == 1
+    assert ok_all(checks.run_gauge())
+    assert len(powers) == 24  # (N, hbar, a) over 2 x 3 x 4, each serving both kappa branches
+
+
+def test_a_kappa_choice_with_another_coupling_fails(monkeypatch):
+    table_params = diffop.table_params
+
+    def mutant(J, hbar, mode, *args, **kwargs):
+        out = table_params(J, hbar, mode, *args, **kwargs)
+        if mode == "gauged":
+            # kappa = 1/hbar gives kappa(kappa+1) = (1/hbar)(1/hbar + 1), not R(R+1)
+            out["kappa_choices"] = (out["kappa_choices"][0], 1 / Fraction(hbar))
+        return out
+
+    monkeypatch.setattr(diffop, "table_params", mutant)
+    (rec,) = checks.run_table1(("IV",), ("gauged",), (Fraction(1, 2),), (2,))
+    assert not rec.ok
+    recs = checks.run_gauge(N_values=(2,), hbar_values=(Fraction(1, 2),))
+    powers = [r for r in recs if r.name.startswith("gauge conjugation powers")]
+    assert len(powers) == 2 and not any(r.ok for r in powers)
+
+
 def test_run_n1():
     assert ok_all(checks.run_n1(m=3, hbar=Fraction(1, 3)))
 
@@ -109,8 +145,8 @@ def test_expression_grammar():
 
 def test_parse_params():
     ps = parse_params("b=-1/3,c=-1/5,N=2,hbar=1/2")
-    assert ps.b == Fraction(-1, 3) and ps.N == 2 and ps.hbar == Fraction(1, 2)
-    assert parse_params("k2=4/9").k2 == Fraction(4, 9)
+    assert ps == {"b": Fraction(-1, 3), "c": Fraction(-1, 5), "N": 2, "hbar": Fraction(1, 2)}
+    assert parse_params("k2=4/9")["k2"] == Fraction(4, 9)
     with pytest.raises(UsageError):
         parse_params("hbar=0")
     with pytest.raises(UsageError):

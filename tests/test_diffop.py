@@ -5,13 +5,10 @@ import pytest
 
 from cpverify.cli import main
 from cpverify.diffop import (
-    DividedDifference,
-    Plain,
-    PotentialPair,
     apply_op,
     build_cp_hamiltonian,
     build_nagoya_single,
-    canonicalize,
+    calogero_op,
     conjugate_by_vandermonde,
     operator_equal,
     table_params,
@@ -24,17 +21,18 @@ R2 = session_registry(2)
 R3 = session_registry(3)
 
 
-def test_canonicalize_divided_difference():
-    op = canonicalize([DividedDifference((1,), 1)], R2, 2)
+def test_calogero_op_divided_difference():
+    op = calogero_op(R2, 2, (1,), 0, 1)
     z1, z2 = R2.var("z1"), R2.var("z2")
     assert op.B[0].equal(RatFun(R2.const(2), z1 - z2))
     assert op.B[1].equal(RatFun(R2.const(2), z2 - z1))
     assert op.C.is_zero()
+    assert all(a.is_zero() for a in op.A)
 
 
-def test_canonicalize_potentials():
+def test_calogero_op_potentials():
     z1, z2 = R2.var("z1"), R2.var("z2")
-    pair = canonicalize([PotentialPair((1,), 1)], R2, 2)
+    pair = calogero_op(R2, 2, (1,), 0, 0, 1)
     assert pair.C.equal(RatFun(R2.const(4), (z1 - z2) ** 2))
     # s Sum_{rho != sigma} f(z_rho)/(z_rho - z_sigma)^2 is the pair potential at scale s/2
     s = Fraction(-3, 7)
@@ -46,20 +44,23 @@ def test_canonicalize_potentials():
                 if rho != sigma:
                     by_hand = by_hand + RatFun(zs[rho] ** k * s, (zs[rho] - zs[sigma]) ** 2)
         f = (0,) * k + (1,)
-        assert canonicalize([PotentialPair(f, s / 2)], R3, 3).C.equal(by_hand)
-    empty = canonicalize([], R2, 2)
-    assert empty.is_zero()
+        assert calogero_op(R3, 3, f, 0, 0, s / 2).C.equal(by_hand)
+    assert calogero_op(R2, 2, (1,), 0, 0).is_zero()
 
 
-def test_canonicalize_order_independent():
-    terms = [DividedDifference((0, 1), Fraction(1, 2)), Plain(RatFun.var(R2, "t"), 0, 1), PotentialPair((1,), 3)]
-    a = canonicalize(terms, R2, 2)
-    b = canonicalize(list(reversed(terms)), R2, 2)
-    assert operator_equal(a, b)
+def test_calogero_op_is_the_sum_of_its_shapes():
+    # second sigma(z_rho) d^2_rho, plus the divided differences, plus the potential
+    f = (Fraction(1, 3), 0, 1)
+    op = calogero_op(R3, 3, f, Fraction(2, 5), Fraction(1, 2), 3)
+    parts = calogero_op(R3, 3, f, 0, Fraction(1, 2)) + calogero_op(R3, 3, f, 0, 0, 3)
+    for rho in range(3):
+        z = RatFun.var(R3, f"z{rho + 1}")
+        assert op.A[rho].equal(Fraction(2, 5) * (z * z + Fraction(1, 3)))
+    assert operator_equal(op, parts + calogero_op(R3, 3, f, Fraction(2, 5), 0))
 
 
 def test_apply_divided_difference_examples():
-    op = canonicalize([DividedDifference((1,), 1)], R2, 2)
+    op = calogero_op(R2, 2, (1,), 0, 1)
     z1, z2 = R2.var("z1"), R2.var("z2")
     assert apply_op(op, z1 * z1 + z2 * z2).equal(RatFun.const(R2, 4))
     assert apply_op(op, z1 + z2).is_zero()

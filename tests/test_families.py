@@ -1,7 +1,7 @@
 """The family table: weight data against numeric derivatives, samplers
 against admissibility, the rendered Hamiltonians against the forms the
-builders printed before they were rendered from the table, and sigma against
-the checks that can see it."""
+builders printed before they were rendered from the table, and sigma, the
+prefactor and the weight fields against the checks that can see them."""
 
 import dataclasses
 import hashlib
@@ -167,3 +167,36 @@ def test_a_wrong_prefactor_fails_the_symbolic_pde(J, monkeypatch):
     (rec,) = checks.run_pde_symbolic(J, 2, 2, 1)
     assert not rec.ok
     assert rec.detail.endswith("instead of N = 2")
+
+
+# weight-field rows: each mutant fails one cheap suite check, run here at the
+# benchmark's settings (the oracle at 128 bits, pde-numeric at level 3), which
+# test_the_catching_checks_pass_unmutated runs unmutated
+CATCHERS = {
+    "oracle": lambda J: checks.run_oracle_moments(J, kmax=4, prec=128, points=3, seed=42),
+    "pde-symbolic": lambda J: checks.run_pde_symbolic(J, 2, 2, 1),
+    "pde-numeric": lambda J: checks.run_pde_numeric(
+        J, 2, 2, Fraction(1, 2), checks.NUMERIC_POINTS[J][0][0],
+        checks.numeric_pde_params(J, 2, Fraction(1, 2), checks.NUMERIC_POINTS[J][0][1]), prec=64, level=3,
+    ),
+}
+WEIGHT_MUTANTS = {
+    # the half-line cut 40 + 3|t| moved into the live region
+    ("IV", "window"): (lambda t: 6.0, "oracle"),
+    ("IV", "factor"): (lambda u, t, p, omu: mpmath.exp(-(u * t + u * u / 3)), "oracle"),
+    ("V", "exponents"): (lambda p: (-p["b"], -p["c"] - 1), "oracle"),
+    ("VI", "dt_log"): (lambda p: (p["d"], 0, 1), "pde-symbolic"),
+    ("V", "dt_log"): (lambda p: (2, 1, 0), "pde-numeric"),
+}
+
+
+@pytest.mark.parametrize("J, check", sorted({(J, check) for (J, _), (_, check) in WEIGHT_MUTANTS.items()}))
+def test_the_catching_checks_pass_unmutated(J, check):
+    assert all(rec.ok for rec in CATCHERS[check](J))
+
+
+@pytest.mark.parametrize("J, field", sorted(WEIGHT_MUTANTS))
+def test_a_wrong_weight_field_fails_a_suite_check(J, field, monkeypatch):
+    value, check = WEIGHT_MUTANTS[(J, field)]
+    monkeypatch.setitem(families._BY_NAME, J, dataclasses.replace(families.weighted(J), **{field: value}))
+    assert not all(rec.ok for rec in CATCHERS[check](J))
