@@ -19,7 +19,7 @@ import mpmath
 
 from . import diffop, families, moments, quadrature, radial, weyl
 from .errors import QuadratureError, UsageError
-from .exact import RatFun, as_rat, session_registry
+from .exact import RatFun, as_rat, fit, session_registry
 
 FAMS = families.WEIGHTED
 
@@ -145,18 +145,25 @@ def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2))
         corr, rep = resolved_radial_corrections("VI", N, hbar)
         printed = radial.verify_radial_match("VI", N, max(1, trials // 2), seed, hbar=hbar)
         check = radial.verify_radial_match("VI", N, trials, seed, hbar=hbar, corrections=corr)
-        a10, a11 = corr["first_order"][1] if corr else (0, 0)
+        # the printed form needs first_order[1]; every other fitted unknown must vanish
+        fitted = {}
+        if corr:
+            fitted = {f"first_order[{k}]": pair for k, pair in enumerate(corr["first_order"])}
+            fitted.update(scalar=corr["scalar"], sum_z=corr["sum_z"])
+        a10, a11 = fitted.pop("first_order[1]", (0, 0))
+        stray = [f"{k} = ({a}, {b})" for k, (a, b) in fitted.items() if (a, b) != (0, 0)]
         shift = -as_rat(hbar) ** 2
+        detail = (
+            "printed first-order z-coefficient -hbar(1+t) must read -2 hbar(1+t): "
+            f"fitted additive correction ({a10} + {a11} t) sum_rho z_rho d_rho inside t(t-1)"
+        )
         out.append(
             _rec(
                 f"radial reduction VI, N={N}: exact after solved first-order correction",
                 "is called the Harish-Chandra map",
-                (not printed["ok"]) and check["ok"] and rep["verified"] and (a10, a11) == (shift, shift),
+                (not printed["ok"]) and check["ok"] and rep["verified"] and (a10, a11) == (shift, shift) and not stray,
                 resolved=True,
-                detail=(
-                    "printed first-order z-coefficient -hbar(1+t) must read -2 hbar(1+t): "
-                    f"fitted additive correction ({a10} + {a11} t) sum_rho z_rho d_rho inside t(t-1)"
-                ),
+                detail=detail + (f"; also fitted {', '.join(stray)}" if stray else ""),
             )
         )
     qk = radial.verify_qkp2(N, kmax=3, trials=2, seed=seed + 1, hbar=hbar)
@@ -267,30 +274,6 @@ def run_gauge(N_values=GAUGE_N, hbar_values=GAUGE_HBAR, m: int = 2) -> list[Chec
 # ---------------------------------------------------------------------------
 
 
-def _ratfun_constant(r: RatFun):
-    reg = r.reg
-    point = {n: Fraction(13, 3) for n in reg.names}
-    try:
-        c = r.eval(point)
-    except ZeroDivisionError:
-        return None
-    return c if (r - RatFun.const(reg, c)).is_zero() else None
-
-
-def _split_scalar_sumz(expr: RatFun, reg, N: int):
-    """expr(z, t) = alpha(t) + beta(t) sum_rho z_rho, or None if not of that shape."""
-    zs = diffop.zvars(reg)[:N]
-    pts0 = {zn: Fraction(2 + 3 * i, 7) for i, zn in enumerate(zs)}
-    pts1 = {zn: Fraction(5 + 2 * i, 3) for i, zn in enumerate(zs)}
-    e0, e1 = expr.subs(pts0), expr.subs(pts1)
-    s0, s1 = sum(pts0.values()), sum(pts1.values())
-    beta = (e1 - e0) * (1 / Fraction(s1 - s0))
-    alpha = e0 - beta * s0
-    if (expr - alpha - beta * diffop.power_sum(reg, N, 1)).is_zero():
-        return alpha, beta
-    return None
-
-
 TABLE1_MODES = ("ungauged", "gauged")
 TABLE1_HBAR = (Fraction(1, 2), Fraction(2))
 
@@ -331,28 +314,22 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
         diff, reflected = conj.time_reflected() - cp, True
         if not all(x.is_zero() for x in diff.A + diff.B):
             return out  # the derivative coefficients differ
-    split = _split_scalar_sumz(diff.C, reg, N)
+    # the zeroth order must be alpha(t) + beta(t) sum z; theta enters beta as
+    # itself, k^2 as k^2 / (4 t (t - 1)), and no other family may leave a beta
+    split = fit(diff.C, [1, diffop.power_sum(reg, N, 1)], diffop.zvars(reg)[:N])
     if split is None:
-        return out  # the zeroth order is not a scalar plus a multiple of sum z
+        return out
     alpha, beta = split
     solved = {}
     ok = True
     if not beta.is_zero():
         t = RatFun.var(reg, "t")
-        if J == "II":
-            delta = _ratfun_constant(beta)
-            if delta is None:
-                ok = False
-            else:
-                solved["theta"] = maps["theta"] + delta
-        elif J == "VI":
-            k2c = _ratfun_constant(beta * 4 * t * (t - 1))
-            if k2c is None:
-                ok = False
-            else:
-                solved["k2"] = maps["k2"] + k2c
-        else:
+        key, unit = {"II": ("theta", 1), "VI": ("k2", 1 / (4 * t * (t - 1)))}.get(J, (None, None))
+        c = None if key is None else fit(beta, [unit], reg.names)
+        if c is None:
             ok = False
+        else:
+            solved[key] = maps[key] + c[0]
     residual = None if alpha.is_zero() else alpha.to_str()
     out.update(ok=ok and _one_coupling(maps), solved=solved, time_reflected=reflected, scalar_residual=residual)
     out["exact_as_printed"] = out["ok"] and not solved and residual is None and not reflected
@@ -448,10 +425,10 @@ def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = No
     rep = moments.verify_pde_symbolic(J, N, m, hbar, params)
     # an ok record has tau = N, so the printed hbar d/dt holds exactly at N = 1
     resolved = rep["ok"] and N > 1
-    detail = f"time normalization tau = {rep.get('time_factor')}"
+    detail = f"time normalization tau = {rep['time_factor']}"
     if resolved:
         detail += " (the stated hbar d/dt holds only at N = 1; the derivations carry hbar N d/dt)"
-    elif not rep["ok"] and rep.get("time_factor"):
+    elif not rep["ok"] and rep["time_factor"]:
         detail += f" instead of N = {N}"
     out = [
         _rec(

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .exact import RatFun, Registry, as_rat, as_ratfun, session_registry
+from .exact import RatFun, Registry, as_rat, as_ratfun, fit, session_registry
 from .families import weighted
 
 
@@ -322,29 +322,6 @@ def build_gauge_pair(reg: Registry, N: int, a: int, hbar, kappa):
     return h_op, ht_base, printed
 
 
-def solve_scalar_ratio(needed: RatFun, printed: RatFun, point: dict):
-    """Solve needed = lam * printed for a constant lam and verify exactly.
-
-    Returns (lam, True) on success; (None, False) if no constant works.
-    """
-    if printed.is_zero():
-        return (None, needed.is_zero())
-    lam = needed.eval(point) / printed.eval(point)
-    ok = (needed - RatFun.const(needed.reg, lam) * printed).is_zero()
-    return (lam, ok)
-
-
-def generic_point(reg: Registry, N: int) -> dict:
-    pts = {}
-    primes = [2, 3, 5, 7, 11, 13]
-    for i, zn in enumerate(zvars(reg)[:N]):
-        pts[zn] = Fraction(primes[i], primes[i] + 1)
-    for name in reg.names:
-        if name not in pts:
-            pts[name] = Fraction(17, 5) if name == "t" else Fraction(19, 7)
-    return pts
-
-
 def theorem_gauge_check(N: int, a: int, hbar, kappa):
     """Verify H_a = Delta^{-R} (Ht_base + correction) Delta^R with R = 1/hbar - 1.
 
@@ -361,14 +338,15 @@ def theorem_gauge_check(N: int, a: int, hbar, kappa):
     conj = conjugate_by_vandermonde(ht_base, R)
     diff = h_op - conj
     orders_ok = all(x.is_zero() for x in diff.A) and all(x.is_zero() for x in diff.B)
-    needed = diff.C  # required correction: conj(ht_base) + needed == h_op
-    lam, ok = solve_scalar_ratio(needed, printed, generic_point(reg, N))
-    if not orders_ok or not ok:
-        return {"status": "fail", "orders_ok": orders_ok, "lambda": lam, "scalar_ok": ok}
-    if printed.is_zero() and needed.is_zero():
-        return {"status": "pass", "lambda": Fraction(1), "orders_ok": True, "scalar_ok": True}
-    status = "pass" if lam == 1 else "resolved-with-correction"
-    return {"status": status, "lambda": lam, "orders_ok": True, "scalar_ok": True}
+    # required correction: conj(ht_base) + diff.C == h_op; with nothing
+    # printed, nothing may be needed, and the identity holds as printed
+    c = fit(diff.C, [] if printed.is_zero() else [printed], reg.names)
+    lam = None if c is None else c[0] if c else Fraction(1)
+    if not orders_ok or lam is None:
+        status = "fail"
+    else:
+        status = "pass" if lam == 1 else "resolved-with-correction"
+    return {"status": status, "lambda": lam, "orders_ok": orders_ok, "scalar_ok": lam is not None}
 
 
 # ---------------------------------------------------------------------------

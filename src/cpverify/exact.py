@@ -792,7 +792,9 @@ def exact_div(a: MPoly, b: MPoly) -> MPoly:
         de = (e | guard) - lead_e  # a guard bit is cleared where e < lead_e
         q, r = divmod(c, lead_c)
         if de & guard != guard or r:
-            raise ExactDivisionError(f"nonzero remainder: leading term {_new(reg, {e: 1}, a._c * c)}")
+            # the coefficient by its size: str() of an int over 4300 digits raises ValueError
+            bits = (a._c * c).numerator.bit_length()
+            raise ExactDivisionError(f"nonzero remainder: leading monomial {_new(reg, {e: 1}, _ONE)}, coefficient of {bits} bits")
         de -= guard
         quot[de] = quot.get(de, 0) + q
         for be, bc in right:
@@ -808,11 +810,11 @@ def exact_div(a: MPoly, b: MPoly) -> MPoly:
 def solve_linear(rows, rhs):
     """Solve a (possibly overdetermined) exact linear system by elimination.
 
-    rows: list of coefficient lists, rhs: list of Fractions.  Returns the
-    unique solution; raises UsageError if the system is inconsistent or the
-    solution is underdetermined.
+    rows: list of coefficient lists, rhs: list of values; an entry is a
+    rational or a RatFun.  Returns the unique solution; raises UsageError if
+    the system is inconsistent or the solution is underdetermined.
     """
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    m = [[x if isinstance(x, RatFun) else Fraction(x) for x in (*r, v)] for r, v in zip(rows, rhs)]
     if not m:
         raise UsageError("empty linear system")
     ncols = len(m[0]) - 1
@@ -842,3 +844,43 @@ def solve_linear(rows, rhs):
     for r, col in enumerate(pivots):
         sol[col] = m[r][ncols]
     return sol
+
+
+def _primes(n: int) -> list:
+    """The first n primes."""
+    out: list = []
+    k = 2
+    while len(out) < n:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def fit(target, basis, names):
+    """Coefficients c, free of the variables ``names``, with
+    ``target == sum(c_i * basis_i)`` exactly, or None when there are none.
+
+    The c_i (RatFuns in the other variables) solve the system at len(basis)
+    probes: at probe j = 0, 1, ... the k-th name takes p/(p+1) for the prime p
+    of index j len(names) + k (2 has index 0), so no probe value is 0 or 1 and
+    no two are alike.  The identity is then confirmed exactly.  A singular
+    system or a probe at a pole gives None.
+    """
+    target = as_ratfun(target, target.reg)
+    basis = [as_ratfun(b, target.reg) for b in basis]
+    primes = _primes(len(basis) * len(names))
+    probes = [{n: Fraction(p, p + 1) for n, p in zip(names, primes[j * len(names) :])} for j in range(len(basis))]
+    try:
+        rows = [[b.subs(point) for b in basis] for point in probes]
+        rhs = [target.subs(point) for point in probes]
+    except ZeroDivisionError:  # a probe met a pole
+        return None
+    try:
+        coeffs = solve_linear(rows, rhs) if basis else []
+    except UsageError:  # singular at the probes
+        return None
+    rest = target
+    for c, b in zip(coeffs, basis):
+        rest = rest - c * b
+    return coeffs if rest.is_zero() else None

@@ -20,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import families
-from .diffop import apply_op, build_cp_hamiltonian, power_sum, zvars
+from .diffop import apply_op, build_cp_hamiltonian, power_sum
 from .errors import InternalError, UsageError
-from .exact import MPoly, RatFun, Registry, as_rat, as_ratfun, session_registry
+from .exact import MPoly, RatFun, Registry, as_rat, as_ratfun, fit, session_registry
 
 
 class MasterFunction:
@@ -402,7 +402,8 @@ def pde_params(J: str, m: int, hbar, b=None, c=None) -> dict:
 
 def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, mutate: str | None = None):
     """Check hbar * tau * dPhi/dt = H_J Phi exactly, solving the time
-    normalization tau from the data rather than assuming it.
+    normalization tau (free of z and the seeds) with ``fit`` rather than
+    assuming it.
 
     ``mutate='m_shift'`` perturbs the m hbar sum(z) coefficient by one as a
     negative control.  Returns a report dict; ``ok`` means the residual is
@@ -421,20 +422,13 @@ def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None =
         raise UsageError(f"unknown mutation {mutate!r}")
     hphi = apply_op(op, phi)
     dphi = phi_time_derivative(phi, reducer) * RatFun.const(reg, as_rat(hbar))
-    point = {zn: Fraction(3 + 2 * i, 2) for i, zn in enumerate(zvars(reg)[:N])}
-    point["nu0"] = Fraction(5, 7)
-    point["nu1"] = Fraction(-3, 11)
-    r1, r2 = hphi.subs(point), dphi.subs(point)
-    if r2.is_zero():
-        return {"ok": False, "family": J, "reason": "time derivative vanished at the probe point"}
-    tau = r1 / r2
-    residual_zero = (hphi - tau * dphi).is_zero()
+    tau = fit(hphi, [dphi], [n for n in reg.names if n != "t"])
     return {
-        "ok": residual_zero and (tau - RatFun.const(reg, N)).is_zero(),
+        "ok": tau is not None and tau[0] == N,
         "family": J,
         "N": N,
         "m": m,
         "hbar": hbar,
-        "time_factor": tau.to_str() if residual_zero else None,
+        "time_factor": None if tau is None else tau[0].to_str(),
         "params": params,
     }

@@ -400,18 +400,18 @@ def pde_residual_numeric(
     params: dict,
     prec: int = 96,
     level: int = 6,
-    time_factor: int | None = None,
 ):
     """Relative residual of hbar * tau * dPhi/dt = H_J Phi on the coefficient vector.
 
     dPhi/dt is computed two ways (differentiation under the integral and
     Richardson-extrapolated central differences); their relative gap is
-    reported as ``dt_agreement``.  tau defaults to the engine-derived time
-    normalization N.  Returns a report dict with the residual as an mpf.
+    reported as ``dt_agreement``.  tau is N, the time normalization the
+    symbolic check solves; the residual confirms it.  Returns a report dict
+    with the residual as an mpf.
     """
     hb = as_rat(hbar)
     t = as_rat(t)
-    tau = Fraction(N) if time_factor is None else as_rat(time_factor)
+    tau = Fraction(N)
     # exact operator application on the formal coefficient polynomial; after
     # fixing t the rational function is a polynomial in z and the placeholders
     names = [f"z{i}" for i in range(1, N + 1)] + ["t"]

@@ -94,3 +94,23 @@ def test_name_read_by_benchmark_or_script_exists(where, module, attrs):
     for attr in attrs:
         assert hasattr(obj, attr), f"{where} reads {module}.{'.'.join(attrs)}, which no longer exists"
         obj = getattr(obj, attr)
+
+
+def _keys_read(path, func, var):
+    """The string keys that function ``func`` in ``path`` reads from its local ``var``."""
+    tree = ast.parse(path.read_text(), str(path))
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == func)
+    return {
+        n.slice.value
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) and n.value.id == var and isinstance(n.slice, ast.Constant)
+    }
+
+
+def test_table1_resolve_returns_every_key_the_benchmark_reads():
+    from cpverify import checks
+
+    keys = _keys_read(ROOT / "perfbench" / "workloads.py", "_table1", "rep")
+    # a parser that finds nothing would pass vacuously
+    assert keys >= {"ok", "solved", "printed", "exact_as_printed", "scalar_residual", "time_reflected"}
+    assert keys <= checks.table1_resolve("II", "ungauged", 1, 2, 2).keys()

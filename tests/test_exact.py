@@ -14,6 +14,7 @@ from cpverify.exact import (
     RatFun,
     Registry,
     exact_div,
+    fit,
     parse_mpoly,
     ratfun_equal,
     session_registry,
@@ -192,6 +193,45 @@ def test_solve_linear():
     assert solve_linear(rows, rhs) == [Fraction(2), Fraction(1)]
     with pytest.raises(UsageError):
         solve_linear([[1, 1], [2, 2]], [1, 3])
+
+
+def rf(p):
+    return RatFun.from_mpoly(p)
+
+
+T = RatFun.var(REG, "t")
+Z1, Z2 = rf(v("z1")), rf(v("z2"))
+FIT_CASES = {
+    # (target, basis, names, expected coefficients or None)
+    "t-dependent": (
+        (T + 1) * Z1 + T * T / (T - 1) * Z2,
+        [Z1, Z2],
+        ["z1", "z2", "nu0", "nu1"],
+        [T + 1, T * T / (T - 1)],
+    ),
+    "constant": (Z1 * Fraction(3, 2) - Z1 * Z2 * 2, [Z1, Z1 * Z2], list(REG.names), [Fraction(3, 2), -2]),
+    "outside the span": (Z1 * Z1, [Z1, 1], ["z1"], None),
+    "zero basis element": (Z1, [Z1, 0], ["z1"], None),
+    # the first probe puts z1 at 2/3, where the basis has its pole
+    "probe at a pole": (5 / (Z1 - Fraction(2, 3)), [1 / (Z1 - Fraction(2, 3))], ["z1"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fit(case):
+    target, basis, names, expected = FIT_CASES[case]
+    got = fit(target, basis, names)
+    if expected is None:
+        assert got is None
+    else:
+        assert len(got) == len(expected)
+        assert all(c == e for c, e in zip(got, expected))
+
+
+def test_exact_div_reports_a_huge_remainder_as_a_remainder():
+    # the remainder's coefficient 3^10920 has 5211 digits, more than str() converts
+    with pytest.raises(ExactDivisionError):
+        exact_div(v("z1") ** 10920, v("z1") + 3)
 
 
 # -- the packed/int kernel against a schoolbook tuple/Fraction reference ------

@@ -169,10 +169,16 @@ def test_a_wrong_prefactor_fails_the_symbolic_pde(J, monkeypatch):
     assert rec.detail.endswith("instead of N = 2")
 
 
-# weight-field rows: each mutant fails one cheap suite check, run here at the
-# benchmark's settings (the oracle at 128 bits, pde-numeric at level 3), which
-# test_the_catching_checks_pass_unmutated runs unmutated
+# the mutation matrix: each row perturbs one field of one family and must fail
+# one cheap suite check, run here at the benchmark's settings (the oracle at
+# 128 bits, pde-numeric at level 3), which test_the_catching_checks_pass_unmutated
+# runs unmutated.  The prefactor and sigma rows are the tests above.  Left out:
+# ``window`` of II, V and VI (the polyline and [0, 1] take no window), ``exponents``
+# of II (its weight has no power factor), and the input guards ``admissible``,
+# ``sample`` and ``requirement``; ``min_n`` is a coverage knob (III's set to 0
+# passes the oracle).
 CATCHERS = {
+    "radial": lambda J: checks.run_radial(J, 2, trials=5, seed=42),
     "oracle": lambda J: checks.run_oracle_moments(J, kmax=4, prec=128, points=3, seed=42),
     "pde-symbolic": lambda J: checks.run_pde_symbolic(J, 2, 2, 1),
     "pde-numeric": lambda J: checks.run_pde_numeric(
@@ -180,23 +186,57 @@ CATCHERS = {
         checks.numeric_pde_params(J, 2, Fraction(1, 2), checks.NUMERIC_POINTS[J][0][1]), prec=64, level=3,
     ),
 }
-WEIGHT_MUTANTS = {
-    # the half-line cut 40 + 3|t| moved into the live region
-    ("IV", "window"): (lambda t: 6.0, "oracle"),
-    ("IV", "factor"): (lambda u, t, p, omu: mpmath.exp(-(u * t + u * u / 3)), "oracle"),
-    ("V", "exponents"): (lambda p: (-p["b"], -p["c"] - 1), "oracle"),
-    ("VI", "dt_log"): (lambda p: (p["d"], 0, 1), "pde-symbolic"),
-    ("V", "dt_log"): (lambda p: (2, 1, 0), "pde-numeric"),
+
+
+def plus_one(word):
+    """The Hamiltonian with 1 added to the coefficient of Tr(word)."""
+    return lambda fam: lambda t, p: [(c + 1 if w == word else c, w) for c, w in fam.hamiltonian(t, p)]
+
+
+def shifted_log_derivative(fam):
+    """Theta'/Theta plus u / clearing."""
+    def log_derivative(t, p):
+        clearing, num = fam.log_derivative(t, p)
+        return clearing, {**num, 1: num.get(1, 0) + 1}
+    return log_derivative
+
+
+def flipped_dt_log(fam):
+    return lambda p: (-fam.dt_log(p)[0], *fam.dt_log(p)[1:])
+
+
+# (J, row) -> (field, the mutant value made from the unmutated family, catching check)
+MUTANTS = {
+    **{(J, "Tr(q) coefficient"): ("hamiltonian", plus_one("q"), "radial") for J in families.WEIGHTED},
+    ("VI", "Tr(p) coefficient"): ("hamiltonian", plus_one("p"), "radial"),
+    **{(J, "log_derivative"): ("log_derivative", shifted_log_derivative, "pde-symbolic") for J in families.WEIGHTED},
+    **{(J, "dt_log"): ("dt_log", flipped_dt_log, "pde-symbolic") for J in ("II", "III", "IV", "VI")},
+    ("V", "dt_log"): ("dt_log", lambda fam: lambda p: (2, 1, 0), "pde-numeric"),
+    ("II", "factor"): ("factor", lambda fam: lambda u, t, p, omu: mpmath.exp(-(u * t + u**3 / 3)), "oracle"),
+    ("III", "factor"): ("factor", lambda fam: lambda u, t, p, omu: mpmath.exp(t / u - 2 * u), "oracle"),
+    ("IV", "factor"): ("factor", lambda fam: lambda u, t, p, omu: mpmath.exp(-(u * t + u * u / 3)), "oracle"),
+    ("V", "factor"): ("factor", lambda fam: lambda u, t, p, omu: mpmath.exp(2 * u * t), "oracle"),
+    ("VI", "factor"): ("factor", lambda fam: lambda u, t, p, omu: ((t - 1) + omu) ** (-2 * p["d"]), "oracle"),
+    ("III", "exponents"): ("exponents", lambda fam: lambda p: (-p["b"], None), "oracle"),
+    ("IV", "exponents"): ("exponents", lambda fam: lambda p: (-p["b"], None), "oracle"),
+    ("V", "exponents"): ("exponents", lambda fam: lambda p: (-p["b"], -p["c"] - 1), "oracle"),
+    ("VI", "exponents"): ("exponents", lambda fam: lambda p: (-p["a"] - p["b"], -p["c"] - 1), "oracle"),
+    # the half-line cuts 160 + 3|t| and 40 + 3|t| moved into the live region
+    ("III", "window"): ("window", lambda fam: lambda t: 8.0, "oracle"),
+    ("IV", "window"): ("window", lambda fam: lambda t: 6.0, "oracle"),
 }
 
 
-@pytest.mark.parametrize("J, check", sorted({(J, check) for (J, _), (_, check) in WEIGHT_MUTANTS.items()}))
+@pytest.mark.parametrize("J, check", sorted({(J, check) for (J, _), (_, _, check) in MUTANTS.items()}))
 def test_the_catching_checks_pass_unmutated(J, check):
     assert all(rec.ok for rec in CATCHERS[check](J))
 
 
-@pytest.mark.parametrize("J, field", sorted(WEIGHT_MUTANTS))
-def test_a_wrong_weight_field_fails_a_suite_check(J, field, monkeypatch):
-    value, check = WEIGHT_MUTANTS[(J, field)]
-    monkeypatch.setitem(families._BY_NAME, J, dataclasses.replace(families.weighted(J), **{field: value}))
+@pytest.mark.parametrize("J, row", sorted(MUTANTS))
+def test_a_mutant_fails_a_cheap_check(J, row, monkeypatch):
+    field, make, check = MUTANTS[(J, row)]
+    fam = families.weighted(J)
+    monkeypatch.setitem(families._BY_NAME, J, dataclasses.replace(fam, **{field: make(fam)}))
+    # the VI radial correction is fitted once per (N, hbar) and cached
+    monkeypatch.setattr(checks, "_RESOLVED_RADIAL_CACHE", {})
     assert not all(rec.ok for rec in CATCHERS[check](J))

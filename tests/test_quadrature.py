@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -125,9 +126,13 @@ def test_pde_residual_numeric_v():
     assert rep["time_factor"] == 2
 
 
-def test_pde_residual_negative_control():
+def test_pde_residual_negative_control(monkeypatch):
+    # V's printed prefactor t dropped, as in test_families.WRONG_PREFACTOR: the
+    # builder then divides out 1, and tau = N no longer balances the equation
+    wrong = dataclasses.replace(families.weighted("V"), prefactor=lambda t: 1)
+    monkeypatch.setitem(families._BY_NAME, "V", wrong)
     t, params = ADMISSIBLE["V"]
-    rep = pde_residual_numeric("V", 2, 2, Fraction(1, 2), t, params, prec=64, level=3, time_factor=-2)
+    rep = pde_residual_numeric("V", 2, 2, Fraction(1, 2), t, params, prec=64, level=3)
     assert rep["residual"] > mpmath.mpf("0.1")
 
 
