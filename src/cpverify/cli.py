@@ -79,9 +79,12 @@ def _gauge(args):
 
 def _table1(args):
     fams = (args.family,) if args.family else checks.FAMS
-    modes = (args.mode,) if args.mode else checks.TABLE1_MODES
-    hb = (parse_hbar(args.hbar),) if args.hbar is not None else checks.TABLE1_HBAR
-    echo = {"families": list(fams), "modes": list(modes), "N": args.N, "m": args.m}
+    hb = (parse_hbar(args.hbar),) if args.hbar is not None else None
+    # the ungauged rows hold at hbar = 1 only: without --mode another hbar runs
+    # the gauged rows alone, and with --mode ungauged it is table_params' usage error
+    modes = (args.mode,) if args.mode else tuple(md for md in checks.TABLE1_MODES if hb in (None, (1,)) or md == "gauged")
+    hbars = {md: [str(h) for h in hb or checks.TABLE1_HBAR[md]] for md in modes}
+    echo = {"families": list(fams), "modes": list(modes), "hbar": hbars, "N": args.N, "m": args.m}
     return checks.run_table1(fams, modes, hb, (args.N,), args.m), echo, None
 
 

@@ -3,12 +3,12 @@
 A :class:`DiffOp` stores per-variable second- and first-order coefficients and
 a zeroth-order coefficient, all exact rational functions of (z_1..z_N, t) with
 every parameter (including hbar) evaluated at rationals.  :func:`calogero_op`
-builds the part every printed operator shares from its family's sigma(z): the
-divided differences and the pair potential, summed over ordered pairs
-rho != sigma (Sum_{rho<sigma} forms are converted on construction), and the
-second-order terms.  Each builder then adds its own terms straight into A, B
-and C.  One conjugation rule, d_rho -> d_rho + g_rho, serves both the
-Vandermonde gauge Delta^R and the scalar gauge e^{S/hbar}.
+builds every printed operator: the part they share from the family's sigma(z)
+(the divided differences and the pair potential, summed over ordered pairs
+rho != sigma, Sum_{rho<sigma} forms converted on construction, and the
+second-order terms), then the operator's own first- and zeroth-order terms,
+which the family table states.  One conjugation rule, d_rho -> d_rho + g_rho,
+serves both the Vandermonde gauge Delta^R and the scalar gauge e^{S/hbar}.
 """
 
 from __future__ import annotations
@@ -153,13 +153,14 @@ def apply_op(op: DiffOp, f) -> RatFun:
 # ---------------------------------------------------------------------------
 
 
-def calogero_op(reg: Registry, N: int, f, second, dd, pot=0) -> DiffOp:
-    """The part every printed operator shares, from sigma(z) = Sum_k f[k] z^k.
+def calogero_op(reg: Registry, N: int, f, second, dd, pot=0, first=(), zeroth=(), const=0) -> DiffOp:
+    """A printed operator: the Calogero part from sigma(z) = Sum_k f[k] z^k, then its own terms.
 
     In order: dd Sum_{rho != sigma} (sigma(z_rho) d_rho - sigma(z_sigma) d_sigma)/(z_rho - z_sigma),
     then pot Sum_{rho != sigma} (sigma(z_rho) + sigma(z_sigma))/(z_rho - z_sigma)^2 (none at
-    pot = 0), then second sigma(z_rho) d^2_rho per rho.  Builders add their own
-    terms to A, B and C after these, so each coefficient adds in printed order.
+    pot = 0), then second sigma(z_rho) d^2_rho per rho.  After these come the
+    operator's own terms: Sum_k first[k] z_rho^k d_rho per rho, and
+    Sum_rho Sum_k zeroth[k] z_rho^k + const, added to C as one polynomial.
     """
     zs = zvars(reg)[:N]
     sig = [_poly_at(reg, f, zn) for zn in zs]
@@ -174,16 +175,21 @@ def calogero_op(reg: Registry, N: int, f, second, dd, pot=0) -> DiffOp:
         for rho, sigma in itertools.permutations(range(N), 2):
             inv2 = (1 / (RatFun.var(reg, zs[rho]) - RatFun.var(reg, zs[sigma]))) ** 2
             op.C += s * (sig[rho] + sig[sigma]) * inv2
-    for rho in range(N):
+    own = as_ratfun(const, reg)
+    for rho, zn in enumerate(zs):
         op.A[rho] += second * sig[rho]
+        op.B[rho] += _poly_at(reg, first, zn)
+        own += _poly_at(reg, zeroth, zn)
+    op.C += own
     return op
 
 
-def _want(params: dict, *names):
+def _want(params: dict, names) -> dict:
+    """The named parameters as rationals; a missing one is a usage error."""
     missing = [n for n in names if params.get(n) is None]
     if missing:
         raise UsageError(f"missing parameters: {', '.join(missing)}")
-    return [as_rat(params[n]) for n in names]
+    return {n: as_rat(params[n]) for n in names}
 
 
 def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) -> DiffOp:
@@ -194,38 +200,8 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
     fam = weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
-    zs = [RatFun.var(reg, zn) for zn in zvars(reg)[:N]]
-    op = calogero_op(reg, N, fam.sigma(t), hb * hb, hb)
-    half = Fraction(1, 2)
-
-    if J == "II":
-        for rho, z in enumerate(zs):
-            op.B[rho] += -hb * (z**2 + t * half)
-            op.C += RatFun.const(reg, m * hb) * z
-    elif J == "III":
-        (b,) = _want(params, "b")
-        for rho, z in enumerate(zs):
-            op.B[rho] += -hb * (z**2 + (b + N - 1) * z + t)
-            op.C += m * hb * z
-    elif J == "IV":
-        (b,) = _want(params, "b")
-        for rho, z in enumerate(zs):
-            op.B[rho] += -hb * (z**2 + t * z + b)
-            op.C += m * hb * z
-        op.C += hb * Fraction(N * m) * t
-    elif J == "V":
-        b, c = _want(params, "b", "c")
-        op.C += hb * Fraction(N * m) * (b + c + t - hb * (m - 1) - N + 1)
-        for rho, z in enumerate(zs):
-            op.B[rho] += hb * (t * z**2 - (b + c + t) * z + b)
-            op.C += -m * hb * t * z
-    else:  # VI
-        a, b, c, d = _want(params, "a", "b", "c", "d")
-        for rho, z in enumerate(zs):
-            op.B[rho] += -hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + (d + N - 1) * z * (z - 1))
-            op.C += -hb * m * (N - 1 - hb * m) * z
-        op.C += -hb * Fraction(m * N) * (hb * m + 1 - N) * t
-    return _cleared(op, fam, t)
+    first, zeroth, const = fam.cp(t, hb, N, m, _want(params, fam.cp_keys))
+    return _cleared(calogero_op(reg, N, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
 
 
 def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
@@ -233,31 +209,8 @@ def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
     fam = weighted(J)
     hb = as_rat(hbar)
     t = RatFun.var(reg, "t")
-    z = RatFun.var(reg, zvars(reg)[0])
-    half = Fraction(1, 2)
-    op = calogero_op(reg, 1, fam.sigma(t), hb * hb, hb)
-
-    if J == "II":
-        (a,) = _want(params, "a")
-        op.B[0] += -hb * (z**2 + t * half)
-        op.C += a * z
-    elif J == "III":
-        a, b = _want(params, "a", "b")
-        op.B[0] += -hb * (z**2 + b * z + t)
-        op.C += a * z
-    elif J == "IV":
-        a, b = _want(params, "a", "b")
-        op.B[0] += -hb * (z**2 + t * z + b)
-        op.C += a * (z + t)
-    elif J == "V":
-        a, b, c = _want(params, "a", "b", "c")
-        op.B[0] += hb * (t * z**2 - (b + c + t) * z + b)
-        op.C += RatFun.const(reg, a * (b + c - a + hb)) + a * (t - t * z)
-    else:  # VI
-        a, b, c, d = _want(params, "a", "b", "c", "d")
-        op.B[0] += -hb * ((a + b) * (z - 1) * (z - t) + c * z * (z - t) + d * z * (z - 1))
-        op.C += (b + c + d + hb) * a * (z - t)
-    return _cleared(op, fam, t)
+    first, zeroth, const = fam.nagoya(t, hb, _want(params, dict.fromkeys(("a", *fam.cp_keys))))
+    return _cleared(calogero_op(reg, 1, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
 
 
 def _cleared(op: DiffOp, fam, t) -> DiffOp:
@@ -363,7 +316,7 @@ def table_params(J: str, hbar, mode: str, m: int, N: int, **family) -> dict:
     is a square root whose sign never enters).
     """
     hb = as_rat(hbar)
-    weighted(J)
+    fam = weighted(J)
     if mode not in ("ungauged", "gauged"):
         raise UsageError("mode must be 'ungauged' or 'gauged'")
     if mode == "ungauged" and hb != 1:
@@ -373,44 +326,5 @@ def table_params(J: str, hbar, mode: str, m: int, N: int, **family) -> dict:
     out: dict = {"kappa_choices": (Fraction(0),) if mode == "ungauged" else (1 / hb - 1, -1 / hb)}
     if mode == "gauged":
         out["R"] = 1 / hb - 1
-
-    if J == "II":
-        if mode == "ungauged":
-            out["theta"] = Fraction(1, 2) - N - m
-        else:
-            out["theta"] = hb * (1 - m) + N * (1 - 2 * hb) - Fraction(1, 2)
-    elif J == "III":
-        (b,) = _want(family, "b")
-        if mode == "ungauged":
-            out["th0"], out["th1"] = b - m + 1, Fraction(-N - m)
-        else:
-            out["th0"], out["th1"] = b + hb * (1 - m), -hb * (m + 1) - N + 1
-    elif J == "IV":
-        (b,) = _want(family, "b")
-        if mode == "ungauged":
-            out["th0"], out["th1"] = -b - 1, b + 1 - m - N
-        else:
-            out["th0"], out["th1"] = -b - hb, b + 1 - N - m * hb
-    elif J == "V":
-        b, c = _want(family, "b", "c")
-        if mode == "ungauged":
-            out["th0"], out["th1"], out["th2"] = -c - 1, -N - m + c + 1, b + 1
-        else:
-            out["th0"], out["th1"], out["th2"] = -c - hb, c + 1 - N - m * hb, b + hb
-    else:
-        a, b, c, d = _want(family, "a", "b", "c", "d")
-        if mode == "ungauged":
-            out["th0"], out["th1"], out["tht"] = a + b + 1, c + 1, Fraction(d + N)
-            theta = out["th0"] + out["th1"] + out["tht"]
-            out["k2"] = (theta - 2 * N) ** 2 + 4 * m * (N - 1 - m)
-        else:
-            out["th0"], out["th1"], out["tht"] = a + b + hb, c + hb, d + N + hb - 1
-            theta = out["th0"] + out["th1"] + out["tht"]
-            out["k2"] = (
-                (theta - 2 * N * hb) ** 2
-                + 4 * hb * m * (N - 1 - hb * m)
-                + 4 * (N - 1) * (1 - hb)
-                + N * (N - 1) * (1 - hb) * (3 * hb - theta)
-            )
-        out["theta"] = out["th0"] + out["th1"] + out["tht"]
+    out.update(fam.table(hb, m, N, mode == "gauged", _want(family, fam.cp_keys)))
     return out

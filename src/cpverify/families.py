@@ -31,6 +31,17 @@ class Family:
     ``sigma(t)`` gives the z-coefficients of sigma(z), constant term first:
     every operator of the family has the Calogero shape hbar^2 sigma(z_rho)
     d^2_rho plus sigma's divided differences (and, radially, its potential).
+    The printed operators add their own terms to that shape, each form stated
+    on its own: ``cp(t, hbar, N, m, p)`` (the multi-particle Hamiltonian,
+    ``p`` keyed by ``cp_keys``), ``nagoya(t, hbar, p)`` (the single-particle
+    one, which also reads ``a``), ``radial(t, hbar, N, kappa(kappa+1), p)``
+    (the eigenvalue form, ``p`` keyed by ``radial_keys``) and, for II,
+    ``radial_pre`` (the radial form before the scalar gauge).  Each returns
+    (first, zeroth, const): the z-coefficients of d_rho's coefficient and of
+    z_rho's zeroth-order term, constant first, and the zeroth-order constant,
+    all times ``prefactor(t)``.  ``table(hbar, m, N, gauged, p)`` is the
+    printed parameter map from ``cp_keys`` to ``radial_keys`` (II's th is
+    named theta; VI adds its theta and k^2), ungauged or gauged.
     Families II-VI carry a weight Theta(u) on ``contour``: Theta'/Theta =
     logd_num/clearing, u-polynomials {power: coefficient} given by
     ``log_derivative(t, p)``, with divergence indices from ``min_n``;
@@ -47,6 +58,11 @@ class Family:
     cp_keys: tuple
     radial_keys: tuple
     sigma: Callable
+    radial: Callable
+    cp: Callable | None = None
+    nagoya: Callable | None = None
+    radial_pre: Callable | None = None
+    table: Callable | None = None
     contour: str | None = None
     log_derivative: Callable | None = None
     min_n: int = 0
@@ -121,10 +137,61 @@ def _log_derivative_vi(t, p):
     return {1: t, 2: -(1 + t), 3: 1}, {0: t * s, 1: -s - t * s + (c + 1) * t + d, 2: s - (c + 1) - d}
 
 
+def _cp_vi(t, hb, N, m, p):
+    # -hbar((a+b)(z-1)(z-t) + c z(z-t) + (d+N-1) z(z-1)) d_rho, expanded
+    s, c, d = p["a"] + p["b"], p["c"], p["d"] + N - 1
+    first = (-hb * s * t, hb * (s * (1 + t) + c * t + d), -hb * (s + c + d))
+    return first, (0, -hb * m * (N - 1 - hb * m)), -hb * Fraction(m * N) * (hb * m + 1 - N) * t
+
+
+def _nagoya_vi(t, hb, p):
+    # -hbar((a+b)(z-1)(z-t) + c z(z-t) + d z(z-1)) d, expanded; (b+c+d+hbar) a (z - t)
+    a, s, c, d = p["a"], p["a"] + p["b"], p["c"], p["d"]
+    first = (-hb * s * t, hb * (s * (1 + t) + c * t + d), -hb * (s + c + d))
+    e = (p["b"] + c + d + hb) * a
+    return first, (-e * t, e), 0
+
+
+def _radial_vi(t, hb, N, kk, p):
+    th0, th1, tht, k2 = p["th0"], p["th1"], p["tht"], p["k2"]
+    theta = th0 + th1 + tht
+    # hbar((3 hbar - theta) z^2 + c1 z + t(hbar - th0)) d_rho
+    c1 = -hb * (1 + t) + t * (th0 + th1) + th0 + tht
+    first = (hb * t * (hb - th0), hb * c1, hb * (3 * hb - theta))
+    zcoef = N * N * hb * hb - theta * N * hb - (k2 - theta * theta) / 4 + (N - 1) * kk * hb * hb
+    const = (
+        -Fraction(N**3) * hb * hb * HALF
+        + hb * N * N * (th0 + tht)
+        + t * hb * N * N * (th0 + th1)
+        - hb * hb * Fraction(N * (N - 1), 2) * kk
+    )
+    return first, (0, zcoef), const
+
+
+def _table_vi(hb, m, N, gauged, p):
+    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+    if gauged:
+        th0, th1, tht = a + b + hb, c + hb, d + N + hb - 1
+        theta = th0 + th1 + tht
+        k2 = (
+            (theta - 2 * N * hb) ** 2
+            + 4 * hb * m * (N - 1 - hb * m)
+            + 4 * (N - 1) * (1 - hb)
+            + N * (N - 1) * (1 - hb) * (3 * hb - theta)
+        )
+    else:
+        th0, th1, tht = a + b + 1, c + 1, d + N
+        theta = th0 + th1 + tht
+        k2 = (theta - 2 * N) ** 2 + 4 * m * (N - 1 - m)
+    return {"th0": th0, "th1": th1, "tht": tht, "k2": k2, "theta": theta}
+
+
 TABLE = (
     Family(
         "I", lambda t, p: [(HALF, "pp"), (-HALF, "qqq"), (-t * Fraction(1, 4), "q")], lambda t: 1, (), (),
         sigma=lambda t: (HALF,),
+        # -(z^3/2 + t z/4)
+        radial=lambda t, hb, N, kk, p: ((), (0, -t * Fraction(1, 4), 0, -HALF), 0),
     ),
     Family(
         "II",
@@ -140,6 +207,13 @@ TABLE = (
         (),
         ("th",),
         sigma=lambda t: (HALF,),
+        # the gauged form: -hbar(z^2 + t/2) d_rho + (1/2 - th - hbar N) z_rho
+        radial=lambda t, hb, N, kk, p: ((-hb * t * HALF, 0, -hb), (0, HALF - p["th"] - hb * N), 0),
+        cp=lambda t, hb, N, m, p: ((-hb * t * HALF, 0, -hb), (0, m * hb), 0),
+        nagoya=lambda t, hb, p: ((-hb * t * HALF, 0, -hb), (0, p["a"]), 0),
+        # -(z^2 + t/2)^2/2 - th z, expanded
+        radial_pre=lambda t, hb, N, kk, p: ((), (-t * t * Fraction(1, 8), -p["th"], -t * HALF, 0, -HALF), 0),
+        table=lambda hb, m, N, gauged, p: {"theta": hb * (1 - m) + N * (1 - 2 * hb) - HALF if gauged else HALF - N - m},
         contour=POLYLINE,
         log_derivative=lambda t, p: ({0: 1}, {0: -t, 2: -2}),
         dt_log=lambda p: (-1, 1, 0),
@@ -160,6 +234,20 @@ TABLE = (
         ("b",),
         ("th0", "th1"),
         sigma=lambda t: (0, 0, 1),
+        # -hbar(z^2 - (2 hbar - th0 + th1) z - t) d_rho - (hbar N + th1) z_rho + hbar^2 N(1 + N^2)/2
+        radial=lambda t, hb, N, kk, p: (
+            (hb * t, hb * (2 * hb - p["th0"] + p["th1"]), -hb),
+            (0, -(hb * N + p["th1"])),
+            hb * hb * Fraction(N * (1 + N * N), 2),
+        ),
+        # -hbar(z^2 + (b + N - 1) z + t) d_rho + m hbar z_rho
+        cp=lambda t, hb, N, m, p: ((-hb * t, -hb * (p["b"] + N - 1), -hb), (0, m * hb), 0),
+        nagoya=lambda t, hb, p: ((-hb * t, -hb * p["b"], -hb), (0, p["a"]), 0),
+        table=lambda hb, m, N, gauged, p: (
+            {"th0": p["b"] + hb * (1 - m), "th1": -hb * (m + 1) - N + 1}
+            if gauged
+            else {"th0": p["b"] - m + 1, "th1": Fraction(-N - m)}
+        ),
         contour=HALF_LINE,
         log_derivative=lambda t, p: ({2: 1}, {0: -t, 1: -(p["b"] + 1), 2: -1}),
         # the weight vanishes to all orders at u = 0 for t < 0
@@ -187,6 +275,18 @@ TABLE = (
         ("b",),
         ("th0", "th1"),
         sigma=lambda t: (0, 1),
+        # -hbar(z^2 + t z - th0 - hbar) d_rho - (hbar N + th0 + th1) z_rho - t hbar N^2
+        radial=lambda t, hb, N, kk, p: (
+            (hb * (p["th0"] + hb), -hb * t, -hb), (0, -(hb * N + p["th0"] + p["th1"])), -t * hb * N * N
+        ),
+        # -hbar(z^2 + t z + b) d_rho + m hbar z_rho + hbar N m t
+        cp=lambda t, hb, N, m, p: ((-hb * p["b"], -hb * t, -hb), (0, m * hb), hb * Fraction(N * m) * t),
+        nagoya=lambda t, hb, p: ((-hb * p["b"], -hb * t, -hb), (p["a"] * t, p["a"]), 0),
+        table=lambda hb, m, N, gauged, p: (
+            {"th0": -p["b"] - hb, "th1": p["b"] + 1 - N - m * hb}
+            if gauged
+            else {"th0": -p["b"] - 1, "th1": p["b"] + 1 - m - N}
+        ),
         contour=HALF_LINE,
         log_derivative=lambda t, p: ({1: 1}, {0: -(p["b"] + 1), 1: -t, 2: -1}),
         dt_log=lambda p: (-1, 1, 0),
@@ -212,6 +312,30 @@ TABLE = (
         ("b", "c"),
         ("th0", "th1", "th2"),
         sigma=lambda t: (0, -1, 1),
+        # hbar(t z^2 + (2 hbar + th0 - th2 - t) z + th2 - hbar) d_rho + t(hbar N + th0 + th1) z_rho
+        # + (th0 - th2 - t) N^2 hbar + N hbar^2 (1 + N^2)/2
+        radial=lambda t, hb, N, kk, p: (
+            (hb * (p["th2"] - hb), hb * (2 * hb + p["th0"] - p["th2"] - t), hb * t),
+            (0, t * (hb * N + p["th0"] + p["th1"])),
+            (p["th0"] - p["th2"] - t) * (N * N * hb) + N * hb * hb * Fraction(1 + N * N, 2),
+        ),
+        # hbar(t z^2 - (b + c + t) z + b) d_rho - m hbar t z_rho + hbar N m (b + c + t - hbar(m - 1) - N + 1)
+        cp=lambda t, hb, N, m, p: (
+            (hb * p["b"], -hb * (p["b"] + p["c"] + t), hb * t),
+            (0, -m * hb * t),
+            hb * Fraction(N * m) * (p["b"] + p["c"] + t - hb * (m - 1) - N + 1),
+        ),
+        # the same first order; a(b + c - a + hbar) + a(t - t z)
+        nagoya=lambda t, hb, p: (
+            (hb * p["b"], -hb * (p["b"] + p["c"] + t), hb * t),
+            (p["a"] * (p["b"] + p["c"] - p["a"] + hb) + p["a"] * t, -p["a"] * t),
+            0,
+        ),
+        table=lambda hb, m, N, gauged, p: (
+            {"th0": -p["c"] - hb, "th1": p["c"] + 1 - N - m * hb, "th2": p["b"] + hb}
+            if gauged
+            else {"th0": -p["c"] - 1, "th1": -N - m + p["c"] + 1, "th2": p["b"] + 1}
+        ),
         contour=UNIT,
         # u(1-u) [-(b+1)/u + (c+1)/(1-u) + t] = -(b+1)(1-u) + (c+1)u + t u(1-u)
         log_derivative=lambda t, p: ({1: 1, 2: -1}, {0: -(p["b"] + 1), 1: p["b"] + p["c"] + 2 + t, 2: -t}),
@@ -230,6 +354,10 @@ TABLE = (
         ("th0", "th1", "tht", "k2"),
         # u(u-1)(u-t) = t*u - (1+t)*u^2 + u^3
         sigma=lambda t: (0, t, -(1 + t), 1),
+        radial=_radial_vi,
+        cp=_cp_vi,
+        nagoya=_nagoya_vi,
+        table=_table_vi,
         contour=UNIT,
         log_derivative=_log_derivative_vi,
         dt_log=lambda p: (-p["d"], 0, 1),

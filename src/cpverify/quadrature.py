@@ -411,6 +411,9 @@ def pde_residual_numeric(
     """
     hb = as_rat(hbar)
     t = as_rat(t)
+    # H_J is the printed operator divided by its prefactor
+    if weighted(J).prefactor(t) == 0:
+        raise DomainError(f"family {J} has no Hamiltonian at t = {t}, where its printed prefactor vanishes")
     tau = Fraction(N)
     # exact operator application on the formal coefficient polynomial; after
     # fixing t the rational function is a polynomial in z and the placeholders

@@ -14,6 +14,7 @@ re-verifies exactly.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass, field
@@ -276,24 +277,13 @@ def apply_trace_word(pt: RationalMatrixPoint, word: str, psi: Jet, hbar) -> Jet:
 def apply_matrix_operator(pt: RationalMatrixPoint, spec, f: MPoly, hbar) -> Fraction:
     """Value at the point of a linear combination of trace-word operators.
 
-    ``spec`` is a list of (coefficient, word) pairs; a word may be a string
-    (single trace), a tuple of strings (product of traces, applied right to
-    left), or '' for the scalar term.  Total momentum degree per entry <= 2.
+    ``spec`` is a list of (coefficient, word) pairs; a word is one trace
+    like 'qpq', of momentum degree <= 2, or '' for the scalar term.
     """
     psi = _psi_jet(pt, f)
     total = Fraction(0)
     for coeff, word in spec:
-        coeff = as_rat(coeff)
-        if isinstance(word, str):
-            words = (word,) if word else ()
-        else:
-            words = tuple(word)
-        if sum(w.count("p") for w in words) > 2:
-            raise UsageError("operators of momentum degree > 2 are unsupported")
-        cur = psi
-        for w in reversed(words):
-            cur = apply_trace_word(pt, w, cur, hbar)
-        total += coeff * cur.value()
+        total += as_rat(coeff) * (apply_trace_word(pt, word, psi, hbar) if word else psi).value()
     return total
 
 
@@ -305,7 +295,7 @@ def hamiltonian_trace_spec(J: str, N: int, t, **params) -> list:
     word '' carries Tr(Id) = N.
     """
     fam = families.family(J)
-    p = dict(zip(fam.radial_keys, _want(params, *fam.radial_keys)))
+    p = _want(params, fam.radial_keys)
     return [(Fraction(c) * N if not word else Fraction(c), word) for c, word in fam.hamiltonian(as_rat(t), p)]
 
 
@@ -315,86 +305,28 @@ def hamiltonian_trace_spec(J: str, N: int, t, **params) -> list:
 
 
 def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, corrections=None, **params) -> DiffOp:
-    """The printed eigenvalue Hamiltonians (family 'II' is the gauged form).
+    """The printed eigenvalue Hamiltonians (family 'II' is the gauged form, 'II_pre' the pre-gauge one).
 
     ``corrections`` optionally carries engine-fitted correction data (see
-    :func:`resolve_radial_corrections`); it is added inside the printed
-    clearing factor.
+    :func:`resolve_radial_corrections`): ``first_order[k]`` adds to the
+    z^k d_rho coefficient, ``sum_z`` to the z_rho term and ``scalar`` to the
+    constant, each (c0, c1) meaning c0 + c1 t, inside the printed clearing factor.
     """
     fam = families.family("II" if J == "II_pre" else J)
+    form = fam.radial_pre if J == "II_pre" else fam.radial
     hb = as_rat(hbar)
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
-    p = dict(zip(fam.radial_keys, _want(params, *fam.radial_keys)))
     t = RatFun.var(reg, "t")
-    zs = [RatFun.var(reg, zn) for zn in zvars(reg)[:N]]
-    half = Fraction(1, 2)
-    op = calogero_op(reg, N, fam.sigma(t), hb * hb, hb * hb, -hb * hb * kk * half)
-    if J in ("I", "II", "II_pre"):
-        for rho, z in enumerate(zs):
-            if J == "I":
-                op.C += -(z**3 * half + t * z / 4)
-            elif J == "II_pre":
-                op.C += -half * (z**2 + t * half) ** 2
-                op.C += -p["th"] * z
-            else:
-                op.B[rho] += -hb * (z**2 + t * half)
-                op.C += (half - p["th"] - hb * N) * z
-    elif J == "III":
-        th0, th1 = p["th0"], p["th1"]
-        for rho, z in enumerate(zs):
-            op.B[rho] += -hb * (z**2 - (2 * hb - th0 + th1) * z - t)
-            op.C += -(hb * N + th1) * z
-        op.C += RatFun.const(reg, hb * hb * Fraction(N * (1 + N * N), 2))
-    elif J == "IV":
-        th0, th1 = p["th0"], p["th1"]
-        for rho, z in enumerate(zs):
-            op.B[rho] += -hb * (z**2 + t * z - th0 - hb)
-        op.C += -(hb * N + th0 + th1) * power_sum(reg, N, 1)
-        op.C += -t * hb * N * N
-    elif J == "V":
-        th0, th1, th2 = p["th0"], p["th1"], p["th2"]
-        for rho, z in enumerate(zs):
-            op.B[rho] += hb * (t * z**2 + (2 * hb + th0 - th2 - t) * z + th2 - hb)
-        op.C += t * (hb * N + th0 + th1) * power_sum(reg, N, 1)
-        op.C += (
-            (RatFun.const(reg, th0 - th2) - t) * (N * N * hb)
-            + RatFun.const(reg, N * hb * hb * Fraction(1 + N * N, 2))
-        )
-    else:  # VI
-        th0, th1, tht, k2 = p["th0"], p["th1"], p["tht"], p["k2"]
-        theta = th0 + th1 + tht
-        for rho, z in enumerate(zs):
-            c1 = -hb * (1 + t) + t * (th0 + th1) + th0 + tht
-            op.B[rho] += hb * ((3 * hb - theta) * z**2 + c1 * z + t * (hb - th0))
-        zcoef = N * N * hb * hb - theta * N * hb - (k2 - theta * theta) / 4 + (N - 1) * kk * hb * hb
-        op.C += zcoef * power_sum(reg, N, 1)
-        op.C += (
-            RatFun.const(reg, -Fraction(N**3) * hb * hb * half + hb * N * N * (th0 + tht))
-            + t * hb * N * N * (th0 + th1)
-            - RatFun.const(reg, hb * hb * Fraction(N * (N - 1), 2) * kk)
-        )
+    first, zeroth, const = form(t, hb, N, kk, _want(params, fam.radial_keys))
     if corrections is not None:
-        op = op + correction_op(reg, N, corrections)
+        fitted = [a0 + t * a1 for a0, a1 in corrections["first_order"]]
+        first = [x + y for x, y in itertools.zip_longest(first, fitted, fillvalue=0)]
+        e0, e1 = corrections["sum_z"]
+        zeroth = [x + y for x, y in itertools.zip_longest(zeroth, (0, e0 + t * e1), fillvalue=0)]
+        s0, s1 = corrections["scalar"]
+        const = const + s0 + t * s1
+    op = calogero_op(reg, N, fam.sigma(t), hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2), first, zeroth, const)
     return _cleared(op, fam, t)
-
-
-def correction_op(reg: Registry, N: int, corr: dict) -> DiffOp:
-    """Correction data -> operator: per-power first-order terms and a zeroth
-    part, each with t-linear coefficients (the fit ansatz)."""
-    t = RatFun.var(reg, "t")
-    op = DiffOp(reg, N)
-    for k, (a0, a1) in enumerate(corr.get("first_order", ())):
-        if a0 == 0 and a1 == 0:
-            continue
-        for rho, zn in enumerate(zvars(reg)[:N]):
-            op.B[rho] += (RatFun.const(reg, a0) + t * a1) * RatFun.var(reg, zn) ** k
-    s0, s1 = corr.get("scalar", (Fraction(0), Fraction(0)))
-    e0, e1 = corr.get("sum_z", (Fraction(0), Fraction(0)))
-    if s0 or s1:
-        op.C += RatFun.const(reg, s0) + t * s1
-    if e0 or e1:
-        op.C += (RatFun.const(reg, e0) + t * e1) * power_sum(reg, N, 1)
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +352,11 @@ def _trace_values(reg: Registry, N: int) -> dict:
     return {f"T{j}": power_sum(reg, N, j).num for j in range(1, MAX_TRACE_POWER + 1)}
 
 
+def _matrix_form(fam) -> str:
+    """The radial form the matrix quantization reduces to: the pre-gauge one where the family has one."""
+    return f"{fam.name}_pre" if fam.radial_pre else fam.name
+
+
 def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2), corrections=None):
     """Exact matrix-vs-radial equality at random rational points (kappa = 0).
 
@@ -429,7 +366,7 @@ def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1,
     rng = random.Random(seed)
     reg = session_registry(N)
     fam = families.family(J)
-    radial_fam = "II_pre" if J == "II" else J
+    radial_fam = _matrix_form(fam)
     mismatches = []
     for trial in range(trials):
         params = fam.random_thetas(rng)
@@ -507,7 +444,7 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
     reg = session_registry(N)
     hb = as_rat(hbar)
     fam = families.family(J)
-    radial_fam = "II_pre" if J == "II" else J
+    radial_fam = _matrix_form(fam)
     params = fam.random_thetas(rng)
     nalpha = 4  # first-order correction ansatz: powers z^0..z^3
     unknowns = 2 * nalpha + 4  # (a_k0, a_k1)_k, s0, s1, e0, e1
@@ -521,7 +458,7 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
         for f in probes:
             lhs = apply_matrix_operator(pt, hamiltonian_trace_spec(J, N, t_point, **params), f, hb)
             rhs_val = radial_value(op_printed, f, pt.Z, t_point) * t_val
-            gap = lhs - rhs_val  # = correction_op applied (inside clearing)
+            gap = lhs - rhs_val  # = the correction applied (inside clearing)
             fz = _subs_into(f, _trace_values(reg, N), reg)
             point = {zn: v for zn, v in zip(zvars(reg)[:N], pt.Z)}
             point["t"] = t_point

@@ -171,8 +171,12 @@ def test_a_wrong_prefactor_fails_the_symbolic_pde(J, monkeypatch):
 
 # the mutation matrix: each row perturbs one field of one family and must fail
 # one cheap suite check, run here at the benchmark's settings (the oracle at
-# 128 bits, pde-numeric at level 3), which test_the_catching_checks_pass_unmutated
-# runs unmutated.  The prefactor and sigma rows are the tests above.  Left out:
+# 128 bits, pde-numeric at level 3, table1 at N = 2), which
+# test_the_catching_checks_pass_unmutated runs unmutated.  The printed operator
+# forms are each caught by the check that sets them against another: cp and
+# nagoya by n1, radial by the matrix side (II's gauged one by the scalar gauge,
+# its pre-gauge one by the matrix side), table by table1.  The prefactor and
+# sigma rows are the tests above.  Left out:
 # ``window`` of II, V and VI (the polyline and [0, 1] take no window), ``exponents``
 # of II (its weight has no power factor), and the input guards ``admissible``,
 # ``sample`` and ``requirement``; ``min_n`` is a coverage knob (III's set to 0
@@ -181,6 +185,9 @@ CATCHERS = {
     "radial": lambda J: checks.run_radial(J, 2, trials=5, seed=42),
     "oracle": lambda J: checks.run_oracle_moments(J, kmax=4, prec=128, points=3, seed=42),
     "pde-symbolic": lambda J: checks.run_pde_symbolic(J, 2, 2, 1),
+    "n1": lambda J: checks.run_n1(),
+    "table1": lambda J: checks.run_table1((J,), N_values=(2,)),
+    "gauge-scalar": lambda J: checks.run_gauge_transformation(),
     "pde-numeric": lambda J: checks.run_pde_numeric(
         J, 2, 2, Fraction(1, 2), checks.NUMERIC_POINTS[J][0][0],
         checks.numeric_pde_params(J, 2, Fraction(1, 2), checks.NUMERIC_POINTS[J][0][1]), prec=64, level=3,
@@ -191,6 +198,29 @@ CATCHERS = {
 def plus_one(word):
     """The Hamiltonian with 1 added to the coefficient of Tr(word)."""
     return lambda fam: lambda t, p: [(c + 1 if w == word else c, w) for c, w in fam.hamiltonian(t, p)]
+
+
+def plus_one_in(field, part, k=0):
+    """The printed form ``field`` with 1 added to first[k] (part 0), zeroth[k] (part 1) or const (part 2)."""
+    def make(fam):
+        def form(*args):
+            out = list(getattr(fam, field)(*args))
+            if part == 2:
+                out[2] = out[2] + 1
+            else:
+                out[part] = [c + 1 if i == k else c for i, c in enumerate(out[part])]
+            return tuple(out)
+        return form
+    return make
+
+
+def plus_one_in_table(fam):
+    """The printed parameter map with 1 added to its first value (II's theta, th0 elsewhere)."""
+    def table(*args):
+        out = fam.table(*args)
+        key = next(iter(out))
+        return {**out, key: out[key] + 1}
+    return table
 
 
 def shifted_log_derivative(fam):
@@ -209,6 +239,12 @@ def flipped_dt_log(fam):
 MUTANTS = {
     **{(J, "Tr(q) coefficient"): ("hamiltonian", plus_one("q"), "radial") for J in families.WEIGHTED},
     ("VI", "Tr(p) coefficient"): ("hamiltonian", plus_one("p"), "radial"),
+    **{(J, "cp first order"): ("cp", plus_one_in("cp", 0), "n1") for J in families.WEIGHTED},
+    **{(J, "nagoya zeroth order"): ("nagoya", plus_one_in("nagoya", 1, 1), "n1") for J in families.WEIGHTED},
+    **{(J, "radial constant"): ("radial", plus_one_in("radial", 2), "radial") for J in ("I", "III", "IV", "V", "VI")},
+    ("II", "radial constant"): ("radial", plus_one_in("radial", 2), "gauge-scalar"),
+    ("II", "radial_pre zeroth order"): ("radial_pre", plus_one_in("radial_pre", 1, 1), "radial"),
+    **{(J, "table"): ("table", plus_one_in_table, "table1") for J in families.WEIGHTED},
     **{(J, "log_derivative"): ("log_derivative", shifted_log_derivative, "pde-symbolic") for J in families.WEIGHTED},
     **{(J, "dt_log"): ("dt_log", flipped_dt_log, "pde-symbolic") for J in ("II", "III", "IV", "VI")},
     ("V", "dt_log"): ("dt_log", lambda fam: lambda p: (2, 1, 0), "pde-numeric"),
@@ -235,7 +271,7 @@ def test_the_catching_checks_pass_unmutated(J, check):
 @pytest.mark.parametrize("J, row", sorted(MUTANTS))
 def test_a_mutant_fails_a_cheap_check(J, row, monkeypatch):
     field, make, check = MUTANTS[(J, row)]
-    fam = families.weighted(J)
+    fam = families.family(J)
     monkeypatch.setitem(families._BY_NAME, J, dataclasses.replace(fam, **{field: make(fam)}))
     # the VI radial correction is fitted once per (N, hbar) and cached
     monkeypatch.setattr(checks, "_RESOLVED_RADIAL_CACHE", {})

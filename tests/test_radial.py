@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpverify import families
+from cpverify import families, radial
 from cpverify.diffop import apply_op, operator_equal
 from cpverify.errors import DegeneratePointError, UsageError
 from cpverify.exact import RatFun, session_registry
@@ -15,8 +15,8 @@ from cpverify.radial import (
     Jet,
     RationalMatrixPoint,
     apply_matrix_operator,
+    apply_trace_word,
     build_radial_hamiltonian,
-    correction_op,
     gauge_scalar_conjugate,
     hamiltonian_trace_spec,
     qkp2_radial_op,
@@ -76,14 +76,22 @@ def test_tr_p_on_t1():
     assert val == Fraction(1, 2) * 2
 
 
+def trace_product(pt, words, f, hbar):
+    """Tr(words[0]) Tr(words[1]) ... applied to f at the point, the rightmost trace first."""
+    jet = radial._psi_jet(pt, f)
+    for word in reversed(words):
+        jet = apply_trace_word(pt, word, jet, hbar)
+    return jet.value()
+
+
 def test_trace_product_word():
     rng = random.Random(13)
     pt = RationalMatrixPoint.random(2, rng)
     # Tr(q)Tr(p) f with f = T_1: hbar * N * Tr(Q)
-    val = apply_matrix_operator(pt, [(Fraction(1), ("q", "p"))], TRACE_REG.var("T1"), Fraction(1))
-    assert val == (pt.Z[0] + pt.Z[1]) * 2
+    assert trace_product(pt, ("q", "p"), TRACE_REG.var("T1"), Fraction(1)) == (pt.Z[0] + pt.Z[1]) * 2
+    # a word of momentum degree 3 is beyond the order-2 jets
     with pytest.raises(UsageError):
-        apply_matrix_operator(pt, [(Fraction(1), ("pp", "p"))], TRACE_REG.var("T1"), 1)
+        apply_matrix_operator(pt, [(Fraction(1), "ppp")], TRACE_REG.var("T1"), 1)
 
 
 def test_equivariance_in_g():
@@ -221,10 +229,10 @@ def test_vi_depends_on_k2_only():
 
 def golden_matrix_values():
     """apply_matrix_operator at seeded points: every family's Hamiltonian at
-    N = 1, 2, 3 on a T1..T3 and a T5/T6 wave function, plus product words."""
+    N = 1, 2, 3 on a T1..T3 and a T5/T6 wave function, plus products of traces."""
     rng = random.Random(2718)
     high = TRACE_REG.var("T5") * TRACE_REG.var("T1") + Fraction(-2, 3) * TRACE_REG.var("T6")
-    extra = [(Fraction(1), "qqqpp"), (Fraction(-3, 2), ("qq", "p")), (Fraction(2), ("p", "qp")), (Fraction(1, 5), "")]
+    extra = [(Fraction(1), ("qqqpp",)), (Fraction(-3, 2), ("qq", "p")), (Fraction(2), ("p", "qp")), (Fraction(1, 5), ())]
     out = []
     for N in (1, 2, 3):
         for J in families.NAMES:
@@ -236,7 +244,8 @@ def golden_matrix_values():
             for f in (random_trace_polynomial(rng), random_trace_polynomial(rng, max_power=6, max_degree=2) + high):
                 out.append(apply_matrix_operator(pt, spec, f, hbar))
         pt = RationalMatrixPoint.random(N, rng)
-        out.append(apply_matrix_operator(pt, extra, random_trace_polynomial(rng, max_power=6), Fraction(2, 3)))
+        f = random_trace_polynomial(rng, max_power=6)
+        out.append(sum(c * trace_product(pt, words, f, Fraction(2, 3)) for c, words in extra))
     return out
 
 
