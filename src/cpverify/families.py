@@ -48,8 +48,10 @@ class Family:
     d/dt log Theta = coeff u^shift (t-u)^{-s} for (coeff, shift, s) =
     ``dt_log(p)``; Theta = u^b0 (1-u)^b1 ``factor(u, t, p, 1-u)`` with
     (b0, b1) = ``exponents(p)``, None for an absent factor, and all
-    t-dependence in ``factor``.  ``window(t)`` cuts a half-line contour;
-    ``sample(rng)`` draws (t, params) that meet ``admissible``.
+    t-dependence in ``factor``.  ``peak(t, p)`` is the u >= 0 where
+    ``factor`` peaks: it rises before and falls after (mpmath.inf when it
+    only rises).  ``window(t)`` cuts a half-line contour; ``sample(rng)``
+    draws (t, params) that meet ``admissible``.
     """
 
     name: str
@@ -69,6 +71,7 @@ class Family:
     dt_log: Callable | None = None
     exponents: Callable = lambda p: (None, None)
     factor: Callable | None = None
+    peak: Callable | None = None
     window: Callable = lambda t: 1.0
     admissible: Callable = lambda t, p: True
     requirement: str = ""
@@ -98,6 +101,22 @@ class Family:
         if s:
             return coeff / ((t - 1) + omu)
         return coeff * u if shift == 1 else coeff / u
+
+    def factor_sup(self, u, t, p: dict, omu):
+        """The largest value of ``factor`` at t over (0, u], taken at ``peak``."""
+        top = self.peak(t, p)
+        return self.factor(u, t, p, omu) if top >= u else self.factor(top, t, p, 1 - top)
+
+    def dt_log_sup(self, u, t, p: dict, omu):
+        """The largest |d/dt log Theta| over (0, u], or None where it is unbounded.
+
+        c u grows with u; c/(t - u') is largest at u' = u while t - u > 0;
+        c/u has no bound near 0.
+        """
+        coeff, shift, s = self.dt_log(p)
+        if s:
+            return abs(self.dt_log_at(u, t, p, omu)) if (t - 1) + omu > 0 else None
+        return abs(coeff * u) if shift == 1 else None
 
 
 def _neg(rng):
@@ -255,6 +274,8 @@ TABLE = (
         dt_log=lambda p: (1, -1, 0),
         exponents=lambda p: (-p["b"] - 1, None),
         factor=lambda u, t, p, omu: mpmath.exp(t / u - u),
+        # d/du (t/u - u) = -t/u^2 - 1 changes sign once, at u^2 = -t
+        peak=lambda t, p: mpmath.sqrt(-t),
         # the weight decays at least like e^{-u}
         window=lambda t: 160.0 + 3 * abs(float(t)),
         # the essential singularity at u = 0 then decays
@@ -292,6 +313,7 @@ TABLE = (
         dt_log=lambda p: (-1, 1, 0),
         exponents=lambda p: (-p["b"] - 1, None),
         factor=lambda u, t, p, omu: mpmath.exp(-(u * t + u * u / 2)),
+        peak=lambda t, p: max(-t, 0),
         # the weight decays at least like e^{-u^2/2 - tu}
         window=lambda t: 40.0 + 3 * abs(float(t)),
         admissible=lambda t, p: p["b"] < 0,
@@ -342,6 +364,7 @@ TABLE = (
         dt_log=lambda p: (1, 1, 0),
         exponents=lambda p: (-p["b"] - 1, -p["c"] - 1),
         factor=lambda u, t, p, omu: mpmath.exp(u * t),
+        peak=lambda t, p: mpmath.inf if t > 0 else 0,
         admissible=lambda t, p: p["b"] < 0 and p["c"] < 0,
         requirement="requires Re b < 0 and Re c < 0",
         sample=lambda rng: (_any_t(rng), {"b": _neg(rng), "c": _neg(rng)}),
@@ -364,6 +387,8 @@ TABLE = (
         exponents=lambda p: (-p["a"] - p["b"] - 1, -p["c"] - 1),
         # (t - u) composed as (t - 1) + (1 - u): near-singular at u -> 1
         factor=lambda u, t, p, omu: ((t - 1) + omu) ** (-p["d"]),
+        # (t - u)^(-d) rises with u on u < t for d > 0 and falls for d < 0
+        peak=lambda t, p: mpmath.inf if p["d"] > 0 else 0,
         admissible=lambda t, p: p["a"] + p["b"] < 0 and p["c"] < 0 and t > 1,
         requirement="requires Re(a+b) < 0, Re c < 0 and t > 1",
         sample=_sample_vi,

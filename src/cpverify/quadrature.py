@@ -9,7 +9,12 @@ only the weight's t-dependent factor is evaluated per t, so the Schroedinger
 residual takes t and its four finite-difference shifts from one sweep.  A
 leaf's additions for a t are skipped when an exponent bound puts every addend
 below a quarter ulp of its accumulator (``_negligible``): round-to-nearest
-returns such a sum unchanged, so the skip changes no bit.
+returns such a sum unchanged, so the skip changes no bit.  The same test runs
+before the work: each node bounds every leaf term below it from exponents
+(``_tally``, the family's ``peak`` and ``dt_log_sup``, one constant per grid
+level), so a dead subtree is skipped whole and a dead child before its
+weight, coupling or elementary products are computed.  The grid error
+compares a level with the next coarser one; level 0 has none and raises.
 One-dimensional moments for a set of (k, s): on every real contour one pass
 over the same tanh-sinh grid, whose coarse error sum reuses the fine nodes;
 only family II's complex polyline takes one mpmath.quad per k, with both legs,
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -183,9 +189,12 @@ def _grid(level: int, prec: int, tail_power: float):
     next coarser grid iff j is even (indices, not values: deep-tail nodes can
     round to identical mpfs).  The coarser list can reach one node past the
     fine one; the tail holds its points as (u, 1-u, w) at the fine weight.
+    Level 0 has no coarser grid, so it raises ``QuadratureError``.
     """
+    if level < 1:
+        raise QuadratureError("level 0 has no coarser grid to estimate the error against")
     nodes = ts_nodes(level, prec, tail_power)
-    ncoarse = len(ts_nodes(level - 1, prec, tail_power)) if level > 1 else 0
+    ncoarse = len(ts_nodes(level - 1, prec, tail_power))
     pts, tail = [], []
     for j, (up, un, w) in enumerate(nodes):
         isc = (j % 2 == 0) and (j // 2) < ncoarse
@@ -236,6 +245,27 @@ def _coupling(chain, beta):
     return (d12 * d13 * d23) ** beta
 
 
+def _elementary(xs, prec: int) -> list:
+    """e_1 .. e_m of the raw mpfs ``xs``: each product left to right, summed in combination order."""
+    es = []
+    for r in range(1, len(xs) + 1):
+        total = None
+        for combo in itertools.combinations(xs, r):
+            prod = combo[0]
+            for x in combo[1:]:
+                prod = mul(prod, x, prec, round_nearest)
+            total = prod if total is None else add(total, prod, prec, round_nearest)
+        es.append(total)
+    return es
+
+
+def _floor(accs, prec: int):
+    """The largest exponent bound ``_negligible`` accepts for ``accs``; -inf while one is zero."""
+    if all(a[1] for a in accs):
+        return min(a[2] + a[3] for a in accs) - prec - 2
+    return -math.inf
+
+
 def _negligible(bound: int, accs, prec: int) -> bool:
     """True when adding any x with |x| < 2^bound rounds each raw mpf in ``accs`` back to itself.
 
@@ -245,7 +275,198 @@ def _negligible(bound: int, accs, prec: int) -> bool:
     half the ulp, so the margin is a quarter ulp, 2^(E-prec-2).  A zero
     accumulator takes any addend, so it never allows a skip.
     """
-    return all(a[1] and bound <= a[2] + a[3] - prec - 2 for a in accs)
+    return bound <= _floor(accs, prec)
+
+
+def _log2_ub(E: int, e):
+    """An upper bound on log2(y^e) for 2^(E-1) <= y < 2^E."""
+    return e * E if e >= 0 else e * (E - 1)
+
+
+# a computed product is its exact value times 1 + O(2^-prec): one bit covers
+# crossing a power of two, one more the pow and exp evaluations
+_MARGIN = 2
+
+
+def _tally(k: int, m: int, b0, b1, beta, om_at_node: bool = False):
+    """The powers in a bound on every leaf term below a node at level k.
+
+    Returns (node, inner).  ``node`` maps ("x", i) and ("omv", i), i <= k,
+    to the power of the node's x_i (x_0 is the window) and of its 1 - v_i,
+    and ("omx", k) to that of its 1 - x_k; ``inner`` lists for each level
+    l = k+1 .. m the powers (a, c) of v_l and 1 - v_l.  A leaf below has
+    x_j = x_k v_{k+1} ... v_j, so the Jacobian x_0 x_1 ... x_{m-1} and each
+    u^b0 split into those powers, and:
+    - 1 - x_j is at least 1 - v_j (x_j <= v_j on [0, 1]) and at least
+      1 - x_k, so (1 - x_j)^b1 <= (1 - v_j)^min(b1, 0), or with
+      ``om_at_node`` (1 - x_k)^min(b1, 0);
+    - x_{j-1} - x_j = x_{j-1} (1 - v_j), and for i < j - 1
+      x_i (1 - v_{i+1}) <= x_i - x_j <= x_i, so
+      (x_i - x_j)^beta <= x_i^beta (1 - v_{i+1})^min(beta, 0).
+    Theta's t-dependent factor and its values at levels 1 .. k are not counted.
+    """
+    node, inner = Counter(), {level: [0, 0] for level in range(k + 1, m + 1)}
+
+    def put(j, e, om=False):
+        if j <= k:
+            node["omv" if om else "x", j] += e
+        elif om:
+            inner[j][1] += e
+        else:
+            node["x", k] += e
+            for level in range(k + 1, j + 1):
+                inner[level][0] += e
+
+    for j in range(m):
+        put(j, 1)
+    for j in range(k + 1, m + 1):
+        if b0 is not None:
+            put(j, b0)
+        if b1 is not None and om_at_node:
+            node["omx", k] += min(b1, 0)
+        elif b1 is not None:
+            put(j, min(b1, 0), om=True)
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        put(i, beta)
+        put(i + 1, beta if j == i + 1 else min(beta, 0), om=True)
+    return node, [tuple(inner[level]) for level in range(k + 1, m + 1)]
+
+
+def _E(y) -> int:
+    """E = exp + bc of a nonzero mpf y: 2^(E-1) <= |y| < 2^E."""
+    return y._mpf_[2] + y._mpf_[3]
+
+
+def _addends(chain, wprod, ths, window, beta, prec: int):
+    """A leaf's base value per t (weight * theta * coupling) and its elementary products as raw mpfs."""
+    xs = tuple(link[0] for link in chain)
+    weight = wprod * window
+    for x in xs[:-1]:
+        weight *= x
+    coupling = _coupling(chain, beta)
+    bases = [weight * th if coupling is None else weight * th * coupling for th in ths]
+    if not all(map(mpmath.isfinite, bases)):
+        raise QuadratureError(f"non-finite integrand near {xs}")
+    return bases, _elementary([x._mpf_ for x in xs], prec)
+
+
+class _Sweep:
+    """One simplex sweep's grid, accumulators and skip rules (see ``_simplex_sweep``)."""
+
+    def __init__(self, fam, N: int, m: int, tvs, p: dict, beta, pts, window, tallies, prec: int, with_dt: bool):
+        self.fam, self.N, self.m, self.tvs, self.p, self.beta = fam, N, m, tvs, p, beta
+        self.pts, self.window, self.tallies, self.prec, self.with_dt = pts, window, tallies, prec, with_dt
+        self.keys = list(itertools.product(range(m + 1), repeat=N))
+        # the key products and sums run on raw mpf tuples, rounded as mpf * and + round
+        self.accs = [[fzero] * len(self.keys) for _ in tvs]
+        self.acc_dt, self.acc_coarse = [fzero] * len(self.keys), [fzero] * len(self.keys)
+        # the accumulators' _floor: one per t, then dt and coarse
+        self.DT, self.COARSE = len(tvs), len(tvs) + 1
+        self.floors = [-math.inf] * (len(tvs) + 2)
+        self.tables = {}
+
+    def table(self, ac):
+        """Per grid point, an integer bound on log2(w v^a (1 - v)^c)."""
+        if ac not in self.tables:
+            a, c = ac
+            self.tables[ac] = [math.ceil(_E(w) + _log2_ub(_E(v), a) + _log2_ub(_E(omv), c)) for v, omv, w, _ in self.pts]
+        return self.tables[ac]
+
+    def needs(self, chain, wprod, ths, dt):
+        """The node's requirements and its bounds on each child's subtree.
+
+        Returns (reqs, bounds): every leaf term below child j is below
+        2^(bounds[j] + need) for each (floor index, need) in reqs, so it adds
+        nothing when bounds[j] <= floors[c] - need for each.
+        """
+        fam, m, k = self.fam, self.m, len(chain)
+        xs = [self.window] + [link[0] for link in chain]
+        value = {("x", i): x for i, x in enumerate(xs)}
+        value.update({("omv", i): link[3] for i, link in enumerate(chain, 1)})
+        if chain:
+            value["omx", k] = chain[-1][1]
+        x, omx = chain[-1][:2] if chain else (self.window, 1 - self.window)
+        # e_r < 3 x_1^r, and the window bounds x_1 at the root
+        e1 = _E(xs[min(k, 1)])
+        grow = self.N * max(0, (m * e1 if e1 > 0 else e1) + 3) + self.N + 1
+        reqs = []
+        for i, tv in enumerate(self.tvs):
+            peak = (m - k) * _E(fam.factor_sup(x, tv, self.p, omx))
+            need = (_E(wprod) + _E(ths[i]) if chain else 0) + peak + _MARGIN + grow
+            reqs.append((i, need))
+            if i == 0:
+                reqs.append((self.COARSE, need))
+                sup = fam.dt_log_sup(x, tv, self.p, omx) if self.with_dt else None
+                if sup is not None:
+                    # |dt| < 2^E(prefix) + (m - k) 2^E(sup), and one more bit for its rounding
+                    edt = max(_E(dt) if chain else -math.inf, _E(sup) + (m - k - 1).bit_length()) + 2
+                    reqs.append((self.DT, need + edt + 1))
+                elif self.with_dt:
+                    reqs.append((self.DT, math.inf))
+        # per child, the smaller of the tallies' bounds: the child's grid value,
+        # the grid maxima of the levels below it, and the node's own powers
+        bounds = None
+        for node, inner in self.tallies[k]:
+            first, *below = [self.table(ac) for ac in inner]
+            shift = math.ceil(sum(_log2_ub(_E(value[key]), e) for key, e in node.items())) + sum(map(max, below))
+            column = [g + shift for g in first]
+            bounds = column if bounds is None else list(map(min, bounds, column))
+        return reqs, bounds
+
+    def room(self, reqs, isc):
+        """The largest child bound that ``reqs`` lets through, at the current floors."""
+        return min(self.floors[c] - need for c, need in reqs if isc or c != self.COARSE)
+
+    def leaf(self, chain, wprod, ths, dt, isc):
+        prec, rnd, floors, DT, COARSE = self.prec, round_nearest, self.floors, self.DT, self.COARSE
+        bases, es = _addends(chain, wprod, ths, self.window, self.beta, prec)
+        # every key's value is below 2^(E(base) + grow) (see ``_simplex_sweep``)
+        grow = self.N * max(0, max(e[2] + e[3] for e in es)) + self.N + 1
+        for i, base in enumerate(bases):
+            # skip the t when round-to-nearest would discard each of its additions
+            bound = _E(base) + grow
+            skip = bound <= floors[i]
+            if skip and i == 0:
+                # a dt addend is val * dt, below 2^(bound + E(dt) + 1)
+                skip = (not self.with_dt or bound + _E(dt) + 1 <= floors[DT]) and (not isc or bound <= floors[COARSE])
+            if skip:
+                continue
+            vals = [base._mpf_]
+            for _ in range(self.N):
+                vals = [val if r == 0 else mul(val, es[r - 1], prec, rnd) for val in vals for r in range(self.m + 1)]
+            self.accs[i] = [add(a, val, prec, rnd) for a, val in zip(self.accs[i], vals)]
+            floors[i] = _floor(self.accs[i], prec)
+            if i == 0 and self.with_dt:
+                self.acc_dt[:] = [add(a, mul(val, dt._mpf_, prec, rnd), prec, rnd) for a, val in zip(self.acc_dt, vals)]
+                floors[DT] = _floor(self.acc_dt, prec)
+            if i == 0 and isc:
+                self.acc_coarse[:] = [add(a, val, prec, rnd) for a, val in zip(self.acc_coarse, vals)]
+                floors[COARSE] = _floor(self.acc_coarse, prec)
+
+    # ordered simplex u_1 > u_2 > ... via u_i = u_{i-1} v_i; differences and
+    # complements composed stably: 1 - x1 v = (1 - x1) + x1 (1 - v)
+    def descend(self, chain, wprod, ths, dt, isc):
+        fam, tvs, p, window = self.fam, self.tvs, self.p, self.window
+        reqs, bounds = self.needs(chain, wprod, ths, dt)
+        if max(bounds) <= self.room(reqs, isc):
+            return  # no leaf below can change an accumulator
+        step = self.descend if len(chain) + 1 < self.m else self.leaf
+        for bound, (v, omv, w, isc_v) in zip(bounds, self.pts):
+            if bound <= self.room(reqs, isc and isc_v):
+                continue
+            if chain:
+                x_prev, omx_prev = chain[-1][:2]
+                x, omx, wn = x_prev * v, omx_prev + x_prev * omv, wprod * w
+            else:
+                x, wn = v * window, w
+                omx = omv if fam.contour == UNIT else 1 - x
+            static, dynamic = fam.parts(x, tvs, p, omx)
+            thn = [static * d for d in dynamic]
+            dtn = fam.dt_log_at(x, tvs[0], p, omx) if self.with_dt else None
+            if chain:
+                thn = [a * b for a, b in zip(ths, thn)]
+                dtn = None if dtn is None else dt + dtn
+            step(chain + ((x, omx, v, omv),), wn, thn, dtn, isc and isc_v)
 
 
 def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, level: int, with_dt: bool):
@@ -266,6 +487,22 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
     accumulator, times |dt|, and on coarse nodes the coarse one) is skipped
     at that leaf: each of those round-to-nearest additions would return the
     accumulator unchanged.
+
+    The same test runs before any work below a node.  At the root and at
+    each inner node, once the node's theta is known, ``_tally`` bounds every
+    leaf term below it by the node's own factors (weights, window, x_i,
+    theta), theta's t-dependent factor at its peak over (0, x] (``peak``)
+    once per level below, the elementary products through x_1 (e_r < 3 x_1^r)
+    and, per level below, one grid constant max_j w_j v_j^a (1 - v_j)^c.
+    With b1 < 0, theta's (1 - x)^b1 below an inner node is bounded through
+    each 1 - v_j or through the node's own 1 - x_k, whichever gives a child
+    the lower bound.  |dt| is bounded by the prefix sum plus ``dt_log_sup`` per level below,
+    and where that sup is infinite (III's 1/u) the dt test never passes.
+    Every exponent is rounded outward, plus ``_MARGIN`` bits.  If no leaf
+    term can change an accumulator, the node's subtree is skipped; otherwise
+    each child is tested with its own grid value in place of the constant,
+    before its theta, coupling or elementary products are computed.  Nothing
+    that is skipped would have been added, so no returned bit moves.
     """
     if m > 3:
         raise UsageError("desk scale: m <= 3")
@@ -274,93 +511,26 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
         raise UsageError(f"family {J} uses a complex polyline; the real simplex grid does not apply")
     for t in ts:
         check_domain(J, t, params)
+    b0, b1 = fam.exponents({k: as_rat(v) for k, v in params.items() if v is not None})
+    # (1 - x_k)^b1 bounds theta's (1 - x)^b1 below a node only where the node
+    # has an x_k < 1 and b1 < 0 makes the choice matter
+    both = b1 is not None and b1 < 0
+    tallies = [[_tally(k, m, b0, b1, 2 * as_rat(hbar), at) for at in (False, True)[: 1 + (both and k > 0)]] for k in range(m)]
     with mp.workprec(prec):
         tvs = [_to_mpf(as_rat(t)) for t in ts]
-        p = _mp_params(params)
-        beta = 2 * _to_mpf(as_rat(hbar))
         pts, _ = _grid(level, prec, _tail_power(J, params))
-        keys = list(itertools.product(range(m + 1), repeat=N))
-        one, rnd = mpmath.mpf(1), round_nearest
-        # the key products and sums run on raw mpf tuples, rounded as mpf * and + round
-        accs = [[fzero] * len(keys) for _ in ts]
-        acc_dt, acc_coarse = [fzero] * len(keys), [fzero] * len(keys)
-
-        def leaf(chain, wprod, ths, dt, isc):
-            xs = tuple(link[0] for link in chain)
-            weight = wprod * window
-            for x in xs[:-1]:
-                weight *= x
-            coupling = _coupling(chain, beta)
-            es = [e._mpf_ for e in _elementary(xs, m)]
-            # every key's value is below 2^(E(base) + grow) (see the docstring)
-            grow = N * max(0, max(e[2] + e[3] for e in es[1:])) + N + 1
-            for i, th in enumerate(ths):
-                base = weight * th if coupling is None else weight * th * coupling
-                if not mpmath.isfinite(base):
-                    raise QuadratureError(f"non-finite integrand near {xs}")
-                # skip the t when round-to-nearest would discard each of its additions
-                bound = base._mpf_[2] + base._mpf_[3] + grow
-                skip = _negligible(bound, accs[i], prec)
-                if skip and i == 0:
-                    # a dt addend is val * dt, below 2^(bound + E(dt) + 1)
-                    skip = (not with_dt or _negligible(bound + dt._mpf_[2] + dt._mpf_[3] + 1, acc_dt, prec)) and (
-                        not isc or _negligible(bound, acc_coarse, prec)
-                    )
-                if skip:
-                    continue
-                vals = [base._mpf_]
-                for _ in range(N):
-                    vals = [val if r == 0 else mul(val, es[r], prec, rnd) for val in vals for r in range(m + 1)]
-                accs[i] = [add(a, val, prec, rnd) for a, val in zip(accs[i], vals)]
-                if i == 0 and with_dt:
-                    acc_dt[:] = [add(a, mul(val, dt._mpf_, prec, rnd), prec, rnd) for a, val in zip(acc_dt, vals)]
-                if i == 0 and isc:
-                    acc_coarse[:] = [add(a, val, prec, rnd) for a, val in zip(acc_coarse, vals)]
-
-        # ordered simplex u_1 > u_2 > ... via u_i = u_{i-1} v_i; differences and
-        # complements composed stably: 1 - x1 v = (1 - x1) + x1 (1 - v)
-        def descend(chain, wprod, ths, dt, isc):
-            for v, omv, w, isc_v in pts:
-                if chain:
-                    x_prev, omx_prev = chain[-1][:2]
-                    x, omx, wn = x_prev * v, omx_prev + x_prev * omv, wprod * w
-                else:
-                    x, wn = v * window, w
-                    omx = omv if fam.contour == UNIT else one - x
-                static, dynamic = fam.parts(x, tvs, p, omx)
-                thn = [static * d for d in dynamic]
-                dtn = fam.dt_log_at(x, tvs[0], p, omx) if with_dt else None
-                iscn = isc_v
-                if chain:
-                    thn = [a * b for a, b in zip(ths, thn)]
-                    dtn = None if dtn is None else dt + dtn
-                    iscn = isc and isc_v
-                (descend if len(chain) + 1 < m else leaf)(chain + ((x, omx, v, omv),), wn, thn, dtn, iscn)
-
         window = _to_mpf(max(fam.window(tv) for tv in tvs))
-        descend((), None, None, None, None)
+        sweep = _Sweep(fam, N, m, tvs, _mp_params(params), 2 * _to_mpf(as_rat(hbar)), pts, window, tallies, prec, with_dt)
+        sweep.descend((), None, None, None, True)
 
-        raw = mp.make_mpf
-        coeffs = [dict(zip(keys, map(raw, acc))) for acc in accs]
+        raw, keys = mp.make_mpf, sweep.keys
+        coeffs = [dict(zip(keys, map(raw, acc))) for acc in sweep.accs]
         scales = [max(abs(v) for v in c.values()) for c in coeffs]
         if min(scales) == 0:
             raise QuadratureError("wave function vanished identically on the grid")
         # the coarse sum uses the same weights * 2 (h doubled)
-        err = max(abs(coeffs[0][k] - 2 ** (m) * raw(c)) for k, c in zip(keys, acc_coarse)) / scales[0]
-        return coeffs, (dict(zip(keys, map(raw, acc_dt))) if with_dt else None), err
-
-
-def _elementary(us, m):
-    es = [mpmath.mpf(1)]
-    for r in range(1, m + 1):
-        total = mpmath.mpf(0)
-        for combo in itertools.combinations(us, r):
-            prod = mpmath.mpf(1)
-            for x in combo:
-                prod *= x
-            total += prod
-        es.append(total)
-    return es
+        err = max(abs(coeffs[0][k] - 2 ** (m) * raw(c)) for k, c in zip(keys, sweep.acc_coarse)) / scales[0]
+        return coeffs, (dict(zip(keys, map(raw, sweep.acc_dt))) if with_dt else None), err
 
 
 def phi_value(coeffs, z, m):

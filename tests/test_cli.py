@@ -202,6 +202,17 @@ def test_level_zero_still_runs():
     assert json.loads(proc.stdout)["schema"] == 1
 
 
+def test_low_levels_report_a_real_grid_error_or_none():
+    # level 1 skipped its level-0 coarse grid and printed "grid error 1.0"
+    argv = ("verify", "pde", "--family", "V", "--mode", "numeric", "--level")
+    (one,) = json.loads(run_cli(*argv, "1").stdout)["checks"]
+    assert "grid error 0.08794;" in one["detail"]
+    zero = run_cli(*argv, "0")
+    (rec,) = json.loads(zero.stdout)["checks"]
+    assert zero.returncode == 1 and not rec["ok"]
+    assert rec["detail"] == "quadrature failed: level 0 has no coarser grid to estimate the error against"
+
+
 def test_radial_with_no_trials_is_a_usage_error():
     # was an ok record over "(0 random points)"
     assert_usage_error(run_cli("verify", "radial", "--family", "II", "--N", "2", "--trials", "0"))

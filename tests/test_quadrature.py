@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, fzero, mpf_add, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
 from cpverify import families, moments
-from cpverify.errors import DomainError, UsageError
+from cpverify.errors import DomainError, QuadratureError, UsageError
 from cpverify.exact import session_registry
 from cpverify import quadrature
 from cpverify.moments import MasterFunction, ibp_relation, ibp_relation_partial_vi
@@ -213,13 +214,15 @@ GOLDEN_SIMPLEX_V = {
         "1537/1024": ("0def90d4b2a98d83", "bb052cd2a282539f", "93994d89dfe82ca6"),
         "1535/1024": ("feb405e26697896a", "76d7fd3f8d98651a", "dc1252673070037b"),
     },
-    # m = 3: the deepest branch of the simplex recursion
+    # m = 3: the deepest branch of the simplex recursion.  err is level 1's
+    # gap to its level-0 grid: 0.0675 at t = 3/2, the gap to the
+    # coefficients of a level-0 sweep
     (1, 3, 1): {
-        "3/2": ("72667ed17aa3f3be", "dc7ab280e7f7cfac", "23595d577ba590f5"),
-        "769/512": ("eab1f4379bd713e8", "d763dfb8cc35bd86", "23595d577ba590f5"),
-        "767/512": ("c07f2e8ec1fa774e", "69a89d723c314180", "23595d577ba590f5"),
-        "1537/1024": ("e824cae5220f5293", "99f0c317c58f84cd", "23595d577ba590f5"),
-        "1535/1024": ("60d60c45346ab562", "195b8b01ef1e83f8", "23595d577ba590f5"),
+        "3/2": ("72667ed17aa3f3be", "dc7ab280e7f7cfac", "16f6b4957883111f"),
+        "769/512": ("eab1f4379bd713e8", "d763dfb8cc35bd86", "99a649d783a313e4"),
+        "767/512": ("c07f2e8ec1fa774e", "69a89d723c314180", "90b531f7e1c22367"),
+        "1537/1024": ("e824cae5220f5293", "99f0c317c58f84cd", "1ccedd438a226177"),
+        "1535/1024": ("60d60c45346ab562", "195b8b01ef1e83f8", "03aa587dab9a57b6"),
     },
 }
 
@@ -391,3 +394,125 @@ def test_a_skipped_addition_leaves_the_sum_unchanged(prec, neg, man, exp, neg_x,
     x = from_man_exp(-man_x if neg_x else man_x, top(acc) - prec + offset - man_x.bit_length())
     if quadrature._negligible(top(x), [acc], prec):
         assert mpf_add(acc, x, prec, round_nearest) == acc
+
+
+# ---------------------------------------------------------------------------
+# The sweep skips a node's subtree, or a child before its weight is computed,
+# only on bounds that cover every addend below.
+# ---------------------------------------------------------------------------
+
+
+def audit_sweep(J, seed, N, m, hbar, level, with_dt, scale=1):
+    """Run one sweep with every skip before a leaf turned off; check each node's bounds against its leaves.
+
+    t is the family's sampled t times ``scale``, which keeps it admissible.
+    For every leaf, the values it adds for each t (base times the keys'
+    elementary products), times dt for ts[0], and its coarse addend must lie
+    below 2^(bounds[j] + need) of every ancestor node whose child j holds it.
+    Returns the number of leaves checked.
+    """
+    t, params = families.weighted(J).sample(random.Random(seed))
+    t *= scale
+    ts = [t, t - Fraction(1, 512)]
+    nodes, leaves = {}, []
+    needs, leaf = quadrature._Sweep.needs, quadrature._Sweep.leaf
+
+    def record_needs(self, chain, wprod, ths, dt):
+        nodes[tuple(map(id, chain))] = out = needs(self, chain, wprod, ths, dt)
+        return out
+
+    def record_leaf(self, chain, wprod, ths, dt, isc):
+        bases, es = quadrature._addends(chain, wprod, ths, self.window, self.beta, self.prec)
+        leaves.append((self, chain, bases, es, dt, isc))
+        return leaf(self, chain, wprod, ths, dt, isc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature._Sweep, "needs", record_needs)
+        patch.setattr(quadrature._Sweep, "leaf", record_leaf)
+        patch.setattr(quadrature._Sweep, "room", lambda self, reqs, isc: -math.inf)
+        quadrature._simplex_sweep(J, N, m, hbar, ts, params, 64, level, with_dt)
+    rnd = round_nearest
+    for sweep, chain, bases, es, dt, isc in leaves:
+        index = {id(pt[0]): j for j, pt in enumerate(sweep.pts)}
+        tops = {}
+        for i, base in enumerate(bases):
+            vals = [base._mpf_]
+            for _ in range(N):
+                vals = [val if r == 0 else mpf_mul(val, es[r - 1], 64, rnd) for val in vals for r in range(m + 1)]
+            tops[i] = max(map(top, vals))
+            if i == 0 and isc:
+                tops[sweep.COARSE] = tops[0]
+            if i == 0 and with_dt:
+                tops[sweep.DT] = max(top(mpf_mul(val, dt._mpf_, 64, rnd)) for val in vals)
+        for k in range(m):
+            reqs, bounds = nodes[tuple(map(id, chain[:k]))]
+            j = index[id(chain[k][2])]
+            for c, need in reqs:
+                if c in tops:
+                    assert tops[c] <= bounds[j] + need, (J, params, t, k, c)
+    return len(leaves)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["III", "IV", "V", "VI"]),
+    st.integers(0, 2**16),
+    st.sampled_from([(1, 2, 2), (2, 2, 2), (1, 3, 1)]),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(-1, 4)]),
+    st.booleans(),
+    # a large |t| makes theta's t-dependent factor span many bits
+    st.sampled_from([1, 8]),
+)
+def test_skip_bounds_cover_every_leaf_below(J, seed, shape, hbar, with_dt, scale):
+    N, m, level = shape
+    assert audit_sweep(J, seed, N, m, hbar, level, with_dt, scale) > 0
+
+
+def test_the_skip_bounds_hold_at_the_acceptance_points():
+    # the shapes the suite and the benchmark sweep, at a level the audit can afford
+    assert audit_sweep("V", 0, 2, 2, Fraction(1, 2), 2, True) > 0
+    assert audit_sweep("VI", 0, 2, 2, Fraction(1, 2), 2, True) > 0
+    assert audit_sweep("IV", 0, 2, 2, 1, 2, False) > 0
+
+
+def count_weights(monkeypatch, *args, **kwargs):
+    calls = [0]
+    parts = families.Family.parts
+
+    def counted(self, *a):
+        calls[0] += 1
+        return parts(self, *a)
+
+    monkeypatch.setattr(families.Family, "parts", counted)
+    simplex_phi_coeffs(*args, **kwargs)
+    return calls[0]
+
+
+def test_the_sweep_skips_most_dead_weight_evaluations(monkeypatch):
+    # without the skips before a leaf the sweep evaluates the weight at every
+    # node: 87 + 87^2 = 7656 times for V (2, 2) at level 3, and 7310 times for
+    # IV's determinant cross-path shape at level 3; a bound that stops
+    # skipping shows here
+    assert count_weights(monkeypatch, "V", 2, 2, Fraction(1, 2), T_V, P_V, prec=64, level=3) <= 0.52 * 7656
+    calls = count_weights(monkeypatch, "IV", 2, 2, 1, Fraction(1, 3), {"b": Fraction(-1, 3)}, prec=96, level=3, with_dt=False)
+    assert calls <= 0.22 * 7310
+
+
+def test_level_one_error_is_the_gap_to_the_level_zero_sweep(monkeypatch):
+    # the err digests of GOLDEN_SIMPLEX_V[(1, 3, 1)] pin this value
+    shape = ("V", 1, 3, Fraction(1, 2), T_V, P_V)
+    fine, _, err = simplex_phi_coeffs(*shape, prec=64, level=1, with_dt=False)
+    # the sweep over the level-0 nodes, laid out as a level is, with no coarser grid
+    pts = []
+    for j, (up, un, w) in enumerate(ts_nodes(0, 64, quadrature._tail_power("V", P_V))):
+        pts += [(up, un, w, False)] + ([(un, up, w, False)] if j else [])
+    monkeypatch.setattr(quadrature, "_grid", lambda level, prec, tail_power: (pts, []))
+    coarse, _, _ = simplex_phi_coeffs(*shape, prec=64, level=1, with_dt=False)
+    with mpmath.mp.workprec(64):
+        assert err == max(abs(fine[k] - coarse[k]) for k in fine) / max(map(abs, fine.values()))
+    assert err < mpmath.mpf("0.1")
+
+
+def test_level_zero_has_no_coarser_grid():
+    with pytest.raises(QuadratureError, match="level 0 has no coarser grid"):
+        simplex_phi_coeffs("V", 1, 1, 1, T_V, P_V, prec=64, level=0)
