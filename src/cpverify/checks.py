@@ -508,7 +508,7 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
             return k, 1 if (with_rho and kind == "rho") else 0
 
         # every moment the relations reference, evaluated in one pass
-        keys = sorted({moment_key(kind, k, with_rho) for rel, with_rho in relations for ((kind, k),) in rel.terms})
+        keys = sorted({moment_key(kind, k, with_rho) for rel, with_rho in relations for (kind, k) in rel})
         nu = {key: value for key, (value, _) in quadrature.moments_numeric(J, keys, t, params, prec=prec).items()}
 
         def residual(rel, with_rho):
@@ -517,8 +517,7 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
             total = mpmath.mpf(0)
             coeff_sum = mpmath.mpf(0)
             mom_max = mpmath.mpf(0)
-            for key, coeff in rel.terms.items():
-                ((kind, k),) = key
+            for (kind, k), coeff in rel.items():
                 cv = coeff.eval({"t": t, "nu0": 0, "nu1": 0})
                 mom = nu[moment_key(kind, k, with_rho)]
                 total += (mpmath.mpf(cv.numerator) / cv.denominator) * mom

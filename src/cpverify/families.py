@@ -408,6 +408,7 @@ def family(name: str) -> Family:
 
 def weighted(name: str) -> Family:
     """A family with a beta-integral weight (II..VI)."""
-    if name not in WEIGHTED:
-        raise UsageError(f"unknown family {name!r}")
-    return _BY_NAME[name]
+    fam = family(name)
+    if fam.contour is None:
+        raise UsageError(f"family {name!r} has no beta-integral weight")
+    return fam

@@ -6,9 +6,10 @@ expectation value is a polynomial in the 1-D moments nu_k = int u^k Theta du
 (family VI also meets rho_k = int u^k (t-u)^{-1} Theta du).  Total-derivative
 (divergence) identities generate linear relations among the moments; this
 module derives those relations from the master-function data itself, reduces
-everything to the seed moments nu_0, nu_1, and checks the Schroedinger
-equation as an exact polynomial identity in z and the seeds with rational
-functions of t as coefficients.
+each moment to the seed moments nu_0, nu_1 as a linear form, and checks the
+Schroedinger equation as an exact polynomial identity in z and the seeds with
+rational functions of t as coefficients.  The only product of moments is the
+m-fold one that ``build_phi`` forms.
 
 No recursion coefficient is hard-coded: every reduction rule is solved out of
 a generated divergence relation (the numeric quadrature module cross-checks
@@ -46,104 +47,17 @@ class MasterFunction:
         self.dt_log = fam.dt_log(self.params)
 
 
-class MomentExpr:
-    """Linear combination of products of moment symbols, RatFun(t) coefficients.
+# A linear form is a dict {("nu" | "rho", k): RatFun(t)}: the sum of coefficient
+# times moment.  Every relation, replacement and reduction below is one, with no
+# zero coefficients.
 
-    A symbol is ('nu', k) or ('rho', k); a product key is a sorted tuple of
-    symbols; the empty tuple is the constant term.
-    """
 
-    __slots__ = ("reg", "terms")
+def _bump(form: dict, sym, c: RatFun) -> None:
+    form[sym] = form[sym] + c if sym in form else c
 
-    def __init__(self, reg: Registry, terms: dict | None = None):
-        self.reg = reg
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
 
-    @classmethod
-    def symbol(cls, reg, kind: str, k: int, coeff=1):
-        return cls(reg, {((kind, k),): as_ratfun(coeff, reg)})
-
-    @classmethod
-    def const(cls, reg, c):
-        return cls(reg, {(): as_ratfun(c, reg)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return MomentExpr(self.reg, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = as_ratfun(c, self.reg)
-        return MomentExpr(self.reg, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                prod = v1 * v2
-                s = out.get(key)
-                out[key] = prod if s is None else s + prod
-        return MomentExpr(self.reg, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def symbols(self):
-        return {s for key in self.terms for s in key}
-
-    def substitute(self, sym, replacement: "MomentExpr") -> "MomentExpr":
-        """Replace occurrences of sym one power per pass, until none remain."""
-        cur = self
-        while True:
-            out = MomentExpr(self.reg)
-            hit = False
-            for key, coeff in cur.terms.items():
-                if sym in key:
-                    hit = True
-                    rest = list(key)
-                    rest.remove(sym)
-                    out = out + MomentExpr(self.reg, {tuple(rest): coeff}) * replacement
-                else:
-                    out = out + MomentExpr(self.reg, {key: coeff})
-            cur = out
-            if not hit:
-                return cur
-
-    def to_ratfun(self, seed_map=None) -> RatFun:
-        """Seeds-only expression as a RatFun in (t, nu0, nu1)."""
-        reg = self.reg
-        if seed_map is None:
-            seed_map = {("nu", 0): "nu0", ("nu", 1): "nu1"}
-        acc = RatFun.const(reg, 0)
-        for key, coeff in self.terms.items():
-            mono = RatFun.const(reg, 1)
-            for sym in key:
-                if sym not in seed_map:
-                    raise InternalError(f"non-seed symbol {sym} survived reduction")
-                mono = mono * RatFun.var(reg, seed_map[sym])
-            acc = acc + coeff * mono
-        return acc
-
-    def to_str(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            name = "*".join(f"{kind}{k}" for kind, k in key) or "1"
-            parts.append(f"({self.terms[key].to_str()})*{name}")
-        return " + ".join(parts)
-
-    __repr__ = to_str
+def _nonzero(form: dict) -> dict:
+    return {sym: c for sym, c in form.items() if not c.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +65,20 @@ class MomentExpr:
 # ---------------------------------------------------------------------------
 
 
-def ibp_relation(mf: MasterFunction, n: int) -> MomentExpr:
-    """0 = int d/du [u^n clearing(u) Theta(u)] du expanded into nu symbols.
+def ibp_relation(mf: MasterFunction, n: int) -> dict:
+    """0 = int d/du [u^n clearing(u) Theta(u)] du as a linear form in nu symbols.
 
     d/du [u^n c Theta] = (sum_j (n+j) c_j u^{n+j-1} + u^n logd_num) Theta.
     """
     if n < mf.min_n:
         raise UsageError(f"relation index {n} below the admissible minimum {mf.min_n}")
-    reg = mf.reg
-    coeffs: dict = {}
-
-    def bump(idx, c):
-        if idx in coeffs:
-            coeffs[idx] = coeffs[idx] + c
-        else:
-            coeffs[idx] = c
-
+    rel: dict = {}
     for j, cj in mf.clearing.items():
         if n + j != 0:
-            bump(n + j - 1, cj * Fraction(n + j))
+            _bump(rel, ("nu", n + j - 1), cj * Fraction(n + j))
     for j, gj in mf.logd_num.items():
-        bump(n + j, gj)
-    return MomentExpr(reg, {(("nu", k),): coeff for k, coeff in coeffs.items()})
+        _bump(rel, ("nu", n + j), gj)
+    return _nonzero(rel)
 
 
 def _div_by_t_minus_u(p: dict, t: RatFun, reg: Registry):
@@ -187,7 +93,7 @@ def _div_by_t_minus_u(p: dict, t: RatFun, reg: Registry):
     return {i: c for i, c in enumerate(q) if not c.is_zero()}, r
 
 
-def ibp_relation_partial_vi(mf: MasterFunction, n: int) -> MomentExpr:
+def ibp_relation_partial_vi(mf: MasterFunction, n: int) -> dict:
     """Family VI divergence with the partial clearing u(1-u): brings in rho_n.
 
     u(1-u) Theta'/Theta = logd_num(u)/(t-u) = q(u) + r/(t-u) by division.
@@ -197,47 +103,39 @@ def ibp_relation_partial_vi(mf: MasterFunction, n: int) -> MomentExpr:
     if n < 0:
         raise UsageError("relation index must be nonnegative")
     reg = mf.reg
-    t = RatFun.var(reg, "t")
-    q, r = _div_by_t_minus_u(mf.logd_num, t, reg)
-    coeffs: dict = {}
-
-    def bump(idx, c):
-        coeffs[idx] = coeffs.get(idx, RatFun.const(reg, 0)) + c
-
+    q, r = _div_by_t_minus_u(mf.logd_num, RatFun.var(reg, "t"), reg)
+    rel: dict = {}
     # d/du [u^{n+1}(1-u)] = (n+1) u^n - (n+2) u^{n+1}
-    bump(n, RatFun.const(reg, n + 1))
-    bump(n + 1, RatFun.const(reg, -(n + 2)))
+    _bump(rel, ("nu", n), RatFun.const(reg, n + 1))
+    _bump(rel, ("nu", n + 1), RatFun.const(reg, -(n + 2)))
     for j, gj in q.items():
-        bump(n + j, gj)
-    expr = MomentExpr(reg, {(("nu", k),): coeff for k, coeff in coeffs.items()})
-    return expr + MomentExpr.symbol(reg, "rho", n, r)
+        _bump(rel, ("nu", n + j), gj)
+    rel[("rho", n)] = r
+    return _nonzero(rel)
 
 
-def rho_reduction(mf: MasterFunction, k: int) -> MomentExpr:
+def rho_reduction(mf: MasterFunction, k: int) -> dict:
     """rho_k through rho_0 and nu's via u^k = (t-u) q(u) + t^k (division identity)."""
     reg = mf.reg
-    t = RatFun.var(reg, "t")
-    q, r = _div_by_t_minus_u({k: RatFun.const(reg, 1)}, t, reg)
-    expr = MomentExpr.symbol(reg, "rho", 0, r)
-    for j, coeff in q.items():
-        expr = expr + MomentExpr.symbol(reg, "nu", j, coeff)
-    return expr
+    q, r = _div_by_t_minus_u({k: RatFun.const(reg, 1)}, RatFun.var(reg, "t"), reg)
+    return {("rho", 0): r, **{("nu", j): c for j, c in q.items()}}
 
 
-def _solve_for(rel: MomentExpr, sym) -> MomentExpr:
-    coeff = rel.terms.get((sym,))
-    if coeff is None or coeff.is_zero():
-        raise UsageError(f"relation does not determine {sym} (resonant parameters): {rel.to_str()}")
-    rest = MomentExpr(rel.reg, {k: v for k, v in rel.terms.items() if k != (sym,)})
-    return rest.scale(RatFun.const(rel.reg, -1) / coeff)
+def _solve_for(rel: dict, sym) -> dict:
+    coeff = rel.get(sym)
+    if coeff is None:
+        shown = " + ".join(f"({c.to_str()})*{kind}{k}" for (kind, k), c in sorted(rel.items())) or "0"
+        raise UsageError(f"relation does not determine {sym} (resonant parameters): {shown}")
+    scale = RatFun.const(coeff.reg, -1) / coeff
+    return {s: c * scale for s, c in rel.items() if s != sym}
 
 
 class MomentReducer:
     """Deterministic elimination to a two-moment seed basis.
 
-    Highest nu indices are eliminated through the divergence relation whose
-    top index matches; rho symbols collapse to rho_0 by the division identity
-    and then to seeds via the partial-clearing relation; family III's nu_{-1}
+    Each nu_k with k >= 2 is solved out of the divergence relation whose top
+    index is k; rho symbols collapse to rho_0 by the division identity and
+    then to seeds via the partial-clearing relation; family III's nu_{-1}
     (from d/dt) is solved downward, dividing by t.
 
     Seeds are (nu_0, nu_1) except at a family-VI resonance: when
@@ -251,7 +149,6 @@ class MomentReducer:
 
     def __init__(self, mf: MasterFunction):
         self.mf = mf
-        self._cache: dict = {}
         self.resonant_n = None
         second = ("nu", 1)
         if mf.family == "VI":
@@ -260,71 +157,57 @@ class MomentReducer:
                 self.resonant_n = int(total) - 1
                 second = ("nu", self.resonant_n + 2)
         self.seed_map = {("nu", 0): "nu0", second: "nu1"}
+        one = RatFun.const(mf.reg, 1)
+        self._forms = {sym: {sym: one} for sym in self.seed_map}
+        # the resonant relation is reduced with nu_1 not yet pinned
+        self._free = {sym: {sym: one} for sym in (("nu", 0), ("nu", 1))}
 
-    def replacement(self, sym) -> MomentExpr:
-        if sym in self._cache:
-            return self._cache[sym]
+    def replacement(self, sym) -> dict:
+        """The linear form that one relation gives for sym."""
         kind, k = sym
         mf = self.mf
         if kind == "rho":
-            if k >= 1:
-                repl = rho_reduction(mf, k)
-            else:
-                repl = _solve_for(ibp_relation_partial_vi(mf, 0), ("rho", 0))
-        elif kind == "nu" and k == 1 and self.resonant_n is not None:
+            return rho_reduction(mf, k) if k >= 1 else _solve_for(ibp_relation_partial_vi(mf, 0), sym)
+        if k == 1 and self.resonant_n is not None:
             # the resonant relation, reduced to {nu_0, nu_1}, pins nu_1 to nu_0
-            rel = ibp_relation(mf, self.resonant_n)
-            rel = self._reduce_with(rel, skip=(("nu", 1),))
-            repl = _solve_for(rel, ("nu", 1))
-        elif k >= 2:
-            rel = ibp_relation(mf, k - 2)
-            repl = _solve_for(rel, ("nu", k))
-        elif k < 0:
-            rel = ibp_relation(mf, k)  # lowest index of the relation is n itself
-            repl = _solve_for(rel, ("nu", k))
-        else:
-            raise InternalError(f"{sym} is already a seed")
-        self._cache[sym] = repl
-        return repl
+            return _solve_for(self._reduced(ibp_relation(mf, self.resonant_n), self._free), sym)
+        if k >= 2 or k < 0:
+            # for k < 0 the lowest index of relation k is k itself
+            return _solve_for(ibp_relation(mf, k - 2 if k >= 2 else k), sym)
+        raise InternalError(f"{sym} is already a seed")
 
-    def _reducible(self, sym) -> bool:
-        if sym in self.seed_map:
-            return False
-        kind, k = sym
-        if kind == "rho" or k >= 2 or k < 0:
-            return True
-        return k == 1 and self.resonant_n is not None
+    def _reduced(self, form: dict, forms: dict) -> dict:
+        out: dict = {}
+        for sym, c in form.items():
+            if sym not in forms:
+                forms[sym] = self._reduced(self.replacement(sym), forms)
+            for seed, v in forms[sym].items():
+                _bump(out, seed, c * v)
+        return _nonzero(out)
 
-    def _reduce_with(self, expr: MomentExpr, skip=()) -> MomentExpr:
-        guard = 0
-        while True:
-            pending = [s for s in expr.symbols() if self._reducible(s) and s not in skip]
-            if not pending:
-                return expr
-            pending.sort(key=lambda s: (0 if s[0] == "rho" else 1, -s[1]))
-            expr = expr.substitute(pending[0], self.replacement(pending[0]))
-            guard += 1
-            if guard > 10000:
-                raise InternalError("reduction failed to terminate")
-
-    def reduce(self, expr: MomentExpr) -> MomentExpr:
-        return self._reduce_with(expr)
+    def reduce(self, sym) -> dict:
+        """sym as a linear form in the seeds, computed once per symbol."""
+        if sym not in self._forms:
+            self._forms[sym] = self._reduced(self.replacement(sym), self._forms)
+        return self._forms[sym]
 
 
-def d_dt(expr: MomentExpr, reducer: MomentReducer) -> MomentExpr:
-    """Total t-derivative, reduced: product rule over coefficients and symbols."""
+def d_dt(sym, reducer: MomentReducer) -> dict:
+    """d/dt nu_k = int u^k (d/dt log Theta) Theta du, reduced to the seeds."""
     rate, shift, s = reducer.mf.dt_log
-    reg = expr.reg
-    out = MomentExpr(reg)
-    for key, coeff in expr.terms.items():
-        out = out + MomentExpr(reg, {key: coeff.deriv("t")})
-        for i, sym in enumerate(key):
-            if sym[0] != "nu":
-                raise UsageError("reduce before differentiating (rho present)")
-            new_sym = ("rho" if s else "nu", sym[1] + shift)
-            rest = key[:i] + key[i + 1 :]
-            out = out + MomentExpr(reg, {tuple(sorted(rest + (new_sym,))): coeff * rate})
-    return reducer.reduce(out)
+    kind, k = sym
+    if kind != "nu":
+        raise UsageError(f"d/dt applies to nu moments, not {sym}")
+    return _nonzero({seed: c * rate for seed, c in reducer.reduce(("rho" if s else "nu", k + shift)).items()})
+
+
+def _seed_ratfun(form: dict, reducer: MomentReducer) -> RatFun:
+    """A seeds-only linear form as a RatFun in (t, nu0, nu1)."""
+    reg = reducer.mf.reg
+    acc = RatFun.const(reg, 0)
+    for sym, c in form.items():
+        acc = acc + c * RatFun.var(reg, reducer.seed_map[sym])
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +239,18 @@ def build_phi(J: str, N: int, m: int, hbar: int, params: dict, reg: Registry | N
         for i in range(1, m + 1):
             integrand = integrand * (ureg.var(f"z{rho}") - ureg.var(f"u{i}"))
     uidx = [ureg.index[f"u{i}"] for i in range(1, m + 1)]
-    cache: dict = {}
+    nus: dict = {}  # k -> nu_k as a RatFun in (t, nu0, nu1)
+    cache: dict = {}  # sorted u-powers -> the product of their nu's
     phi = RatFun.const(reg, 0)
     for exps, coeff in integrand.terms.items():
         powers = tuple(sorted(exps[i] for i in uidx))
         reduced = cache.get(powers)
         if reduced is None:
-            me = MomentExpr.const(reg, 1)
+            reduced = RatFun.const(reg, 1)
             for k in powers:
-                me = me * MomentExpr.symbol(reg, "nu", k)
-            reduced = reducer.reduce(me).to_ratfun(reducer.seed_map)
+                if k not in nus:
+                    nus[k] = _seed_ratfun(reducer.reduce(("nu", k)), reducer)
+                reduced = reduced * nus[k]
             cache[powers] = reduced
         zmono = [0] * len(reg.names)
         for i, name in enumerate(ureg.names):
@@ -377,11 +262,9 @@ def build_phi(J: str, N: int, m: int, hbar: int, params: dict, reg: Registry | N
 
 def phi_time_derivative(phi: RatFun, reducer: MomentReducer) -> RatFun:
     """d/dt of a seeds-only wave function, treating nu0, nu1 as t-dependent."""
-    reg = phi.num.reg
     out = phi.deriv("t")
     for sym, name in reducer.seed_map.items():
-        rate = d_dt(MomentExpr.symbol(reg, sym[0], sym[1]), reducer).to_ratfun(reducer.seed_map)
-        out = out + phi.deriv(name) * rate
+        out = out + phi.deriv(name) * _seed_ratfun(d_dt(sym, reducer), reducer)
     return out
 
 

@@ -79,6 +79,22 @@ def assert_usage_error(proc):
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
 
 
+def test_doubly_resonant_vi_point_is_a_usage_error():
+    # at b = -1, c = 0 (m = hbar = 1) the resonant relation reduces to 0 and pins no nu_1
+    proc = run_cli(
+        "verify", "pde", "--family", "VI", "--mode", "symbolic", "--N", "1", "--m", "1", "--hbar", "1", "--params", "b=-1,c=0"
+    )
+    assert_usage_error(proc)
+    assert proc.stderr == "usage error: relation does not determine ('nu', 1) (resonant parameters): 0\n"
+
+
+def test_family_without_a_weight_is_named_as_such():
+    for kind in ("cp", "nagoya"):
+        proc = run_cli("print", "hamiltonian", "--family", "I", "--kind", kind)
+        assert_usage_error(proc)
+        assert proc.stderr == "usage error: family 'I' has no beta-integral weight\n"
+
+
 def test_zero_hbar_is_a_usage_error():
     assert_usage_error(run_cli("verify", "gauge", "--hbar", "0"))
 
