@@ -80,19 +80,21 @@ class Family:
     def random_thetas(self, rng) -> dict:
         return {k: Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for k in self.radial_keys}
 
-    def parts(self, u, ts, p: dict, omu):
+    def parts(self, u, ts, p: dict, omu, exps):
         """Theta's t-free power factor and its t-dependent factor at each t in ``ts``.
 
-        Their product is the weight's own left-to-right product, bit for bit.
+        ``exps`` is ``exponents(p)``, which a caller evaluates once for all its
+        nodes.  The product of the two factors is the weight's own
+        left-to-right product, bit for bit.
         """
-        b0, b1 = self.exponents(p)
+        b0, b1 = exps
         static = 1 if b0 is None else u**b0
         if b1 is not None:
             static = static * omu**b1
         return static, [self.factor(u, t, p, omu) for t in ts]
 
     def theta(self, u, t, p: dict, omu):
-        static, (dynamic,) = self.parts(u, (t,), p, omu)
+        static, (dynamic,) = self.parts(u, (t,), p, omu, self.exponents(p))
         return static * dynamic
 
     def dt_log_at(self, u, t, p: dict, omu):

@@ -13,13 +13,19 @@ returns such a sum unchanged, so the skip changes no bit.  The same test runs
 before the work: each node bounds every leaf term below it from exponents
 (``_tally``, the family's ``peak`` and ``dt_log_sup``, one constant per grid
 level), so a dead subtree is skipped whole and a dead child before its
-weight, coupling or elementary products are computed.  The grid error
-compares a level with the next coarser one; level 0 has none and raises.
+weight, coupling or elementary products are computed.  Keys with the same
+word of nonzero indices are the same products in the same order, so they
+share one accumulator.  The grid error compares a level with the next
+coarser one; level 0 has none and raises.  An m-fold integral that fails
+Selberg's condition is rejected before the sweep.
 One-dimensional moments for a set of (k, s): on every real contour one pass
-over the same tanh-sinh grid, whose coarse error sum reuses the fine nodes;
-only family II's complex polyline takes one mpmath.quad per k, with both legs,
-theta(u) and theta(u omega), evaluated once per node.  The hbar = 1
-determinant cross-path takes its modified moments from one such pass.
+over the same tanh-sinh grid, whose coarse error sum reuses the fine nodes,
+summed on raw mpf tuples; a node whose terms an exponent bound puts below a
+quarter ulp of every sum they would join is skipped before its weight
+(``_line_tops``, the same ``_negligible`` rule).  Only family II's complex
+polyline takes one mpmath.quad per k, with both legs, theta(u) and
+theta(u omega), evaluated once per node.  The hbar = 1 determinant
+cross-path takes its modified moments from one such pass.
 
 Entry points: ``theta`` (the weight at one point), ``moments_numeric`` (the
 1-D moments; ``moment_numeric`` for one key), ``simplex_phi_coeffs`` (the
@@ -39,7 +45,7 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import fzero, mpf_add as add, mpf_mul as mul, round_nearest
+from mpmath.libmp import fzero, mpf_add as add, mpf_div, mpf_mul as mul, mpf_pow_int, round_nearest
 
 from .diffop import apply_op, build_cp_hamiltonian, zvars
 from .errors import DomainError, QuadratureError, UsageError
@@ -85,7 +91,10 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
     s = 1 is the rho-moment and is meaningful for family VI only.  The half
     line is cut to the window (0, L(t)) the simplex sweep cuts, so III's
     moments carry its e^{-L} cut: near 1e-57 for k <= 7, far below the
-    oracle's 1e-10 threshold.
+    oracle's 1e-10 threshold.  On a real contour the sums run on raw mpf
+    tuples and skip the nodes that cannot change them (``_line_sums``),
+    with the bits of the mpf expression w * u**k * theta summed node by
+    node; the error is |fine - 2 coarse|.
     """
     if any(s not in (0, 1) for _, s in keys):
         raise UsageError("s must be 0 or 1")
@@ -119,21 +128,77 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
         # fine nodes at twice the weight, plus the tail past the fine list, so
         # its sum is twice the sum of their terms.
         pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(J, params))
-        window = None if fam.contour == UNIT else _to_mpf(fam.window(tv))
-        fine, coarse = dict.fromkeys(keys, mpmath.mpf(0)), dict.fromkeys(keys, mpmath.mpf(0))
-        for u, omu, w, on_coarse, on_fine in [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]:
-            if window is not None:
-                u, w = u * window, w * window
-                omu = 1 - u
-            th = fam.theta(u, tv, p, omu)
-            terms = {k: w * u**k * th for k in {k for k, _ in keys}}
-            for key in fine:
-                v = terms[key[0]] / ((tv - 1) + omu) if key[1] else terms[key[0]]
-                if on_fine:
-                    fine[key] += v
-                if on_coarse:
-                    coarse[key] += v
-        return {key: (fine[key], abs(fine[key] - 2 * coarse[key])) for key in keys}
+        nodes = [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]
+        keys = list(dict.fromkeys(keys))
+        sums = _line_sums(fam, keys, tv, p, _exponents(J, params), nodes, None if fam.contour == UNIT else _to_mpf(fam.window(tv)), prec)
+        raw = mp.make_mpf
+        return {key: (raw(f), abs(raw(f) - 2 * raw(c))) for key, (f, c) in zip(keys, sums)}
+
+
+def _line_tops(u, omu, w, d, f, powers, den: int):
+    """Per key, in order, an integer B with |(w u^k) theta(u)| < 2^B, over |d| for s = 1.
+
+    ``powers`` holds (den (k + b0), den b1, s) per key and ``f`` bounds
+    theta's t-dependent factor at u.  Each power is bounded from E = exp + bc
+    as ``_log2_ub`` does, in units of 1/den so the sum stays an integer, then
+    rounded up; ``_MARGIN`` covers the roundings of the computed term.
+    """
+    Eu, Eomu = _E(u), _E(omu)
+    head = den * (_E(w) + _E(f) + _MARGIN)
+    for a, c, s in powers:
+        x = head + _log2_ub(Eu, a) + _log2_ub(Eomu, c) - (den * (d[2] + d[3] - 1) if s else 0)
+        yield -(-x // den)
+
+
+def _line_sums(fam, keys, tv, p: dict, bs, nodes, window, prec: int):
+    """Per key, [fine sum, coarse sum] over the nodes (u, 1-u, w, on_coarse, on_fine), as raw mpfs.
+
+    A key (k, s) adds (w u^k) theta(u), divided by (t - 1) + (1 - u) for
+    s = 1, rounded at ``prec`` as the mpf expression rounds; ``bs`` are
+    theta's exponents (b0, b1) as rationals.  Before theta,
+    ``_line_tops`` bounds a node's terms from exponents.  Theta's t-dependent
+    factor is bounded by its largest value on the contour, ``factor_sup`` at
+    the window's end, or, once a side of the grid has evaluated a node past
+    ``peak``, by the factor there: each side walks outward (v above 1/2
+    rising, the center and v below 1/2 falling), and the factor falls away
+    from its peak.  A node whose every term is ``_negligible`` against each
+    sum it would join is skipped: round-to-nearest would return those sums
+    unchanged, so no bit moves.
+    """
+    rnd = round_nearest
+    den = math.lcm(*(b.denominator for b in bs if b is not None))
+    b0, b1 = (0 if b is None else int(b * den) for b in bs)
+    powers = [(k * den + b0, b1, s) for k, s in keys]
+    ks = sorted({k for k, _ in keys})
+    end = window if window is not None else mpmath.mpf(1)
+    peak, fmax = fam.peak(tv, p), fam.factor_sup(end, tv, p, 1 - end)
+    tm1, rho = (tv - 1)._mpf_, any(s for _, s in keys)
+    exps = fam.exponents(p)
+    sums = [[fzero, fzero] for _ in keys]  # per key, the fine and the coarse sum
+    past = {}  # per side, the factor at its last evaluated node past the peak
+    for v, omv, w, on_coarse, on_fine in nodes:
+        u, omu = v, omv
+        if window is not None:
+            u, w = u * window, w * window
+            omu = 1 - u
+        side = _E(v) > _E(omv)  # v > 1/2
+        d = add(tm1, omu._mpf_, prec, rnd) if rho else None
+        joined = slice(0 if on_fine else 1, 2 if on_coarse else 1)
+        tops = _line_tops(u, omu, w, d, past.get(side, fmax), powers, den)
+        if all(_negligible(top, pair[joined], prec) for top, pair in zip(tops, sums)):
+            continue
+        static, (dynamic,) = fam.parts(u, (tv,), p, omu, exps)
+        if side in past or ((u >= peak) if side else (u <= peak)):
+            past[side] = dynamic
+        th, w, u = (static * dynamic)._mpf_, w._mpf_, u._mpf_
+        terms = {k: mul(mul(w, mpf_pow_int(u, k, prec, rnd), prec, rnd), th, prec, rnd) for k in ks}
+        for (k, s), pair in zip(keys, sums):
+            term = mpf_div(terms[k], d, prec, rnd) if s else terms[k]
+            if on_fine:
+                pair[0] = add(pair[0], term, prec, rnd)
+            if on_coarse:
+                pair[1] = add(pair[1], term, prec, rnd)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +259,9 @@ def _grid(level: int, prec: int, tail_power: float):
     if level < 1:
         raise QuadratureError("level 0 has no coarser grid to estimate the error against")
     nodes = ts_nodes(level, prec, tail_power)
-    ncoarse = len(ts_nodes(level - 1, prec, tail_power))
+    # coarse node j is fine node 2j, so the coarse list stops at the first
+    # even index at or past the fine list's last node
+    ncoarse = len(nodes) // 2 + 1
     pts, tail = [], []
     for j, (up, un, w) in enumerate(nodes):
         isc = (j % 2 == 0) and (j // 2) < ncoarse
@@ -207,13 +274,26 @@ def _grid(level: int, prec: int, tail_power: float):
     return pts, tail
 
 
+def _exponents(J: str, params: dict) -> tuple:
+    """Theta's endpoint exponents (b0, b1) as rationals, None for an absent factor."""
+    return weighted(J).exponents({k: as_rat(v) for k, v in params.items() if v is not None})
+
+
 def _tail_power(J: str, params: dict) -> float:
     """1/(1 + beta_min) + 1 for the most singular endpoint exponent beta_min."""
-    exps = [e for e in weighted(J).exponents(params) if e is not None]
-    beta = min([Fraction(0)] + [as_rat(e) for e in exps])
+    beta = min([Fraction(0)] + [b for b in _exponents(J, params) if b is not None])
     if beta <= -1:
         raise DomainError(f"endpoint exponent {beta} is not integrable")
     return float(1 / (1 + beta)) + 1.0
+
+
+def _check_convergent(J: str, m: int, hbar, params: dict):
+    """Selberg's condition on the m-fold integral: hbar > -min(1/m, (b + 1)/(m - 1)) over the endpoint exponents b."""
+    if m < 2:
+        return
+    least = -min([Fraction(1, m)] + [(b + 1) / (m - 1) for b in _exponents(J, params) if b is not None])
+    if as_rat(hbar) <= least:
+        raise DomainError(f"the {m}-fold integral of family {J} diverges at hbar = {as_rat(hbar)}: it needs hbar > {least}")
 
 
 def simplex_phi_coeffs(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 96, level: int = 6, with_dt: bool = True):
@@ -223,8 +303,10 @@ def simplex_phi_coeffs(J: str, N: int, m: int, hbar, t, params: dict, prec: int 
     coarser level, taken over the largest coefficient.  dt_coeffs are the
     t-derivatives computed by differentiating under the integral, None
     without ``with_dt``.  The full symmetric-domain integral is m! times the
-    coefficients when the integrand is symmetric (integer hbar).
+    coefficients when the integrand is symmetric (integer hbar).  A divergent
+    integral raises ``DomainError``.
     """
+    _check_convergent(J, m, hbar, params)
     accs, acc_dt, err = _simplex_sweep(J, N, m, hbar, [t], params, prec, level, with_dt)
     return accs[0], acc_dt, err
 
@@ -356,10 +438,18 @@ class _Sweep:
     def __init__(self, fam, N: int, m: int, tvs, p: dict, beta, pts, window, tallies, prec: int, with_dt: bool):
         self.fam, self.N, self.m, self.tvs, self.p, self.beta = fam, N, m, tvs, p, beta
         self.pts, self.window, self.tallies, self.prec, self.with_dt = pts, window, tallies, prec, with_dt
+        self.exps = fam.exponents(p)  # theta's exponents, once for every node
         self.keys = list(itertools.product(range(m + 1), repeat=N))
-        # the key products and sums run on raw mpf tuples, rounded as mpf * and + round
-        self.accs = [[fzero] * len(self.keys) for _ in tvs]
-        self.acc_dt, self.acc_coarse = [fzero] * len(self.keys), [fzero] * len(self.keys)
+        # a key's value is base * e_k1 * e_k2 ..., rounded left to right with
+        # every e_0 = 1 skipped, so keys with one word of nonzero indices share
+        # an accumulator; a word's value is its prefix word's times one e_r
+        words = sorted({tuple(r for r in key if r) for key in self.keys}, key=lambda word: (len(word), word))
+        index = {word: i for i, word in enumerate(words)}
+        self.word_of = [index[tuple(r for r in key if r)] for key in self.keys]
+        self.steps = [(index[word[:-1]], word[-1] - 1) for word in words[1:]]
+        # the word products and sums run on raw mpf tuples, rounded as mpf * and + round
+        self.accs = [[fzero] * len(words) for _ in tvs]
+        self.acc_dt, self.acc_coarse = [fzero] * len(words), [fzero] * len(words)
         # the accumulators' _floor: one per t, then dt and coarse
         self.DT, self.COARSE = len(tvs), len(tvs) + 1
         self.floors = [-math.inf] * (len(tvs) + 2)
@@ -432,8 +522,8 @@ class _Sweep:
             if skip:
                 continue
             vals = [base._mpf_]
-            for _ in range(self.N):
-                vals = [val if r == 0 else mul(val, es[r - 1], prec, rnd) for val in vals for r in range(self.m + 1)]
+            for prefix, r in self.steps:
+                vals.append(mul(vals[prefix], es[r], prec, rnd))
             self.accs[i] = [add(a, val, prec, rnd) for a, val in zip(self.accs[i], vals)]
             floors[i] = _floor(self.accs[i], prec)
             if i == 0 and self.with_dt:
@@ -460,7 +550,7 @@ class _Sweep:
             else:
                 x, wn = v * window, w
                 omx = omv if fam.contour == UNIT else 1 - x
-            static, dynamic = fam.parts(x, tvs, p, omx)
+            static, dynamic = fam.parts(x, tvs, p, omx, self.exps)
             thn = [static * d for d in dynamic]
             dtn = fam.dt_log_at(x, tvs[0], p, omx) if self.with_dt else None
             if chain:
@@ -479,7 +569,10 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
     coupling, the elementary products, the weights and the t-free factor of
     theta are computed once and serve each t.
     A key's value is the prefix product (base * e_k1) * e_k2 ..., skipping the
-    factors e_0 = 1.
+    factors e_0 = 1, so it depends only on the key's word of nonzero indices:
+    each word is accumulated once, its value its prefix word's times one
+    e_r, and the words are expanded back to keys at the end.  Mirrored words
+    such as (1, 2) and (2, 1) round differently and stay apart.
 
     Each value is below 2^(E(base) + N max(0, max_r E(e_r)) + N + 1), with
     E = exp + bc of the raw mpf.  A t whose values all fall below a quarter
@@ -503,6 +596,9 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
     each child is tested with its own grid value in place of the constant,
     before its theta, coupling or elementary products are computed.  Nothing
     that is skipped would have been added, so no returned bit moves.
+
+    Selberg's condition is checked by the callers (``_check_convergent``):
+    the bounds here hold for any finite sum, convergent or not.
     """
     if m > 3:
         raise UsageError("desk scale: m <= 3")
@@ -511,7 +607,7 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
         raise UsageError(f"family {J} uses a complex polyline; the real simplex grid does not apply")
     for t in ts:
         check_domain(J, t, params)
-    b0, b1 = fam.exponents({k: as_rat(v) for k, v in params.items() if v is not None})
+    b0, b1 = _exponents(J, params)
     # (1 - x_k)^b1 bounds theta's (1 - x)^b1 below a node only where the node
     # has an x_k < 1 and b1 < 0 makes the choice matter
     both = b1 is not None and b1 < 0
@@ -523,14 +619,18 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
         sweep = _Sweep(fam, N, m, tvs, _mp_params(params), 2 * _to_mpf(as_rat(hbar)), pts, window, tallies, prec, with_dt)
         sweep.descend((), None, None, None, True)
 
-        raw, keys = mp.make_mpf, sweep.keys
-        coeffs = [dict(zip(keys, map(raw, acc))) for acc in sweep.accs]
+        raw = mp.make_mpf
+
+        def by_key(acc):
+            return {key: raw(acc[w]) for key, w in zip(sweep.keys, sweep.word_of)}
+
+        coeffs = [by_key(acc) for acc in sweep.accs]
         scales = [max(abs(v) for v in c.values()) for c in coeffs]
         if min(scales) == 0:
             raise QuadratureError("wave function vanished identically on the grid")
         # the coarse sum uses the same weights * 2 (h doubled)
-        err = max(abs(coeffs[0][k] - 2 ** (m) * raw(c)) for k, c in zip(keys, sweep.acc_coarse)) / scales[0]
-        return coeffs, (dict(zip(keys, map(raw, sweep.acc_dt))) if with_dt else None), err
+        err = max(abs(raw(f) - 2 ** (m) * raw(c)) for f, c in zip(sweep.accs[0], sweep.acc_coarse)) / scales[0]
+        return coeffs, (by_key(sweep.acc_dt) if with_dt else None), err
 
 
 def phi_value(coeffs, z, m):
@@ -584,6 +684,7 @@ def pde_residual_numeric(
     # H_J is the printed operator divided by its prefactor
     if weighted(J).prefactor(t) == 0:
         raise DomainError(f"family {J} has no Hamiltonian at t = {t}, where its printed prefactor vanishes")
+    _check_convergent(J, m, hb, params)
     tau = Fraction(N)
     # exact operator application on the formal coefficient polynomial; after
     # fixing t the rational function is a polynomial in z and the placeholders

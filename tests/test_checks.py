@@ -174,3 +174,20 @@ def test_oracle_moments_iv_passes_at_64_bits(seed):
     # one mpmath.quad per k on (0, inf) missed the u^(-b-1) endpoint at these seeds
     recs = checks.run_oracle_moments("IV", kmax=4, prec=64, points=3, seed=seed)
     assert ok_all(recs), recs[0].residual
+
+
+def test_oracle_fails_on_a_moment_error_estimate_at_its_bound(monkeypatch):
+    # the residual alone passes: only the moments' own error estimate fails it
+    moments_numeric = checks.quadrature.moments_numeric
+
+    def one_large_error(*args, **kwargs):
+        out = moments_numeric(*args, **kwargs)
+        key = min(out)
+        out[key] = (out[key][0], abs(out[key][0]))
+        return out
+
+    (rec,) = checks.run_oracle_moments("V", kmax=2, prec=64, points=1, seed=42)
+    assert rec.ok
+    monkeypatch.setattr(checks.quadrature, "moments_numeric", one_large_error)
+    (bad,) = checks.run_oracle_moments("V", kmax=2, prec=64, points=1, seed=42)
+    assert not bad.ok and bad.residual == rec.residual

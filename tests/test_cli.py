@@ -125,6 +125,18 @@ def test_pde_numeric_keeps_the_given_t():
     assert_usage_error(run_cli("verify", "pde", "--family", "VI", "--mode", "numeric", "--hbar", "1/2", "--t", "1/2"))
 
 
+@pytest.mark.parametrize("hbar", ["-1/2", "-1/4"])
+def test_pde_numeric_rejects_a_divergent_integral(hbar):
+    # Selberg's condition at m = 2 with endpoint exponents -2/3 and -4/5:
+    # hbar > -min(1/2, 1/3, 1/5) = -1/5; both runs integrated and failed with grid error 3.0
+    proc = run_cli(
+        "verify", "pde", "--mode", "numeric", "--family", "V", "--N", "1", "--m", "2", "--t", "3/2",
+        "--params", "b=-1/3,c=-1/5", "--level", "2", "--prec", "64", "--hbar", hbar,
+    )
+    assert_usage_error(proc)
+    assert "diverges" in proc.stderr and "hbar > -1/5" in proc.stderr
+
+
 def test_pde_numeric_echoes_the_precision_used():
     proc = run_cli(
         "verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--t", "5/4", "--level", "2", "--prec", "192"
