@@ -489,6 +489,11 @@ def run_pde_numeric(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 6
     ]
 
 
+def _half_digits(prec: int):
+    """2^(-prec/2): a numeric residual at or above it claims digits its precision does not carry."""
+    return mpmath.mpf(2) ** (-prec / 2)
+
+
 def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, seed: int = 11) -> list[CheckRecord]:
     """Validate every divergence relation against high-precision quadrature."""
     if kmax < 2:
@@ -535,7 +540,7 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
         _rec(
             f"moment recursions {J}, k = 0..{kmax}, {points} admissible points",
             "viewed as the divergence of",
-            worst < mpmath.mpf("1e-10") and grid < mpmath.mpf("1e-10"),
+            worst < mpmath.mpf("1e-10") and grid < mpmath.mpf("1e-10") and worst < _half_digits(prec),
             residual=mpmath.nstr(worst, 4),
         )
     )
@@ -555,7 +560,7 @@ def run_andreief(prec: int = 96) -> list[CheckRecord]:
         _rec(
             "determinant identity: m! det of modified moments equals the m-fold integral (IV, m=2, hbar=1)",
             "product of characteristic polynomials",
-            rel < mpmath.mpf("1e-8"),
+            rel < mpmath.mpf("1e-8") and rel < _half_digits(prec),
             residual=mpmath.nstr(rel, 4),
         )
     ]

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import checks, diffop, families, moments, radial
+from . import checks, diffop, families, moments, quadrature, radial
 from .errors import DomainError, UsageError
 from .exact import session_registry
 from .params import parse_hbar, parse_params, parse_rational
@@ -100,6 +100,8 @@ def _pde(args):
     _family_reads(args, families.weighted(J).cp_keys)
     if args.mode == "symbolic" and hbar.denominator != 1:
         raise UsageError("the symbolic path needs a positive integer hbar; use --mode numeric")
+    if args.mode == "numeric":
+        quadrature._simplex_family(J, args.m)
     # the numeric path defaults a missing t, or missing params, alone; pde_params
     # derives a (and d for VI) from the solvability conditions
     t = parse_rational(args.t) if args.t is not None else None
@@ -114,7 +116,7 @@ def _pde(args):
     echo["params"] = {k: str(v) for k, v in params.items()}
     if args.mode == "symbolic":
         return checks.run_pde_symbolic(J, args.N, args.m, int(hbar), params, controls=args.controls), echo, None
-    echo["t"] = str(t)
+    echo["t"], echo["level"] = str(t), args.level
     prec = min(args.prec, 128)
     return checks.run_pde_numeric(J, args.N, args.m, hbar, t, params, prec=prec, level=args.level), echo, prec
 

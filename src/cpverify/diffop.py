@@ -86,30 +86,6 @@ class DiffOp:
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.A) and all(b.is_zero() for b in self.B) and self.C.is_zero()
 
-    def is_symmetric(self) -> bool:
-        """Simultaneous permutation of the z-variables maps coefficients to themselves."""
-        zs = zvars(self.reg)[: self.N]
-        for i in range(self.N - 1):
-            swap = {zs[i]: zs[i + 1], zs[i + 1]: zs[i]}
-
-            def sw(r):
-                return RatFun(r.num.permute_vars(swap), r.den.permute_vars(swap))
-
-            ok_a = all(sw(self.A[perm_idx(i, k)]).equal(self.A[k]) for k in range(self.N))
-            ok_b = all(sw(self.B[perm_idx(i, k)]).equal(self.B[k]) for k in range(self.N))
-            if not (ok_a and ok_b and sw(self.C).equal(self.C)):
-                return False
-        return True
-
-
-def perm_idx(i: int, k: int) -> int:
-    # image of index k under the transposition (i, i+1)
-    if k == i:
-        return i + 1
-    if k == i + 1:
-        return i
-    return k
-
 
 def operator_equal(a: DiffOp, b: DiffOp) -> bool:
     if a.N != b.N:

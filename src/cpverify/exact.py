@@ -185,10 +185,6 @@ class MPoly:
         unpack = self.reg._unpack
         return max((sum(unpack(e)) for e in self._t), default=0)
 
-    def degree_in(self, name: str) -> int:
-        s = self.reg._shifts[self._vidx(name)]
-        return max(((e >> s) & _FIELD for e in self._t), default=0)
-
     def _vidx(self, name: str) -> int:
         try:
             return self.reg.index[name]
@@ -475,48 +471,6 @@ def _rat_tables(p: MPoly, vals: dict):
     return tables, den
 
 
-def parse_mpoly(reg: Registry, text: str) -> MPoly:
-    """Parse the serialization grammar back into an MPoly."""
-    text = text.strip()
-    if text in ("", "0"):
-        return reg.zero()
-    # normalize: make every term explicitly signed, then split
-    src = text.replace(" - ", " +-").replace(" + ", " +")
-    if src.startswith("-"):
-        src = "+-" + src[1:]
-    elif not src.startswith("+"):
-        src = "+" + src
-    terms: dict = {}
-    for chunk in src.split(" +" if " +" in src else "+"):
-        chunk = chunk.strip().lstrip("+").strip()
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:].strip()
-        coeff = sign
-        exps = [0] * len(reg.names)
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise UsageError(f"empty factor in term {chunk!r}")
-            if factor[0].isdigit():
-                coeff *= Fraction(factor)
-                continue
-            name, _, power = factor.partition("^")
-            if name not in reg.index:
-                raise UsageError(f"unknown variable {name!r} in {text!r}")
-            exps[reg.index[name]] += int(power) if power else 1
-        key = tuple(exps)
-        cur = terms.get(key, 0) + coeff
-        if cur:
-            terms[key] = cur
-        else:
-            terms.pop(key, None)
-    return MPoly(reg, terms)
-
-
 def _int_content_gcd(*polys: MPoly) -> Fraction:
     """Positive rational g such that dividing every coefficient by g yields
     coprime integers (used for cheap size control; exactness preserved).
@@ -759,10 +713,6 @@ def as_ratfun(x, reg: Registry) -> RatFun:
     if isinstance(x, (int, Fraction)):
         return RatFun.const(reg, x)
     raise UsageError(f"cannot coerce {x!r} to RatFun")
-
-
-def ratfun_equal(a: RatFun, b: RatFun) -> bool:
-    return a.equal(b)
 
 
 def exact_div(a: MPoly, b: MPoly) -> MPoly:

@@ -27,7 +27,9 @@ polyline takes one mpmath.quad per k, with both legs, theta(u) and
 theta(u omega), evaluated once per node.  The hbar = 1 determinant
 cross-path takes its modified moments from one such pass.
 
-Entry points: ``theta`` (the weight at one point), ``moments_numeric`` (the
+Entry points: ``check_domain`` (admissibility; it returns the family, the
+exact parameters and theta's endpoint exponents, the one parse every path
+below reads), ``theta`` (the weight at one point), ``moments_numeric`` (the
 1-D moments; ``moment_numeric`` for one key), ``simplex_phi_coeffs`` (the
 m-fold coefficients at one t; ``phi_value`` sums them at z),
 ``pde_residual_numeric`` (the Schroedinger residual), ``andreief_phi`` (the
@@ -64,20 +66,21 @@ def _to_mpf(x):
 
 
 def check_domain(J: str, t, params: dict):
+    """(family, params as rationals without the None ones, theta's exponents (b0, b1)), or ``DomainError``.
+
+    An exponent is None for an absent factor (``Family.exponents``).
+    """
     fam = weighted(J)
     t = as_rat(t) if isinstance(t, (int, Fraction, str)) else t
     p = {k: as_rat(v) for k, v in params.items() if v is not None}
     if not fam.admissible(t, p):
         raise DomainError(f"family {J} {fam.requirement}")
+    return fam, p, fam.exponents(p)
 
 
 def theta(J: str, u, t, params: dict):
     """The weight function at u (mpf or mpc)."""
     return weighted(J).theta(u, t, params, 1 - u)
-
-
-def _mp_params(params):
-    return {k: _to_mpf(as_rat(v)) for k, v in params.items() if v is not None}
 
 
 def moment_numeric(J: str, k: int, s: int, t, params: dict, prec: int = DEFAULT_PREC):
@@ -100,11 +103,10 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
         raise UsageError("s must be 0 or 1")
     if J != "VI" and any(s for _, s in keys):
         raise UsageError("(t-u)^{-1} moments are defined for family VI only")
-    check_domain(J, t, params)
-    fam = weighted(J)
+    fam, p, bs = check_domain(J, t, params)
     with mp.workprec(prec):
         tv = _to_mpf(as_rat(t))
-        p = _mp_params(params)
+        p = {k: _to_mpf(v) for k, v in p.items()}
 
         if fam.contour == POLYLINE:
             # both legs u and u*omega at once: (theta(u), u*omega, theta(u*omega))
@@ -127,10 +129,10 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
         # a node v sits at x = L v with weight w L.  The coarser grid is the even
         # fine nodes at twice the weight, plus the tail past the fine list, so
         # its sum is twice the sum of their terms.
-        pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(J, params))
+        pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(bs))
         nodes = [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]
         keys = list(dict.fromkeys(keys))
-        sums = _line_sums(fam, keys, tv, p, _exponents(J, params), nodes, None if fam.contour == UNIT else _to_mpf(fam.window(tv)), prec)
+        sums = _line_sums(fam, keys, tv, p, bs, nodes, None if fam.contour == UNIT else _to_mpf(fam.window(tv)), prec)
         raw = mp.make_mpf
         return {key: (raw(f), abs(raw(f) - 2 * raw(c))) for key, (f, c) in zip(keys, sums)}
 
@@ -274,24 +276,19 @@ def _grid(level: int, prec: int, tail_power: float):
     return pts, tail
 
 
-def _exponents(J: str, params: dict) -> tuple:
-    """Theta's endpoint exponents (b0, b1) as rationals, None for an absent factor."""
-    return weighted(J).exponents({k: as_rat(v) for k, v in params.items() if v is not None})
-
-
-def _tail_power(J: str, params: dict) -> float:
-    """1/(1 + beta_min) + 1 for the most singular endpoint exponent beta_min."""
-    beta = min([Fraction(0)] + [b for b in _exponents(J, params) if b is not None])
+def _tail_power(bs) -> float:
+    """1/(1 + beta_min) + 1 for the most singular of theta's endpoint exponents ``bs``."""
+    beta = min([Fraction(0)] + [b for b in bs if b is not None])
     if beta <= -1:
         raise DomainError(f"endpoint exponent {beta} is not integrable")
     return float(1 / (1 + beta)) + 1.0
 
 
-def _check_convergent(J: str, m: int, hbar, params: dict):
-    """Selberg's condition on the m-fold integral: hbar > -min(1/m, (b + 1)/(m - 1)) over the endpoint exponents b."""
+def _check_convergent(J: str, m: int, hbar, bs):
+    """Selberg's condition on the m-fold integral: hbar > -min(1/m, (b + 1)/(m - 1)) over theta's endpoint exponents ``bs``."""
     if m < 2:
         return
-    least = -min([Fraction(1, m)] + [(b + 1) / (m - 1) for b in _exponents(J, params) if b is not None])
+    least = -min([Fraction(1, m)] + [(b + 1) / (m - 1) for b in bs if b is not None])
     if as_rat(hbar) <= least:
         raise DomainError(f"the {m}-fold integral of family {J} diverges at hbar = {as_rat(hbar)}: it needs hbar > {least}")
 
@@ -306,7 +303,7 @@ def simplex_phi_coeffs(J: str, N: int, m: int, hbar, t, params: dict, prec: int 
     coefficients when the integrand is symmetric (integer hbar).  A divergent
     integral raises ``DomainError``.
     """
-    _check_convergent(J, m, hbar, params)
+    _check_convergent(J, m, hbar, check_domain(J, t, params)[2])
     accs, acc_dt, err = _simplex_sweep(J, N, m, hbar, [t], params, prec, level, with_dt)
     return accs[0], acc_dt, err
 
@@ -559,6 +556,14 @@ class _Sweep:
             step(chain + ((x, omx, v, omv),), wn, thn, dtn, isc and isc_v)
 
 
+def _simplex_family(J: str, m: int):
+    """Raise ``UsageError`` unless the simplex sweep runs for family J at m."""
+    if m > 3:
+        raise UsageError("desk scale: m <= 3")
+    if weighted(J).contour == POLYLINE:
+        raise UsageError(f"family {J} uses a complex polyline; the real simplex grid does not apply")
+
+
 def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, level: int, with_dt: bool):
     """One simplex sweep for every t in ``ts``: (coeffs per t, dt_coeffs, err).
 
@@ -600,23 +605,18 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
     Selberg's condition is checked by the callers (``_check_convergent``):
     the bounds here hold for any finite sum, convergent or not.
     """
-    if m > 3:
-        raise UsageError("desk scale: m <= 3")
-    fam = weighted(J)
-    if fam.contour == POLYLINE:
-        raise UsageError(f"family {J} uses a complex polyline; the real simplex grid does not apply")
-    for t in ts:
-        check_domain(J, t, params)
-    b0, b1 = _exponents(J, params)
+    _simplex_family(J, m)
+    for t in ts:  # each t must be admissible; the parse of the params is the same for every t
+        fam, p, (b0, b1) = check_domain(J, t, params)
     # (1 - x_k)^b1 bounds theta's (1 - x)^b1 below a node only where the node
     # has an x_k < 1 and b1 < 0 makes the choice matter
     both = b1 is not None and b1 < 0
     tallies = [[_tally(k, m, b0, b1, 2 * as_rat(hbar), at) for at in (False, True)[: 1 + (both and k > 0)]] for k in range(m)]
     with mp.workprec(prec):
         tvs = [_to_mpf(as_rat(t)) for t in ts]
-        pts, _ = _grid(level, prec, _tail_power(J, params))
+        pts, _ = _grid(level, prec, _tail_power((b0, b1)))
         window = _to_mpf(max(fam.window(tv) for tv in tvs))
-        sweep = _Sweep(fam, N, m, tvs, _mp_params(params), 2 * _to_mpf(as_rat(hbar)), pts, window, tallies, prec, with_dt)
+        sweep = _Sweep(fam, N, m, tvs, {k: _to_mpf(v) for k, v in p.items()}, 2 * _to_mpf(as_rat(hbar)), pts, window, tallies, prec, with_dt)
         sweep.descend((), None, None, None, True)
 
         raw = mp.make_mpf
@@ -633,13 +633,21 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
         return coeffs, (by_key(sweep.acc_dt) if with_dt else None), err
 
 
+def _phi_terms(N: int, m: int) -> list:
+    """Phi = sum_k (-1)^|k| C_k prod_rho z_rho^(m - k_rho), per key k in sweep order: (k, C_k's placeholder name, z powers, sign).
+
+    Keys that a permutation of z maps onto each other share the placeholder c_<sorted k>.
+    """
+    return [(k, "c" + "_".join(map(str, sorted(k))), tuple(m - r for r in k), (-1) ** sum(k)) for k in itertools.product(range(m + 1), repeat=N)]
+
+
 def phi_value(coeffs, z, m):
-    """Evaluate sum_k (-1)^{sum k} C_k prod z_rho^{m-k_rho} at numeric z."""
+    """Phi at numeric z from the coefficients C_k (see ``_phi_terms``)."""
     total = mpmath.mpf(0)
-    for k, c in coeffs.items():
-        term = c * (-1) ** sum(k)
-        for zr, kr in zip(z, k):
-            term *= zr ** (m - kr)
+    for k, _, powers, sign in _phi_terms(len(z), m):
+        term = coeffs[k] * sign
+        for zr, e in zip(z, powers):
+            term *= zr**e
         total += term
     return total
 
@@ -649,15 +657,14 @@ def phi_value(coeffs, z, m):
 # ---------------------------------------------------------------------------
 
 
-def _formal_phi(reg: Registry, N: int, m: int):
-    """Phi with placeholder coefficient variables c_<sorted k>, symmetric in z."""
+def _formal_phi(reg: Registry, terms):
+    """Phi over the ``_phi_terms``, with placeholder coefficient variables, symmetric in z."""
     phi = RatFun.const(reg, 0)
-    for k in itertools.product(range(m + 1), repeat=N):
-        name = "c" + "_".join(map(str, sorted(k)))
+    for _, name, powers, sign in terms:
         mono = reg.var(name)
-        for zn, kr in zip(zvars(reg)[:N], k):
-            mono = mono * reg.var(zn) ** (m - kr)
-        phi = phi + RatFun.from_mpoly(mono * Fraction((-1) ** sum(k)))
+        for zn, e in zip(zvars(reg), powers):
+            mono = mono * reg.var(zn) ** e
+        phi = phi + RatFun.from_mpoly(mono * Fraction(sign))
     return phi
 
 
@@ -684,16 +691,15 @@ def pde_residual_numeric(
     # H_J is the printed operator divided by its prefactor
     if weighted(J).prefactor(t) == 0:
         raise DomainError(f"family {J} has no Hamiltonian at t = {t}, where its printed prefactor vanishes")
-    _check_convergent(J, m, hb, params)
+    _check_convergent(J, m, hb, check_domain(J, t, params)[2])
     tau = Fraction(N)
     # exact operator application on the formal coefficient polynomial; after
     # fixing t the rational function is a polynomial in z and the placeholders
-    names = [f"z{i}" for i in range(1, N + 1)] + ["t"]
-    cnames = sorted({"c" + "_".join(map(str, sorted(k))) for k in itertools.product(range(m + 1), repeat=N)})
-    reg = Registry(names + cnames)
-    phi_formal = _formal_phi(reg, N, m)
+    terms = _phi_terms(N, m)
+    cnames = sorted({name for _, name, _, _ in terms})
+    reg = Registry([f"z{i}" for i in range(1, N + 1)] + ["t"] + cnames)
     op = build_cp_hamiltonian(reg, J, N, m, hb, **params)
-    hphi = apply_op(op, phi_formal)
+    hphi = apply_op(op, _formal_phi(reg, terms))
     hpoly = exact_div(hphi.num.subs({"t": t}), hphi.den.subs({"t": t}))
 
     # numeric coefficient data: t and its four shifts from one sweep
@@ -713,14 +719,10 @@ def pde_residual_numeric(
 
         # assemble both sides per z-monomial
         taum = _to_mpf(tau) * _to_mpf(hb)
-        lhs = {}
-        for k, c in dt_exact.items():
-            zmono = tuple(m - kr for kr in k)
-            lhs[zmono] = lhs.get(zmono, mpmath.mpf(0)) + taum * c * (-1) ** sum(k)
+        lhs = {powers: taum * dt_exact[k] * sign for k, _, powers, sign in terms}
         rhs = {}
-        cvals = {}
-        for k, c in coeffs.items():
-            cvals["c" + "_".join(map(str, sorted(k)))] = c
+        # a placeholder takes the last of its keys' values
+        cvals = {name: coeffs[k] for k, name, _, _ in terms}
         zidx = [reg.index[f"z{i}"] for i in range(1, N + 1)]
         for e, coeff in hpoly.terms.items():
             zmono = tuple(e[i] for i in zidx)

@@ -207,11 +207,6 @@ def random_trace_polynomial(rng: random.Random, max_power=3, max_degree=3, terms
     return out
 
 
-def trace_poly_at_eigs(f: MPoly, reg: Registry, N: int) -> MPoly:
-    """The same invariant as a symmetric polynomial of z_1..z_N (restriction to diagonal)."""
-    return _subs_into(f, _trace_values(reg, N), reg)
-
-
 def _subs_into(f: MPoly, values: dict, reg: Registry) -> MPoly:
     out = reg.zero()
     for e, c in f.terms.items():

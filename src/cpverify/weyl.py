@@ -265,13 +265,6 @@ class NCPoly:
     __repr__ = to_str
 
 
-def normal_order(x: NCPoly) -> NCPoly:
-    """Re-normalize; idempotent by construction.  Free mode is unsupported."""
-    if x.alg.mode == "free":
-        raise UnsupportedModeError("normal ordering is undefined for free abstract letters")
-    return NCPoly(x.alg, dict(x.terms))
-
-
 def commutator(a, b):
     """[a, b] = ab - ba for any mix of NCPoly and NCMatrix."""
     return a * b - b * a
@@ -342,12 +335,6 @@ class NCMatrix:
 
     def scale(self, c):
         return NCMatrix(self.alg, [[e * c if isinstance(c, NCPoly) else e.scale(c) for e in r] for r in self.rows])
-
-    def trace(self):
-        acc = self.alg.zero()
-        for i in range(len(self.rows)):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def is_zero(self):
         return all(e.is_zero() for r in self.rows for e in r)

@@ -115,6 +115,14 @@ def test_pde_numeric_without_a_default_point_is_a_usage_error():
         assert_usage_error(run_cli("verify", "pde", "--family", family, "--mode", "numeric", "--hbar", "1/2"))
 
 
+def test_pde_numeric_rejects_the_polyline_family_first():
+    # II has no parameters to give, and its complex polyline has no real simplex grid
+    for extra in ((), ("--t", "1")):
+        proc = run_cli("verify", "pde", "--family", "II", "--mode", "numeric", "--hbar", "1/2", *extra)
+        assert_usage_error(proc)
+        assert "family II uses a complex polyline; the real simplex grid does not apply" in proc.stderr
+
+
 def test_pde_numeric_keeps_the_given_params():
     # only the missing t is defaulted; b = 1/3 is outside the V domain
     assert_usage_error(run_cli("verify", "pde", "--family", "V", "--mode", "numeric", "--hbar", "1/2", "--params", "b=1/3"))
@@ -145,6 +153,7 @@ def test_pde_numeric_echoes_the_precision_used():
     rep = json.loads(proc.stdout)
     assert rep["environment"]["precision_bits"] == 128  # the numeric PDE path caps the precision at 128 bits
     assert rep["checks"][0]["name"].endswith("t=5/4")
+    assert rep["task"]["level"] == 2
 
 
 def test_pde_echoes_the_parameters_it_used():

@@ -15,8 +15,6 @@ from cpverify.exact import (
     Registry,
     exact_div,
     fit,
-    parse_mpoly,
-    ratfun_equal,
     session_registry,
     solve_linear,
 )
@@ -106,9 +104,9 @@ def test_ratfun_equal_examples():
     z1, z2, t = v("z1"), v("z2"), v("t")
     a = RatFun(REG.one(), z1 - z2)
     b = RatFun(z1 + z2, z1 * z1 - z2 * z2)
-    assert ratfun_equal(a, b)
-    assert ratfun_equal(RatFun(t, t * t), RatFun(REG.one(), t))
-    assert not ratfun_equal(a, RatFun(REG.one(), z2 - z1))
+    assert a.equal(b)
+    assert RatFun(t, t * t).equal(RatFun(REG.one(), t))
+    assert not a.equal(RatFun(REG.one(), z2 - z1))
 
 
 @settings(max_examples=40)
@@ -128,16 +126,16 @@ def test_ratfun_arith():
     w1 = RatFun(REG.one(), z1 - z2)
     w2 = RatFun(REG.one(), z2 - z1)
     assert (w1 + w2).is_zero()
-    assert ratfun_equal(w1 * (z1 - z2), RatFun.const(REG, 1))
-    assert ratfun_equal(1 / w1, RatFun.from_mpoly(z1 - z2))
-    assert ratfun_equal(w1**2, RatFun(REG.one(), (z1 - z2) ** 2))
+    assert (w1 * (z1 - z2)).equal(RatFun.const(REG, 1))
+    assert (1 / w1).equal(RatFun.from_mpoly(z1 - z2))
+    assert (w1**2).equal(RatFun(REG.one(), (z1 - z2) ** 2))
 
 
 def test_ratfun_deriv():
     z1, z2 = v("z1"), v("z2")
     w = RatFun(REG.one(), z1 - z2)
-    assert ratfun_equal(w.deriv("z1"), -(w**2))
-    assert ratfun_equal(w.deriv("z2"), w**2)
+    assert w.deriv("z1").equal(-(w**2))
+    assert w.deriv("z2").equal(w**2)
 
 
 def test_exact_div():
@@ -148,18 +146,11 @@ def test_exact_div():
         exact_div(z1 * z1 + z2, z1 - z2)
 
 
-def test_serialization_round_trip():
+def test_serialization():
     p = Fraction(3, 2) * v("z1") ** 2 * v("t") - v("nu0")
-    s = p.to_str()
-    assert s == "3/2*z1^2*t - 1*nu0"
-    assert parse_mpoly(REG, s) == p
-    assert parse_mpoly(REG, "0") == REG.zero()
-    assert parse_mpoly(REG, "-2/3*z2 + z1*z2^2") == -Fraction(2, 3) * v("z2") + v("z1") * v("z2") ** 2
-
-
-@given(mpolys())
-def test_round_trip_random(p):
-    assert parse_mpoly(REG, p.to_str()) == p
+    assert p.to_str() == "3/2*z1^2*t - 1*nu0"
+    assert REG.zero().to_str() == "0"
+    assert (-Fraction(2, 3) * v("z2") + v("z1") * v("z2") ** 2).to_str() == "1*z1*z2^2 - 2/3*z2"
 
 
 def test_eval_and_subs():
@@ -324,7 +315,7 @@ def test_exact_div_matches_schoolbook(q, b, r):
 def test_exponent_overflow_raises():
     z1, z2 = v("z1"), v("z2")
     top = z1**MAX_EXPONENT
-    assert top.degree_in("z1") == MAX_EXPONENT
+    assert top.terms == {(MAX_EXPONENT, 0, 0, 0, 0): Fraction(1)}
     assert top.to_str() == f"1*z1^{MAX_EXPONENT}"
     with pytest.raises(UsageError):
         top * z1
@@ -334,8 +325,6 @@ def test_exponent_overflow_raises():
         (top * z2**MAX_EXPONENT).permute_vars({"z1": "z2"})
     with pytest.raises(UsageError):
         MPoly(REG, {(MAX_EXPONENT + 1, 0, 0, 0, 0): Fraction(1)})
-    with pytest.raises(UsageError):
-        parse_mpoly(REG, f"z1^{MAX_EXPONENT + 1}")
 
 
 def test_terms_view_is_read_only():

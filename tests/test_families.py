@@ -171,8 +171,9 @@ def test_a_wrong_prefactor_fails_the_symbolic_pde(J, monkeypatch):
 
 # the mutation matrix: each row perturbs one field of one family and must fail
 # one cheap suite check, run here at the benchmark's settings (the oracle at
-# 128 bits, pde-numeric at level 3, table1 at N = 2), which
-# test_the_catching_checks_pass_unmutated runs unmutated.  The printed operator
+# 128 bits, pde-numeric at level 3, table1 at N = 2) or, where a mutant keeps
+# more digits than 128 bits resolve, at the suite's (the oracle at 192 bits),
+# which test_the_catching_checks_pass_unmutated runs unmutated.  The printed operator
 # forms are each caught by the check that sets them against another: cp and
 # nagoya by n1, radial by the matrix side (II's gauged one by the scalar gauge,
 # its pre-gauge one by the matrix side), table by table1.  The prefactor and
@@ -184,6 +185,7 @@ def test_a_wrong_prefactor_fails_the_symbolic_pde(J, monkeypatch):
 CATCHERS = {
     "radial": lambda J: checks.run_radial(J, 2, trials=5, seed=42),
     "oracle": lambda J: checks.run_oracle_moments(J, kmax=4, prec=128, points=3, seed=42),
+    "suite oracle": lambda J: checks.run_oracle_moments(J, kmax=6, prec=192, points=3, seed=42),
     "pde-symbolic": lambda J: checks.run_pde_symbolic(J, 2, 2, 1),
     "n1": lambda J: checks.run_n1(),
     "table1": lambda J: checks.run_table1((J,), N_values=(2,)),
@@ -260,6 +262,10 @@ MUTANTS = {
     # the half-line cuts 160 + 3|t| and 40 + 3|t| moved into the live region
     ("III", "window"): ("window", lambda fam: lambda t: 8.0, "oracle"),
     ("IV", "window"): ("window", lambda fam: lambda t: 6.0, "oracle"),
+    # cuts that keep fewer digits than the working precision: the residual
+    # reaches 2^(-prec/2) though it stays under the fixed 1e-10
+    ("IV", "window 6 + 3|t|"): ("window", lambda fam: lambda t: 6.0 + 3 * abs(float(t)), "oracle"),
+    ("IV", "window 8 + 3|t|"): ("window", lambda fam: lambda t: 8.0 + 3 * abs(float(t)), "suite oracle"),
 }
 
 

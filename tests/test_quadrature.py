@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
-from cpverify import families, moments
+from cpverify import checks, families, moments
 from cpverify.errors import DomainError, QuadratureError, UsageError
 from cpverify.exact import session_registry
 from cpverify import quadrature
@@ -310,7 +310,7 @@ def test_polyline_moments_bit_identical_at_the_oracle_points():
 
 def test_vi_tail_point_reaches_past_the_fine_list():
     t, params = VI_TAIL
-    tp = quadrature._tail_power("VI", params)
+    tp = quadrature._tail_power(check_domain("VI", t, params)[2])
     fine, coarse = quadrature.ts_nodes(7, 128, tp), quadrature.ts_nodes(6, 128, tp)
     assert (len(fine), len(coarse)) == (628, 315)
     # coarse node j is fine node 2j at twice the weight, the last one included
@@ -511,7 +511,7 @@ def test_level_one_error_is_the_gap_to_the_level_zero_sweep(monkeypatch):
     fine, _, err = simplex_phi_coeffs(*shape, prec=64, level=1, with_dt=False)
     # the sweep over the level-0 nodes, laid out as a level is, with no coarser grid
     pts = []
-    for j, (up, un, w) in enumerate(ts_nodes(0, 64, quadrature._tail_power("V", P_V))):
+    for j, (up, un, w) in enumerate(ts_nodes(0, 64, quadrature._tail_power(check_domain("V", T_V, P_V)[2]))):
         pts += [(up, un, w, False)] + ([(un, up, w, False)] if j else [])
     monkeypatch.setattr(quadrature, "_grid", lambda level, prec, tail_power: (pts, []))
     coarse, _, _ = simplex_phi_coeffs(*shape, prec=64, level=1, with_dt=False)
@@ -520,11 +520,31 @@ def test_level_one_error_is_the_gap_to_the_level_zero_sweep(monkeypatch):
     assert err < mpmath.mpf("0.1")
 
 
+def test_the_m3_residual_catches_a_wrong_coupling(monkeypatch):
+    # m = 3's x1 - x3 = x1 ((1 - v2) + v2 (1 - v3)) cut to x1 (1 - v2); no suite block runs m = 3
+    def run():
+        params = moments.pde_params("V", 3, Fraction(1, 2), b=Fraction(-1, 2), c=Fraction(-1, 3))
+        return checks.run_pde_numeric("V", 1, 3, Fraction(1, 2), Fraction(3, 2), params, prec=64, level=2)
+
+    assert all(rec.ok for rec in run())
+    coupling = quadrature._coupling
+
+    def mutant(chain, beta):
+        if len(chain) < 3:
+            return coupling(chain, beta)
+        (x1, _, _, _), (x2, _, _, omv2), (_, _, _, omv3) = chain
+        d12, d23, d13 = x1 * omv2, x2 * omv3, x1 * omv2
+        return (d12 * d13 * d23) ** beta
+
+    monkeypatch.setattr(quadrature, "_coupling", mutant)
+    assert not any(rec.ok for rec in run())
+
+
 @pytest.mark.parametrize("N, m, words", [(2, 2, 7), (3, 2, 15), (2, 3, 13)])
 def test_keys_with_one_word_share_one_accumulator(N, m, words):
     # (0, 1) and (1, 0) are both base * e_1; (1, 2) and (2, 1) round differently
     with mpmath.mp.workprec(64):
-        sweep = quadrature._Sweep(families.weighted("V"), N, m, [], quadrature._mp_params(P_V), 1, [], 1, [], 64, True)
+        sweep = quadrature._Sweep(families.weighted("V"), N, m, [], {k: mpq(v) for k, v in P_V.items()}, 1, [], 1, [], 64, True)
     assert len(sweep.keys) == (m + 1) ** N and len(sweep.acc_coarse) == words
     word = dict(zip(sweep.keys, sweep.word_of))
     pad = (0,) * (N - 2)
@@ -577,7 +597,7 @@ def audit_line(J, t, params, kmax, prec):
         moments_numeric(J, keys, t, params, prec)
     fam = families.weighted(J)
     with mpmath.mp.workprec(prec):
-        tv, p = mpq(Fraction(t)), quadrature._mp_params(params)
+        tv, p = mpq(Fraction(t)), {k: mpq(v) for k, v in params.items()}
         for u, omu, w, bounds in nodes:
             th = fam.theta(u, tv, p, omu)
             for (k, s), bound in zip(keys, bounds):

@@ -23,7 +23,6 @@ from cpverify.radial import (
     radial_value,
     random_trace_polynomial,
     resolve_radial_corrections,
-    trace_poly_at_eigs,
     verify_qkp2,
     verify_radial_match,
 )
@@ -47,7 +46,7 @@ def test_trace_polynomial_invariant():
         # evaluation through Q equals the symmetric polynomial at the eigenvalues
         spec = [(Fraction(1), "")]  # multiplication by nothing: just Psi itself
         psi_q = apply_matrix_operator(pt, spec, f, 1)
-        fz = trace_poly_at_eigs(f, reg, 2)
+        fz = radial._subs_into(f, radial._trace_values(reg, 2), reg)
         assert psi_q == fz.eval({"z1": pt.Z[0], "z2": pt.Z[1], "t": Fraction(0)})
 
 
