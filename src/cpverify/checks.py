@@ -128,6 +128,17 @@ def resolved_radial_corrections(J: str, N: int, hbar):
     return _RESOLVED_RADIAL_CACHE[key]
 
 
+# the worked reduction is family-independent: run once per argument set
+_WORKED_REDUCTION_CACHE: dict = {}
+
+
+def worked_reduction(N: int, kmax: int, trials: int, seed: int, hbar):
+    key = (N, kmax, trials, seed, as_rat(hbar))
+    if key not in _WORKED_REDUCTION_CACHE:
+        _WORKED_REDUCTION_CACHE[key] = radial.verify_qkp2(N, kmax, trials, seed, hbar)
+    return _WORKED_REDUCTION_CACHE[key]
+
+
 def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2)) -> list[CheckRecord]:
     out = []
     if family in ("I", "II", "III", "IV", "V"):
@@ -141,7 +152,7 @@ def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2))
             )
         )
     else:
-        # corr is None only where the printed form is exact, which fails the record
+        # corr is None where the printed form is exact or no correction fits; either fails the record
         corr, rep = resolved_radial_corrections("VI", N, hbar)
         printed = radial.verify_radial_match("VI", N, max(1, trials // 2), seed, hbar=hbar)
         check = radial.verify_radial_match("VI", N, trials, seed, hbar=hbar, corrections=corr)
@@ -163,10 +174,10 @@ def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2))
                 "is called the Harish-Chandra map",
                 (not printed["ok"]) and check["ok"] and rep["verified"] and (a10, a11) == (shift, shift) and not stray,
                 resolved=True,
-                detail=detail + (f"; also fitted {', '.join(stray)}" if stray else ""),
+                detail=rep["reason"] or detail + (f"; also fitted {', '.join(stray)}" if stray else ""),
             )
         )
-    qk = radial.verify_qkp2(N, kmax=3, trials=2, seed=seed + 1, hbar=hbar)
+    qk = worked_reduction(N, 3, 2, seed + 1, hbar)
     out.append(
         _rec(
             f"worked reduction Tr(q^k p^2), k <= 3, N={N}",
@@ -296,11 +307,6 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
     cp = diffop.build_cp_hamiltonian(reg, J, N, m, hb, **family)
     # the table names II's th "theta"
     theta_kwargs = {k: maps["theta" if k == "th" else k] for k in families.weighted(J).radial_keys}
-    corr = None
-    if J == "VI":
-        corr, rep = resolved_radial_corrections("VI", N, hb)
-    ht = radial.build_radial_hamiltonian(reg, J, N, hb, maps["kappa_choices"][0], corrections=corr, **theta_kwargs)
-    conj = diffop.conjugate_by_vandermonde(ht, maps["R"]) if mode == "gauged" else ht
     out = {
         "ok": False,
         "exact_as_printed": False,
@@ -308,7 +314,15 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
         "printed": {k: v for k, v in maps.items() if k not in ("kappa_choices", "R")},
         "time_reflected": False,
         "scalar_residual": None,
+        "reason": None,
     }
+    corr = None
+    if J == "VI":
+        corr, rep = resolved_radial_corrections("VI", N, hb)
+        if not rep["verified"]:
+            return {**out, "reason": f"radial VI has no verified correction: {rep['reason']}"}
+    ht = radial.build_radial_hamiltonian(reg, J, N, hb, maps["kappa_choices"][0], corrections=corr, **theta_kwargs)
+    conj = diffop.conjugate_by_vandermonde(ht, maps["R"]) if mode == "gauged" else ht
     reflected = False
     diff = conj - cp
     if not all(x.is_zero() for x in diff.A + diff.B):
@@ -368,7 +382,7 @@ def run_table1(
                     if rep["scalar_residual"]:
                         bits.append(f"scalar gauge residual {rep['scalar_residual']}")
                     if J == "VI":
-                        bits.append("radial VI taken with the solved first-order correction")
+                        bits.append(rep["reason"] or "radial VI taken with the solved first-order correction")
                     out.append(
                         _rec(
                             f"parameter table {J} {mode}, hbar={hb}, N={N}, m={m}",

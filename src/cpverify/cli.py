@@ -147,22 +147,25 @@ def _oracle(args):
     return checks.run_oracle_moments(args.family, kmax=args.kmax, prec=args.prec, seed=args.seed), echo, args.prec
 
 
-def _timed(tag: str, fn) -> list:
-    """One block of the suite: its records, tagged and timed.
-
-    A runner that timed its own records keeps those times.  The rest of the
-    block's time is split evenly over the other records, with the integer
-    remainder on the last, so that a block's records add up to the block.
+def _spread(recs: list, block_ms: int) -> None:
+    """Time a block's records: a runner that timed its own records keeps those
+    times.  The rest of the block's time is split evenly over the other
+    records, with the integer remainder on the last, so that a block's records
+    add up to the block.
     """
-    start = time.perf_counter()
-    recs = fn()
-    block_ms = int((time.perf_counter() - start) * 1000)
     untimed = [r for r in recs if not r.ms]
     if untimed:
         share, extra = divmod(max(0, block_ms - sum(r.ms for r in recs)), len(untimed))
         for r in untimed:
             r.ms = share
         untimed[-1].ms += extra
+
+
+def _timed(tag: str, fn) -> list:
+    """One block of the suite: its records, tagged and timed."""
+    start = time.perf_counter()
+    recs = fn()
+    _spread(recs, int((time.perf_counter() - start) * 1000))
     for r in recs:
         r.name = f"[{tag}] {r.name}"
     return recs
@@ -329,10 +332,12 @@ def run(args) -> int:
     records, echo, precision = task.run(args)
     if not task.report:
         return 0
+    if args.verb != "suite":  # the suite timed each block
+        _spread(records, int((time.time() - start) * 1000))
     report = build_report({"verb": args.verb, "task": args.task, **echo}, records, precision=precision, timings=args.timings)
     if args.verb == "suite":
         report["elapsed_s"] = round(time.time() - start, 1) if args.timings else 0
-    return emit(report, human_out=io.StringIO() if args.json else None)
+    return emit(report, human_out=io.StringIO() if args.json else None, timings=args.timings)
 
 
 if __name__ == "__main__":

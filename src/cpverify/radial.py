@@ -6,10 +6,13 @@ matrix entries (the operators are at most quadratic in the momenta, so a
 second-order Taylor germ suffices and every value stays an exact rational).
 A jet is a dense vector of integer coefficients over one integer
 denominator; only the final value becomes a Fraction.  The wave function's
-jet takes the trace powers only as far as it uses them.
-The radial side evaluates the printed eigenvalue Hamiltonians.  A fitting
-resolver pins down any discrepancy as an explicit low-degree correction and
-re-verifies exactly.
+jet takes the trace powers only as far as it uses them, and the words of one
+operator apply the suffixes they share once.
+The radial side evaluates the printed eigenvalue Hamiltonians on the same
+jets taken in the N eigenvalues, T_j = sum_rho (z_rho + x_rho)^j: one
+composition of f over the trace jets serves both sides.  A fitting resolver
+pins down any discrepancy as an explicit low-degree correction and
+re-verifies exactly, or fails with the reason when none fits.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import DegeneratePointError, UsageError
 from .exact import MPoly, RatFun, Registry, as_rat, session_registry, solve_linear
 
 TRACE_REG = Registry(tuple(f"T{j}" for j in range(1, 7)))
-MAX_TRACE_POWER = 6
 
 # ---------------------------------------------------------------------------
 # Order-2 jets in the N^2 matrix-entry perturbations
@@ -207,32 +209,18 @@ def random_trace_polynomial(rng: random.Random, max_power=3, max_degree=3, terms
     return out
 
 
-def _subs_into(f: MPoly, values: dict, reg: Registry) -> MPoly:
-    out = reg.zero()
-    for e, c in f.terms.items():
-        term = reg.const(c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * values[f.reg.names[i]] ** k
-        out = out + term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Matrix-side operator application
 # ---------------------------------------------------------------------------
 
 
-def _psi_jet(pt: RationalMatrixPoint, f: MPoly) -> Jet:
-    n = pt.N * pt.N
-    # the highest trace power f uses; T_j = Tr((Q + E)^j)
+def _f_jet(f: MPoly, n: int, base, mul, trace) -> Jet:
+    """f(T_1, T_2, ...) as a jet in n variables: T_j = trace(base^j), the powers taken by ``mul``."""
     top = max((i + 1 for e in f.terms for i, k in enumerate(e) if k), default=0)
-    traces = {}
-    cur = pt.jets
+    traces, cur = {}, base
     for j in range(1, top + 1):
-        if j > 1:
-            cur = _jmat_mul(cur, pt.jets)
-        traces[j] = _jsum([cur[i][i] for i in range(pt.N)])
+        cur = cur if j == 1 else mul(cur, base)
+        traces[j] = trace(cur)
     psi = Jet(n)
     for e, c in f.terms.items():
         term = Jet.const(n, c)
@@ -243,29 +231,44 @@ def _psi_jet(pt: RationalMatrixPoint, f: MPoly) -> Jet:
     return psi
 
 
-def apply_trace_word(pt: RationalMatrixPoint, word: str, psi: Jet, hbar) -> Jet:
+def _psi_jet(pt: RationalMatrixPoint, f: MPoly) -> Jet:
+    """f at Q + E, in the N^2 entries of E: T_j = Tr((Q + E)^j)."""
+    N = pt.N
+    return _f_jet(f, N * N, pt.jets, _jmat_mul, lambda m: _jsum([m[i][i] for i in range(N)]))
+
+
+def z_jet(zs: list, f: MPoly) -> Jet:
+    """f at the eigenvalues zs + x, in the N variables x: T_j = sum_rho (z_rho + x_rho)^j."""
+    n = len(zs)
+    base = [Jet.const(n, z) + Jet.var(n, rho) for rho, z in enumerate(zs)]
+    return _f_jet(f, n, base, lambda a, b: [x * y for x, y in zip(a, b)], _jsum)
+
+
+def apply_trace_word(pt: RationalMatrixPoint, word: str, psi: Jet, hbar, states: dict) -> Jet:
     """Tr(word) acting on the jet of an invariant function; word like 'qpqpq'.
 
     q multiplies by the matrix jet, p_{ac} acts as hbar d/dE_{ca}; the trace
     contracts the outer indices.  The result is exact through the surviving
-    jet order (two momenta at most).
+    jet order (two momenta at most).  ``states`` maps each word suffix applied
+    to this psi to its matrix of jets; the words of one operator share it.
     """
     hb = as_rat(hbar)
     N = pt.N
-    n = N * N
     if word.count("p") > 2:
         raise UsageError("operators of momentum degree > 2 are unsupported")
-    tails = [[psi if a == b else Jet(n) for b in range(N)] for a in range(N)]
-    for letter in reversed(word):
-        if letter == "q":
-            tails = _jmat_mul(pt.jets, tails)
-        elif letter == "p":
-            tails = [
+    tails = states.setdefault("", [[psi if a == b else Jet(N * N) for b in range(N)] for a in range(N)])
+    for i in reversed(range(len(word))):
+        if word[i:] in states:
+            tails = states[word[i:]]
+        elif word[i] == "q":
+            tails = states[word[i:]] = _jmat_mul(pt.jets, tails)
+        elif word[i] == "p":
+            tails = states[word[i:]] = [
                 [_jsum([tails[c][b].deriv(c * N + a) for c in range(N)]).scale(hb) for b in range(N)]
                 for a in range(N)
             ]
         else:
-            raise UsageError(f"bad letter {letter!r} in trace word")
+            raise UsageError(f"bad letter {word[i]!r} in trace word")
     return _jsum([tails[a][a] for a in range(N)])
 
 
@@ -276,9 +279,10 @@ def apply_matrix_operator(pt: RationalMatrixPoint, spec, f: MPoly, hbar) -> Frac
     like 'qpq', of momentum degree <= 2, or '' for the scalar term.
     """
     psi = _psi_jet(pt, f)
+    states: dict = {}
     total = Fraction(0)
     for coeff, word in spec:
-        total += as_rat(coeff) * (apply_trace_word(pt, word, psi, hbar) if word else psi).value()
+        total += as_rat(coeff) * (apply_trace_word(pt, word, psi, hbar, states) if word else psi).value()
     return total
 
 
@@ -330,21 +334,15 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
 
 
 def radial_value(op: DiffOp, f: MPoly, zs_point: list, t_point) -> Fraction:
-    reg = op.reg
-    N = op.N
-    fz = _subs_into(f, _trace_values(reg, N), reg)
-    point = {zn: v for zn, v in zip(zvars(reg)[:N], zs_point)}
+    """The radial operator applied to f(power sums), at the eigenvalues and t."""
+    jet = z_jet(zs_point, f)
+    point = {zn: v for zn, v in zip(zvars(op.reg)[: op.N], zs_point)}
     point["t"] = as_rat(t_point)
-    acc = op.C.eval(point) * fz.eval(point)
-    for rho, zn in enumerate(zvars(reg)[:N]):
-        d1 = fz.partial(zn)
-        acc += op.B[rho].eval(point) * d1.eval(point)
-        acc += op.A[rho].eval(point) * d1.partial(zn).eval(point)
+    acc = op.C.eval(point) * jet.value()
+    for rho in range(op.N):
+        d1 = jet.deriv(rho)
+        acc += op.B[rho].eval(point) * d1.value() + op.A[rho].eval(point) * d1.deriv(rho).value()
     return acc
-
-
-def _trace_values(reg: Registry, N: int) -> dict:
-    return {f"T{j}": power_sum(reg, N, j).num for j in range(1, MAX_TRACE_POWER + 1)}
 
 
 def _matrix_form(fam) -> str:
@@ -433,7 +431,8 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
     then re-verify exact equality with the corrected operator.
 
     Returns (corrections, report).  All-zero corrections mean the printed form
-    is already exact.
+    is already exact.  A discrepancy no correction of that shape fits gives
+    None, with ``verified`` False and the ``reason``.
     """
     rng = random.Random(seed)
     reg = session_registry(N)
@@ -453,21 +452,21 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
         for f in probes:
             lhs = apply_matrix_operator(pt, hamiltonian_trace_spec(J, N, t_point, **params), f, hb)
             rhs_val = radial_value(op_printed, f, pt.Z, t_point) * t_val
-            gap = lhs - rhs_val  # = the correction applied (inside clearing)
-            fz = _subs_into(f, _trace_values(reg, N), reg)
-            point = {zn: v for zn, v in zip(zvars(reg)[:N], pt.Z)}
-            point["t"] = t_point
+            rhs.append(lhs - rhs_val)  # = the correction applied (inside clearing)
+            jet = z_jet(pt.Z, f)
+            fval = jet.value()
             row = []
             for k in range(nalpha):
-                base = sum(z**k * fz.partial(zn).eval(point) for z, zn in zip(pt.Z, zvars(reg)[:N]))
+                base = sum(z**k * jet.deriv(rho).value() for rho, z in enumerate(pt.Z))
                 row.extend([base, base * t_point])
-            fval = fz.eval(point)
-            row.extend([fval, fval * t_point])
             sz = sum(pt.Z)
-            row.extend([fval * sz, fval * sz * t_point])
+            row.extend([fval, fval * t_point, fval * sz, fval * sz * t_point])
             rows.append(row)
-            rhs.append(gap)
-    sol = solve_linear(rows, rhs)
+    try:
+        sol = solve_linear(rows, rhs)
+    except UsageError as exc:
+        reason = f"the matrix-radial gap is no first-order correction of the fitted shape ({exc})"
+        return None, {"printed_exact": False, "verified": False, "family": J, "N": N, "reason": reason}
     corr = {
         "first_order": [(sol[2 * k], sol[2 * k + 1]) for k in range(nalpha)],
         "scalar": (sol[2 * nalpha], sol[2 * nalpha + 1]),
@@ -475,7 +474,8 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
     }
     is_zero = all(x == 0 for x in sol)
     check = verify_radial_match(J, N, 6, seed + 1, hbar=hb, corrections=None if is_zero else corr)
-    return corr, {"printed_exact": is_zero, "verified": check["ok"], "family": J, "N": N}
+    reason = None if check["ok"] else "the fitted correction fails at fresh points"
+    return corr, {"printed_exact": is_zero, "verified": check["ok"], "family": J, "N": N, "reason": reason}
 
 
 # ---------------------------------------------------------------------------

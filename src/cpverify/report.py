@@ -53,8 +53,11 @@ def build_report(task: dict, checks: list[CheckRecord], *, precision: int | None
     }
 
 
-def emit(report: dict, *, json_out=None, human_out=None) -> int:
-    """Print JSON to stdout and a human summary to stderr; return exit code."""
+def emit(report: dict, *, json_out=None, human_out=None, timings: bool = False) -> int:
+    """Print JSON to stdout and a human summary to stderr; return exit code.
+
+    With ``timings`` the summary ends with the five slowest checks.
+    """
     json_out = json_out or sys.stdout
     human_out = human_out or sys.stderr
     json_out.write(json.dumps(report, indent=2, sort_keys=False) + "\n")
@@ -72,6 +75,10 @@ def emit(report: dict, *, json_out=None, human_out=None) -> int:
             print(f"       {c['detail']}", file=human_out)
     if any(c["resolved"] for c in report["checks"]):
         print("  (* identity holds after an explicitly solved correction; see detail lines)", file=human_out)
+    if timings:
+        print("  slowest checks:", file=human_out)
+        for c in sorted(report["checks"], key=lambda c: -c["ms"])[:5]:
+            print(f"  {c['ms']:>8} ms  {c['name']}", file=human_out)
     return 0 if status in ("pass", "resolved-with-correction") else 1
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import time
 from fractions import Fraction
 
 import pytest
 
-from cpverify import checks, diffop, radial
+from cpverify import checks, diffop, families, radial
+from cpverify.cli import main
 from cpverify.checks import table1_resolve
 from cpverify.errors import QuadratureError, UsageError
 from cpverify.params import parse_params
@@ -31,6 +33,56 @@ def test_run_radial_families():
     recs = checks.run_radial("VI", 2, trials=2, seed=3)
     assert ok_all(recs)
     assert any(r.resolved for r in recs)
+
+
+def worked_records(monkeypatch, qkp2_radial_op):
+    """The six families' worked-reduction records at N = 2, seed 42, from cold caches."""
+    monkeypatch.setattr(checks, "_WORKED_REDUCTION_CACHE", {})
+    monkeypatch.setattr(checks, "_RESOLVED_RADIAL_CACHE", {})
+    monkeypatch.setattr(radial, "qkp2_radial_op", qkp2_radial_op)
+    recs = [rec for J in families.NAMES for rec in checks.run_radial(J, 2, 5, 42)]
+    return [rec for rec in recs if rec.name.startswith("worked reduction")]
+
+
+def test_the_worked_reduction_runs_once_per_argument_set(monkeypatch):
+    ks, real = [], radial.qkp2_radial_op
+
+    def counted(reg, N, k, hbar, kappa):
+        ks.append(k)
+        return real(reg, N, k, hbar, kappa)
+
+    recs = worked_records(monkeypatch, counted)
+    assert ks == [0, 1, 2, 3]
+    assert len(recs) == 6 and all(rec.ok for rec in recs)
+
+
+def test_a_wrong_worked_reduction_fails_every_record_that_carries_it(monkeypatch):
+    real = radial.qkp2_radial_op
+
+    def wrong(reg, N, k, hbar, kappa):
+        op = real(reg, N, k, hbar, kappa)
+        op.C = op.C + 1
+        return op
+
+    recs = worked_records(monkeypatch, wrong)
+    assert len(recs) == 6 and not any(rec.ok for rec in recs)
+
+
+def test_a_vi_gap_outside_the_ansatz_fails_by_name(monkeypatch, capsys):
+    fam = families.family("VI")
+    mutant = dataclasses.replace(fam, hamiltonian=lambda t, p: [*fam.hamiltonian(t, p), (1, "qqqq")])
+    monkeypatch.setitem(families._BY_NAME, "VI", mutant)
+    monkeypatch.setattr(checks, "_RESOLVED_RADIAL_CACHE", {})
+    reason = "no first-order correction of the fitted shape (inconsistent linear system)"
+    rec, _ = checks.run_radial("VI", 2, 5, 42)
+    assert not rec.ok and reason in rec.detail
+    rep = checks.table1_resolve("VI", "gauged", Fraction(1, 2), 2, 2)
+    assert not rep["ok"] and reason in rep["reason"]
+    (rec,) = checks.run_table1(("VI",), ("gauged",), (Fraction(1, 2),), (2,))
+    assert not rec.ok and reason in rec.detail
+    # a failed check, not a usage error
+    assert main(["verify", "radial", "--family", "VI", "--json"]) == 1
+    assert "usage error" not in capsys.readouterr().err
 
 
 def test_run_gauge_scalar():

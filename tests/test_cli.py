@@ -33,6 +33,22 @@ def test_verify_weyl_pass_and_schema():
     assert "ok" in proc.stderr or "[pass" in proc.stderr or "[resolved" in proc.stderr
 
 
+def test_timings_name_the_five_slowest_checks():
+    timed = run_cli("verify", "weyl", "--N", "2", "--timings")
+    assert timed.returncode == 0
+    ms = {c["name"]: c["ms"] for c in json.loads(timed.stdout)["checks"]}
+    tail = timed.stderr.splitlines()
+    at = tail.index("  slowest checks:")
+    listed = [line.split(" ms  ", 1) for line in tail[at + 1 :]]
+    assert len(listed) == 5 and len(ms) > 5
+    assert all(ms[name] == int(t) for t, name in listed)
+    assert [int(t) for t, _ in listed] == sorted((int(t) for t, _ in listed), reverse=True)
+    names = {name for _, name in listed}
+    assert int(listed[-1][0]) >= max(v for name, v in ms.items() if name not in names)
+    # without the flag the summary has no times
+    assert "slowest" not in run_cli("verify", "weyl", "--N", "2").stderr
+
+
 def test_usage_error_exit_code():
     proc = run_cli("verify", "pde", "--family", "II", "--hbar", "0")
     assert proc.returncode == 2

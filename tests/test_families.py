@@ -266,6 +266,8 @@ MUTANTS = {
     # reaches 2^(-prec/2) though it stays under the fixed 1e-10
     ("IV", "window 6 + 3|t|"): ("window", lambda fam: lambda t: 6.0 + 3 * abs(float(t)), "oracle"),
     ("IV", "window 8 + 3|t|"): ("window", lambda fam: lambda t: 8.0 + 3 * abs(float(t)), "suite oracle"),
+    # a gap no first-order correction fits: the resolver fails by name
+    ("VI", "Tr(q^4) term"): ("hamiltonian", lambda fam: lambda t, p: [*fam.hamiltonian(t, p), (1, "qqqq")], "radial"),
 }
 
 
@@ -279,6 +281,8 @@ def test_a_mutant_fails_a_cheap_check(J, row, monkeypatch):
     field, make, check = MUTANTS[(J, row)]
     fam = families.family(J)
     monkeypatch.setitem(families._BY_NAME, J, dataclasses.replace(fam, **{field: make(fam)}))
-    # the VI radial correction is fitted once per (N, hbar) and cached
+    # the VI radial correction is fitted once per (N, hbar) and the worked
+    # reduction run once per argument set; both are cached
     monkeypatch.setattr(checks, "_RESOLVED_RADIAL_CACHE", {})
+    monkeypatch.setattr(checks, "_WORKED_REDUCTION_CACHE", {})
     assert not all(rec.ok for rec in CATCHERS[check](J))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpverify import families, radial
-from cpverify.diffop import apply_op, operator_equal
+from cpverify.diffop import apply_op, operator_equal, power_sum, zvars
 from cpverify.errors import DegeneratePointError, UsageError
 from cpverify.exact import RatFun, session_registry
 from cpverify.radial import (
@@ -37,6 +37,18 @@ def test_matrix_point_basics():
         RationalMatrixPoint([Fraction(1), Fraction(2)], [[1, 1], [1, 1]])
 
 
+def power_sums_into(f, reg, N):
+    """f(T_1, T_2, ...) with T_j = sum_rho z_rho^j, as a polynomial in z (the symbolic reference)."""
+    out = reg.zero()
+    for e, c in f.terms.items():
+        term = reg.const(c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * power_sum(reg, N, i + 1).num ** k
+        out = out + term
+    return out
+
+
 def test_trace_polynomial_invariant():
     rng = random.Random(3)
     reg = session_registry(2)
@@ -46,8 +58,38 @@ def test_trace_polynomial_invariant():
         # evaluation through Q equals the symmetric polynomial at the eigenvalues
         spec = [(Fraction(1), "")]  # multiplication by nothing: just Psi itself
         psi_q = apply_matrix_operator(pt, spec, f, 1)
-        fz = radial._subs_into(f, radial._trace_values(reg, 2), reg)
+        fz = power_sums_into(f, reg, 2)
         assert psi_q == fz.eval({"z1": pt.Z[0], "z2": pt.Z[1], "t": Fraction(0)})
+
+
+def matches_symbolic(jet, fz, zs):
+    """The jet's value, d_rho and d_rho^2 equal those of the polynomial fz at zs."""
+    names = zvars(fz.reg)[: len(zs)]
+    point = {**dict(zip(names, zs)), "t": Fraction(0)}
+    if jet.value() != fz.eval(point):
+        return False
+    for rho, zn in enumerate(names):
+        d1, sym = jet.deriv(rho), fz.partial(zn)
+        if d1.value() != sym.eval(point) or d1.deriv(rho).value() != sym.partial(zn).eval(point):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_z_jet_matches_the_symbolic_substitution(N):
+    rng = random.Random(40 + N)
+    reg = session_registry(N)
+    for _ in range(6):
+        f = random_trace_polynomial(rng, max_power=6, terms=4)
+        zs = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(N)]
+        fz = power_sums_into(f, reg, N)
+        jet = radial.z_jet(zs, f)
+        assert matches_symbolic(jet, fz, zs)
+        # one wrong second-order coefficient is seen
+        rho = rng.randrange(N)
+        wrong = Jet(N, list(jet.v), jet.d)
+        wrong.v[radial._tables(N)[1][1 + rho][1 + rho]] += 1
+        assert not matches_symbolic(wrong, fz, zs)
 
 
 def test_pure_multiplication_word():
@@ -79,7 +121,7 @@ def trace_product(pt, words, f, hbar):
     """Tr(words[0]) Tr(words[1]) ... applied to f at the point, the rightmost trace first."""
     jet = radial._psi_jet(pt, f)
     for word in reversed(words):
-        jet = apply_trace_word(pt, word, jet, hbar)
+        jet = apply_trace_word(pt, word, jet, hbar, {})
     return jet.value()
 
 
