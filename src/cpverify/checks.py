@@ -154,8 +154,9 @@ def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2))
     else:
         # corr is None where the printed form is exact or no correction fits; either fails the record
         corr, rep = resolved_radial_corrections("VI", N, hbar)
-        printed = radial.verify_radial_match("VI", N, max(1, trials // 2), seed, hbar=hbar)
-        check = radial.verify_radial_match("VI", N, trials, seed, hbar=hbar, corrections=corr)
+        # one matrix side: the printed form at the first trials // 2 points, the corrected one at all
+        forms = [(None, max(1, trials // 2)), (corr, trials)]
+        printed, check = radial.verify_radial_match("VI", N, trials, seed, hbar=hbar, forms=forms)
         # the printed form needs first_order[1]; every other fitted unknown must vanish
         fitted = {}
         if corr:
@@ -195,13 +196,13 @@ def run_gauge_transformation(N: int = 2) -> list[CheckRecord]:
     hbar = Fraction(1, 3)
     kappa = Fraction(2, 5)
     th = Fraction(-3, 7)
-    pre = radial.build_radial_hamiltonian(reg, "II_pre", N, hbar, kappa, th=th)
+    zs, t = diffop.symbols(reg, N)
+    pre = radial.build_radial_hamiltonian(zs, t, "II_pre", hbar, kappa, th=th)
     s = reg.zero()
-    for zn in diffop.zvars(reg)[:N]:
-        z = reg.var(zn)
-        s = s + z**3 * Fraction(1, 3) + reg.var("t") * z * Fraction(1, 2)
+    for z in zs:
+        s = s + z**3 * Fraction(1, 3) + t * z * Fraction(1, 2)
     gauged = radial.gauge_scalar_conjugate(pre, s, hbar)
-    target = radial.build_radial_hamiltonian(reg, "II", N, hbar, kappa, th=th)
+    target = radial.build_radial_hamiltonian(zs, t, "II", hbar, kappa, th=th)
     return [
         _rec(
             f"scalar gauge N={N}: exp(S/hbar) conjugation recovers the printed gauged form",
@@ -321,7 +322,8 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
         corr, rep = resolved_radial_corrections("VI", N, hb)
         if not rep["verified"]:
             return {**out, "reason": f"radial VI has no verified correction: {rep['reason']}"}
-    ht = radial.build_radial_hamiltonian(reg, J, N, hb, maps["kappa_choices"][0], corrections=corr, **theta_kwargs)
+    kappa = maps["kappa_choices"][0]
+    ht = radial.build_radial_hamiltonian(*diffop.symbols(reg, N), J, hb, kappa, corrections=corr, **theta_kwargs)
     conj = diffop.conjugate_by_vandermonde(ht, maps["R"]) if mode == "gauged" else ht
     reflected = False
     diff = conj - cp

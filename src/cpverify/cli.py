@@ -133,7 +133,8 @@ def _print_hamiltonian(args):
         op = diffop.build_nagoya_single(session_registry(1), args.family, hbar, **args.params)
     else:
         kappa = parse_rational(args.kappa)
-        op = radial.build_radial_hamiltonian(session_registry(args.N), args.family, args.N, hbar, kappa, **args.params)
+        symbols = diffop.symbols(session_registry(args.N), args.N)
+        op = radial.build_radial_hamiltonian(*symbols, args.family, hbar, kappa, **args.params)
     for rho, coeff in enumerate(op.A):
         print(f"A[{rho + 1}] (d^2/dz{rho + 1}^2): {coeff.to_str()}")
     for rho, coeff in enumerate(op.B):

@@ -1,14 +1,18 @@
 """Second-order differential operators on symmetric functions of z_1..z_N.
 
 A :class:`DiffOp` stores per-variable second- and first-order coefficients and
-a zeroth-order coefficient, all exact rational functions of (z_1..z_N, t) with
-every parameter (including hbar) evaluated at rationals.  :func:`calogero_op`
-builds every printed operator: the part they share from the family's sigma(z)
-(the divided differences and the pair potential, summed over ordered pairs
-rho != sigma, Sum_{rho<sigma} forms converted on construction, and the
-second-order terms), then the operator's own first- and zeroth-order terms,
-which the family table states.  One conjugation rule, d_rho -> d_rho + g_rho,
-serves both the Vandermonde gauge Delta^R and the scalar gauge e^{S/hbar}.
+a zeroth-order coefficient, all in one field: exact rational functions of
+(z_1..z_N, t), with every parameter (including hbar) evaluated at rationals,
+or the rational values of those functions at one point.  The one builder,
+:func:`calogero_op`, serves both: it takes the z and the family's
+coefficients in a polynomial ring (the MPoly generators, or rationals at a
+point) and builds every printed operator.  It forms the part they share from
+the family's sigma(z) (the divided differences and the pair potential,
+summed over ordered pairs rho != sigma, Sum_{rho<sigma} forms converted on
+construction, and the second-order terms), then the operator's own first-
+and zeroth-order terms, which the family table states.  One conjugation
+rule, d_rho -> d_rho + g_rho, serves both the Vandermonde gauge Delta^R and
+the scalar gauge e^{S/hbar}.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
-from .exact import RatFun, Registry, as_rat, as_ratfun, fit, session_registry
+from .exact import MPoly, RatFun, Registry, as_rat, as_ratfun, fit, session_registry
 from .families import weighted
 
 
@@ -25,38 +29,49 @@ def zvars(reg: Registry):
     return [n for n in reg.names if n.startswith("z") and n[1:].isdigit()]
 
 
-def power_sum(reg: Registry, N: int, j: int) -> RatFun:
-    """Sum_rho z_rho^j over the first N z-variables, added in order.
+def symbols(reg: Registry, N: int):
+    """The builders' symbolic arguments: the generators z_1..z_N and t of ``reg``."""
+    return [reg.var(zn) for zn in zvars(reg)[:N]], reg.var("t")
 
-    The sum is taken on polynomials and made a RatFun once: over the
-    denominator one that is the same function, without a RatFun
-    normalization per term.
-    """
-    acc = reg.zero()
-    for zn in zvars(reg)[:N]:
-        acc = acc + reg.var(zn) ** j
-    return RatFun.from_mpoly(acc)
+
+def _lift(x):
+    """A polynomial-ring element in its field: an MPoly as a RatFun, a rational as itself."""
+    return RatFun.from_mpoly(x) if isinstance(x, MPoly) else x
+
+
+def _poly_at(f, z):
+    """Sum_k f[k] z^k, in the polynomial ring of z."""
+    return sum((c * z**k for k, c in enumerate(f)), 0 * z)
+
+
+def power_sum(reg: Registry, N: int, j: int) -> RatFun:
+    """Sum_rho z_rho^j over the first N z-variables, made a RatFun once."""
+    return _lift(sum(z**j for z in symbols(reg, N)[0]))
 
 
 class DiffOp:
-    """Sum_rho A_rho d^2_rho + Sum_rho B_rho d_rho + C with RatFun coefficients."""
+    """Sum_rho A_rho d^2_rho + Sum_rho B_rho d_rho + C, every coefficient in one field."""
 
-    __slots__ = ("reg", "N", "A", "B", "C")
+    __slots__ = ("A", "B", "C")
 
-    def __init__(self, reg: Registry, N: int, A=None, B=None, C=None):
-        self.reg = reg
-        self.N = N
-        zero = RatFun.const(reg, 0)
-        self.A = list(A) if A is not None else [zero] * N
-        self.B = list(B) if B is not None else [zero] * N
-        self.C = C if C is not None else zero
+    def __init__(self, A, B, C):
+        self.A = list(A)
+        self.B = list(B)
+        self.C = C
+
+    @property
+    def N(self) -> int:
+        return len(self.A)
+
+    @property
+    def reg(self) -> Registry:
+        """The registry of a symbolic operator's RatFun coefficients."""
+        return self.C.reg
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         if self.N != other.N:
             raise UsageError("operator size mismatch")
         return DiffOp(
-            self.reg,
-            self.N,
             [a + b for a, b in zip(self.A, other.A)],
             [a + b for a, b in zip(self.B, other.B)],
             self.C + other.C,
@@ -66,17 +81,10 @@ class DiffOp:
         return self + other.scale(-1)
 
     def scale(self, c) -> "DiffOp":
-        c = as_ratfun(c, self.reg)
-        return DiffOp(self.reg, self.N, [a * c for a in self.A], [b * c for b in self.B], self.C * c)
+        return DiffOp([a * c for a in self.A], [b * c for b in self.B], self.C * c)
 
     def subs(self, values: dict) -> "DiffOp":
-        return DiffOp(
-            self.reg,
-            self.N,
-            [a.subs(values) for a in self.A],
-            [b.subs(values) for b in self.B],
-            self.C.subs(values),
-        )
+        return DiffOp([a.subs(values) for a in self.A], [b.subs(values) for b in self.B], self.C.subs(values))
 
     def time_reflected(self) -> "DiffOp":
         """-H(z, -t): the Hamiltonian governing the flow after t -> -t."""
@@ -95,15 +103,6 @@ def operator_equal(a: DiffOp, b: DiffOp) -> bool:
         and all(x.equal(y) for x, y in zip(a.B, b.B))
         and a.C.equal(b.C)
     )
-
-
-def _poly_at(reg: Registry, f, zname: str) -> RatFun:
-    """Evaluate the univariate coefficient list f at the variable zname."""
-    z = RatFun.var(reg, zname)
-    acc = RatFun.const(reg, 0)
-    for k, c in enumerate(f):
-        acc = acc + as_ratfun(c, reg) * z**k
-    return acc
 
 
 def apply_op(op: DiffOp, f) -> RatFun:
@@ -129,7 +128,7 @@ def apply_op(op: DiffOp, f) -> RatFun:
 # ---------------------------------------------------------------------------
 
 
-def calogero_op(reg: Registry, N: int, f, second, dd, pot=0, first=(), zeroth=(), const=0) -> DiffOp:
+def calogero_op(zs, f, second, dd, pot=0, first=(), zeroth=(), const=0) -> DiffOp:
     """A printed operator: the Calogero part from sigma(z) = Sum_k f[k] z^k, then its own terms.
 
     In order: dd Sum_{rho != sigma} (sigma(z_rho) d_rho - sigma(z_sigma) d_sigma)/(z_rho - z_sigma),
@@ -137,27 +136,29 @@ def calogero_op(reg: Registry, N: int, f, second, dd, pot=0, first=(), zeroth=()
     pot = 0), then second sigma(z_rho) d^2_rho per rho.  After these come the
     operator's own terms: Sum_k first[k] z_rho^k d_rho per rho, and
     Sum_rho Sum_k zeroth[k] z_rho^k + const, added to C as one polynomial.
+    ``zs`` and the coefficients of f, first, zeroth and const lie in one
+    polynomial ring: the MPoly generators give the operator over RatFuns
+    (:func:`symbols`), rationals its value at that point.  The polynomial
+    parts are formed in the ring and lifted to its field once.
     """
-    zs = zvars(reg)[:N]
-    sig = [_poly_at(reg, f, zn) for zn in zs]
-    op = DiffOp(reg, N)
-    s = as_ratfun(dd, reg)
+    N = len(zs)
+    sig = [_lift(_poly_at(f, z)) for z in zs]
+    x = [_lift(z) for z in zs]
+    zero = _lift(0 * zs[0])
+    A, B, C = [zero] * N, [zero] * N, zero
     for rho, sigma in itertools.permutations(range(N), 2):
-        inv = 1 / (RatFun.var(reg, zs[rho]) - RatFun.var(reg, zs[sigma]))
-        op.B[rho] += s * sig[rho] * inv
-        op.B[sigma] -= s * sig[sigma] * inv
+        inv = 1 / (x[rho] - x[sigma])
+        B[rho] += dd * sig[rho] * inv
+        B[sigma] -= dd * sig[sigma] * inv
     if pot != 0:
-        s = as_ratfun(pot, reg)
         for rho, sigma in itertools.permutations(range(N), 2):
-            inv2 = (1 / (RatFun.var(reg, zs[rho]) - RatFun.var(reg, zs[sigma]))) ** 2
-            op.C += s * (sig[rho] + sig[sigma]) * inv2
-    own = as_ratfun(const, reg)
-    for rho, zn in enumerate(zs):
-        op.A[rho] += second * sig[rho]
-        op.B[rho] += _poly_at(reg, first, zn)
-        own += _poly_at(reg, zeroth, zn)
-    op.C += own
-    return op
+            C += pot * (sig[rho] + sig[sigma]) * (1 / (x[rho] - x[sigma])) ** 2
+    own = const
+    for rho, z in enumerate(zs):
+        A[rho] += second * sig[rho]
+        B[rho] += _lift(_poly_at(first, z))
+        own += _poly_at(zeroth, z)
+    return DiffOp(A, B, C + _lift(own))
 
 
 def _want(params: dict, names) -> dict:
@@ -175,24 +176,24 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
     """
     fam = weighted(J)
     hb = as_rat(hbar)
-    t = RatFun.var(reg, "t")
+    zs, t = symbols(reg, N)
     first, zeroth, const = fam.cp(t, hb, N, m, _want(params, fam.cp_keys))
-    return _cleared(calogero_op(reg, N, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
+    return _cleared(calogero_op(zs, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
 
 
 def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
     """Printed single-particle Hamiltonians (N = 1)."""
     fam = weighted(J)
     hb = as_rat(hbar)
-    t = RatFun.var(reg, "t")
+    zs, t = symbols(reg, 1)
     first, zeroth, const = fam.nagoya(t, hb, _want(params, dict.fromkeys(("a", *fam.cp_keys))))
-    return _cleared(calogero_op(reg, 1, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
+    return _cleared(calogero_op(zs, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
 
 
 def _cleared(op: DiffOp, fam, t) -> DiffOp:
     """``op`` with the family's printed prefactor (1, t or t(t-1)) divided out."""
     prefactor = fam.prefactor(t)
-    return op if prefactor == 1 else op.scale(1 / prefactor)
+    return op if prefactor == 1 else op.scale(1 / _lift(prefactor))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def _w(reg: Registry, zs, rho: int) -> RatFun:
 def _conjugate(op: DiffOp, g: list) -> DiffOp:
     """op after d_rho -> d_rho + g[rho]: the conjugation by a function whose
     logarithmic z_rho-derivative is g[rho]."""
-    out = DiffOp(op.reg, op.N, list(op.A), list(op.B), op.C)
+    out = DiffOp(op.A, op.B, op.C)
     for rho, zn in enumerate(zvars(op.reg)[: op.N]):
         out.B[rho] += op.A[rho] * 2 * g[rho]
         # two additions into C, not one of a sum: adding the two terms to each
@@ -240,8 +241,9 @@ def build_gauge_pair(reg: Registry, N: int, a: int, hbar, kappa):
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
     f = tuple(1 if k == a else 0 for k in range(a + 1))
     # 2 hbar Sum_{rho<sigma} == hbar Sum_{rho != sigma}
-    h_op = calogero_op(reg, N, f, hb * hb, hb)
-    ht_base = calogero_op(reg, N, f, hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2))
+    zs = symbols(reg, N)[0]
+    h_op = calogero_op(zs, f, hb * hb, hb)
+    ht_base = calogero_op(zs, f, hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2))
     if a in (0, 1):
         printed = RatFun.const(reg, 0)
     elif a == 2:

@@ -8,11 +8,13 @@ A jet is a dense vector of integer coefficients over one integer
 denominator; only the final value becomes a Fraction.  The wave function's
 jet takes the trace powers only as far as it uses them, and the words of one
 operator apply the suffixes they share once.
-The radial side evaluates the printed eigenvalue Hamiltonians on the same
-jets taken in the N eigenvalues, T_j = sum_rho (z_rho + x_rho)^j: one
-composition of f over the trace jets serves both sides.  A fitting resolver
-pins down any discrepancy as an explicit low-degree correction and
-re-verifies exactly, or fails with the reason when none fits.
+The radial side builds the printed eigenvalue Hamiltonians at the point
+itself, the eigenvalues Z and t, with the one operator builder of
+:mod:`diffop` over the rationals, and applies those numbers to the same jets
+taken in the N eigenvalues, T_j = sum_rho (z_rho + x_rho)^j: one composition
+of f over the trace jets serves both sides.  A fitting resolver pins down
+any discrepancy as an explicit low-degree correction and re-verifies
+exactly, or fails with the reason when none fits.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from functools import reduce
 from math import gcd
 
 from . import families
-from .diffop import DiffOp, _cleared, _conjugate, _want, calogero_op, power_sum, zvars
+from .diffop import DiffOp, _cleared, _conjugate, _want, calogero_op, zvars
 from .errors import DegeneratePointError, UsageError
-from .exact import MPoly, RatFun, Registry, as_rat, session_registry, solve_linear
+from .exact import MPoly, RatFun, Registry, as_rat, solve_linear
 
 TRACE_REG = Registry(tuple(f"T{j}" for j in range(1, 7)))
 
@@ -303,9 +305,11 @@ def hamiltonian_trace_spec(J: str, N: int, t, **params) -> list:
 # ---------------------------------------------------------------------------
 
 
-def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, corrections=None, **params) -> DiffOp:
+def build_radial_hamiltonian(zs, t, J: str, hbar, kappa, corrections=None, **params) -> DiffOp:
     """The printed eigenvalue Hamiltonians (family 'II' is the gauged form, 'II_pre' the pre-gauge one).
 
+    ``zs`` and ``t`` are the polynomial generators (:func:`diffop.symbols`)
+    for the operator over RatFuns, or rationals for its value at that point.
     ``corrections`` optionally carries engine-fitted correction data (see
     :func:`resolve_radial_corrections`): ``first_order[k]`` adds to the
     z^k d_rho coefficient, ``sum_z`` to the z_rho term and ``scalar`` to the
@@ -315,8 +319,7 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
     form = fam.radial_pre if J == "II_pre" else fam.radial
     hb = as_rat(hbar)
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
-    t = RatFun.var(reg, "t")
-    first, zeroth, const = form(t, hb, N, kk, _want(params, fam.radial_keys))
+    first, zeroth, const = form(t, hb, len(zs), kk, _want(params, fam.radial_keys))
     if corrections is not None:
         fitted = [a0 + t * a1 for a0, a1 in corrections["first_order"]]
         first = [x + y for x, y in itertools.zip_longest(first, fitted, fillvalue=0)]
@@ -324,7 +327,7 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
         zeroth = [x + y for x, y in itertools.zip_longest(zeroth, (0, e0 + t * e1), fillvalue=0)]
         s0, s1 = corrections["scalar"]
         const = const + s0 + t * s1
-    op = calogero_op(reg, N, fam.sigma(t), hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2), first, zeroth, const)
+    op = calogero_op(zs, fam.sigma(t), hb * hb, hb * hb, -hb * hb * kk * Fraction(1, 2), first, zeroth, const)
     return _cleared(op, fam, t)
 
 
@@ -333,15 +336,12 @@ def build_radial_hamiltonian(reg: Registry, J: str, N: int, hbar, kappa, correct
 # ---------------------------------------------------------------------------
 
 
-def radial_value(op: DiffOp, f: MPoly, zs_point: list, t_point) -> Fraction:
-    """The radial operator applied to f(power sums), at the eigenvalues and t."""
-    jet = z_jet(zs_point, f)
-    point = {zn: v for zn, v in zip(zvars(op.reg)[: op.N], zs_point)}
-    point["t"] = as_rat(t_point)
-    acc = op.C.eval(point) * jet.value()
+def radial_value(op: DiffOp, jet: Jet) -> Fraction:
+    """An operator built at the eigenvalues applied to the z-jet of f there (see :func:`z_jet`)."""
+    acc = op.C * jet.value()
     for rho in range(op.N):
         d1 = jet.deriv(rho)
-        acc += op.B[rho].eval(point) * d1.value() + op.A[rho].eval(point) * d1.deriv(rho).value()
+        acc += op.B[rho] * d1.value() + op.A[rho] * d1.deriv(rho).value()
     return acc
 
 
@@ -350,71 +350,65 @@ def _matrix_form(fam) -> str:
     return f"{fam.name}_pre" if fam.radial_pre else fam.name
 
 
-def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2), corrections=None):
+def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2), corrections=None, forms=None):
     """Exact matrix-vs-radial equality at random rational points (kappa = 0).
 
     For family II the matrix quantization reduces to the pre-gauge radial
     form; the gauged form is reached separately through the scalar gauge.
+    ``forms``, a list of (corrections, trials), compares several corrected
+    forms against one matrix side, each at the first ``trials`` points of
+    the seed, and returns one report per form.
     """
     rng = random.Random(seed)
-    reg = session_registry(N)
     fam = families.family(J)
     radial_fam = _matrix_form(fam)
-    mismatches = []
-    for trial in range(trials):
+    todo = forms or [(corrections, trials)]
+    reports = [{"ok": True, "trials": n, "mismatches": []} for _, n in todo]
+    for trial in range(max(n for _, n in todo)):
         params = fam.random_thetas(rng)
         t_point = Fraction(rng.randint(1, 9), rng.randint(1, 4)) + 1  # keep t, t-1 nonzero
         pt = RationalMatrixPoint.random(N, rng)
         f = random_trace_polynomial(rng)
-        spec = hamiltonian_trace_spec(J, N, t_point, **params)
-        lhs = apply_matrix_operator(pt, spec, f, hbar)
-        op = build_radial_hamiltonian(reg, radial_fam, N, hbar, 0, corrections=corrections, **params)
-        rhs_val = radial_value(op, f, pt.Z, t_point)
-        t_val = fam.prefactor(t_point)
-        if lhs != rhs_val * t_val:
-            mismatches.append(
-                {
-                    "trial": trial,
-                    "params": params,
-                    "t": t_point,
-                    "Z": pt.Z,
-                    "matrix": lhs,
-                    "radial": rhs_val * t_val,
-                }
-            )
-    return {"ok": not mismatches, "trials": trials, "mismatches": mismatches}
+        lhs = apply_matrix_operator(pt, hamiltonian_trace_spec(J, N, t_point, **params), f, hbar)
+        jet = z_jet(pt.Z, f)
+        for (corr, n), rep in zip(todo, reports):
+            if trial >= n:
+                continue
+            op = build_radial_hamiltonian(pt.Z, t_point, radial_fam, hbar, 0, corrections=corr, **params)
+            rhs = radial_value(op, jet) * fam.prefactor(t_point)
+            if lhs != rhs:
+                rep["ok"] = False
+                rep["mismatches"].append(
+                    {"trial": trial, "params": params, "t": t_point, "Z": pt.Z, "matrix": lhs, "radial": rhs}
+                )
+    return reports if forms else reports[0]
 
 
-def qkp2_radial_op(reg: Registry, N: int, k: int, hbar, kappa) -> DiffOp:
-    """Printed radial image of Tr(q^k p^2) (the worked reduction), kappa general."""
-    hb = as_rat(hbar)
+def qkp2_radial_op(zs, k: int, hbar, kappa) -> DiffOp:
+    """Printed radial image of Tr(q^k p^2) (the worked reduction), kappa general.
+
+    ``zs`` is as in :func:`build_radial_hamiltonian`.  The image's own terms are
+    hbar^2 (k z_rho^{k-1} - Sum_{j<k} p_j z_rho^{k-1-j}) d_rho, p_j = Sum_sigma z_sigma^j;
+    Sum_{rho != sigma} z_rho^k/(z_rho - z_sigma)^2 is half the pair potential.
+    """
+    h2 = as_rat(hbar) ** 2
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
-    f = tuple(1 if j == k else 0 for j in range(k + 1))
-    zs = zvars(reg)[:N]
-    # Sum_{rho != sigma} f(z_rho)/(z_rho - z_sigma)^2 is half the pair potential
-    op = calogero_op(reg, N, f, hb * hb, hb * hb, -hb * hb * kk / 2)
+    first = [-h2 * sum(z ** (k - 1 - i) for z in zs) for i in range(k)]
     if k >= 1:
-        for rho, zn in enumerate(zs):
-            op.B[rho] += hb * hb * Fraction(k) * RatFun.var(reg, zn) ** (k - 1)
-    for j in range(k):
-        pj = power_sum(reg, N, j)
-        for rho, zn in enumerate(zs):
-            op.B[rho] += -hb * hb * pj * RatFun.var(reg, zn) ** (k - 1 - j)
-    return op
+        first[k - 1] += h2 * k
+    return calogero_op(zs, tuple(1 if j == k else 0 for j in range(k + 1)), h2, h2, -h2 * kk / 2, first)
 
 
 def verify_qkp2(N: int, kmax: int, trials: int, seed: int, hbar=Fraction(1, 3)):
     """Worked-example check: Tr(q^k p^2) matrix action equals the printed radial form."""
     rng = random.Random(seed)
-    reg = session_registry(N)
     bad = []
     for k in range(kmax + 1):
-        op = qkp2_radial_op(reg, N, k, hbar, 0)
         for _ in range(trials):
             pt = RationalMatrixPoint.random(N, rng)
             f = random_trace_polynomial(rng)
             lhs = apply_matrix_operator(pt, [(Fraction(1), "q" * k + "pp")], f, hbar)
-            rhs = radial_value(op, f, pt.Z, Fraction(3, 2))
+            rhs = radial_value(qkp2_radial_op(pt.Z, k, hbar, 0), z_jet(pt.Z, f))
             if lhs != rhs:
                 bad.append({"k": k, "Z": pt.Z, "matrix": lhs, "radial": rhs})
     return {"ok": not bad, "mismatches": bad}
@@ -435,7 +429,6 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
     None, with ``verified`` False and the ``reason``.
     """
     rng = random.Random(seed)
-    reg = session_registry(N)
     hb = as_rat(hbar)
     fam = families.family(J)
     radial_fam = _matrix_form(fam)
@@ -444,16 +437,16 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
     unknowns = 2 * nalpha + 4  # (a_k0, a_k1)_k, s0, s1, e0, e1
     rows, rhs = [], []
     probes = [TRACE_REG.one()] + [TRACE_REG.var(f"T{j}") for j in (1, 2, 3)]
-    op_printed = build_radial_hamiltonian(reg, radial_fam, N, hb, 0, **params)
     while len(rows) < 3 * unknowns:
         t_point = Fraction(rng.randint(2, 9), rng.randint(1, 3)) + 1
         pt = RationalMatrixPoint.random(N, rng)
         t_val = fam.prefactor(t_point)
+        spec = hamiltonian_trace_spec(J, N, t_point, **params)
+        op_printed = build_radial_hamiltonian(pt.Z, t_point, radial_fam, hb, 0, **params)
         for f in probes:
-            lhs = apply_matrix_operator(pt, hamiltonian_trace_spec(J, N, t_point, **params), f, hb)
-            rhs_val = radial_value(op_printed, f, pt.Z, t_point) * t_val
-            rhs.append(lhs - rhs_val)  # = the correction applied (inside clearing)
             jet = z_jet(pt.Z, f)
+            # = the correction applied (inside clearing)
+            rhs.append(apply_matrix_operator(pt, spec, f, hb) - radial_value(op_printed, jet) * t_val)
             fval = jet.value()
             row = []
             for k in range(nalpha):

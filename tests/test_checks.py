@@ -36,7 +36,10 @@ def test_run_radial_families():
 
 
 def worked_records(monkeypatch, qkp2_radial_op):
-    """The six families' worked-reduction records at N = 2, seed 42, from cold caches."""
+    """The six families' worked-reduction records at N = 2, seed 42, from cold caches.
+
+    ``qkp2_radial_op`` replaces the worked reduction's radial operator, built at each point.
+    """
     monkeypatch.setattr(checks, "_WORKED_REDUCTION_CACHE", {})
     monkeypatch.setattr(checks, "_RESOLVED_RADIAL_CACHE", {})
     monkeypatch.setattr(radial, "qkp2_radial_op", qkp2_radial_op)
@@ -45,22 +48,25 @@ def worked_records(monkeypatch, qkp2_radial_op):
 
 
 def test_the_worked_reduction_runs_once_per_argument_set(monkeypatch):
-    ks, real = [], radial.qkp2_radial_op
+    runs, ks = [], []
+    verify, real = radial.verify_qkp2, radial.qkp2_radial_op
+    monkeypatch.setattr(radial, "verify_qkp2", lambda *a: runs.append(a) or verify(*a))
 
-    def counted(reg, N, k, hbar, kappa):
+    def counted(zs, k, hbar, kappa):
         ks.append(k)
-        return real(reg, N, k, hbar, kappa)
+        return real(zs, k, hbar, kappa)
 
     recs = worked_records(monkeypatch, counted)
-    assert ks == [0, 1, 2, 3]
+    assert runs == [(2, 3, 2, 43, Fraction(1, 2))]  # one run serves the six families
+    assert ks == [0, 0, 1, 1, 2, 2, 3, 3]  # one operator per point: two points per k
     assert len(recs) == 6 and all(rec.ok for rec in recs)
 
 
 def test_a_wrong_worked_reduction_fails_every_record_that_carries_it(monkeypatch):
     real = radial.qkp2_radial_op
 
-    def wrong(reg, N, k, hbar, kappa):
-        op = real(reg, N, k, hbar, kappa)
+    def wrong(zs, k, hbar, kappa):
+        op = real(zs, k, hbar, kappa)
         op.C = op.C + 1
         return op
 

@@ -11,6 +11,7 @@ from cpverify.diffop import (
     calogero_op,
     conjugate_by_vandermonde,
     operator_equal,
+    symbols,
     table_params,
     theorem_gauge_check,
 )
@@ -19,10 +20,12 @@ from cpverify.exact import RatFun, session_registry
 
 R2 = session_registry(2)
 R3 = session_registry(3)
+Z2 = symbols(R2, 2)[0]
+Z3 = symbols(R3, 3)[0]
 
 
 def test_calogero_op_divided_difference():
-    op = calogero_op(R2, 2, (1,), 0, 1)
+    op = calogero_op(Z2, (1,), 0, 1)
     z1, z2 = R2.var("z1"), R2.var("z2")
     assert op.B[0].equal(RatFun(R2.const(2), z1 - z2))
     assert op.B[1].equal(RatFun(R2.const(2), z2 - z1))
@@ -32,7 +35,7 @@ def test_calogero_op_divided_difference():
 
 def test_calogero_op_potentials():
     z1, z2 = R2.var("z1"), R2.var("z2")
-    pair = calogero_op(R2, 2, (1,), 0, 0, 1)
+    pair = calogero_op(Z2, (1,), 0, 0, 1)
     assert pair.C.equal(RatFun(R2.const(4), (z1 - z2) ** 2))
     # s Sum_{rho != sigma} f(z_rho)/(z_rho - z_sigma)^2 is the pair potential at scale s/2
     s = Fraction(-3, 7)
@@ -44,23 +47,23 @@ def test_calogero_op_potentials():
                 if rho != sigma:
                     by_hand = by_hand + RatFun(zs[rho] ** k * s, (zs[rho] - zs[sigma]) ** 2)
         f = (0,) * k + (1,)
-        assert calogero_op(R3, 3, f, 0, 0, s / 2).C.equal(by_hand)
-    assert calogero_op(R2, 2, (1,), 0, 0).is_zero()
+        assert calogero_op(Z3, f, 0, 0, s / 2).C.equal(by_hand)
+    assert calogero_op(Z2, (1,), 0, 0).is_zero()
 
 
 def test_calogero_op_is_the_sum_of_its_shapes():
     # second sigma(z_rho) d^2_rho, plus the divided differences, plus the potential
     f = (Fraction(1, 3), 0, 1)
-    op = calogero_op(R3, 3, f, Fraction(2, 5), Fraction(1, 2), 3)
-    parts = calogero_op(R3, 3, f, 0, Fraction(1, 2)) + calogero_op(R3, 3, f, 0, 0, 3)
+    op = calogero_op(Z3, f, Fraction(2, 5), Fraction(1, 2), 3)
+    parts = calogero_op(Z3, f, 0, Fraction(1, 2)) + calogero_op(Z3, f, 0, 0, 3)
     for rho in range(3):
         z = RatFun.var(R3, f"z{rho + 1}")
         assert op.A[rho].equal(Fraction(2, 5) * (z * z + Fraction(1, 3)))
-    assert operator_equal(op, parts + calogero_op(R3, 3, f, Fraction(2, 5), 0))
+    assert operator_equal(op, parts + calogero_op(Z3, f, Fraction(2, 5), 0))
 
 
 def test_apply_divided_difference_examples():
-    op = calogero_op(R2, 2, (1,), 0, 1)
+    op = calogero_op(Z2, (1,), 0, 1)
     z1, z2 = R2.var("z1"), R2.var("z2")
     assert apply_op(op, z1 * z1 + z2 * z2).equal(RatFun.const(R2, 4))
     assert apply_op(op, z1 + z2).is_zero()

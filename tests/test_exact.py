@@ -344,7 +344,7 @@ def test_golden_vandermonde_conjugation_iv_n3():
     family = {"a": Fraction(2, 7), "b": Fraction(-1, 3), "c": Fraction(-1, 5), "d": Fraction(3, 11)}
     maps = diffop.table_params("IV", Fraction(2), "gauged", 2, 3, **family)
     thetas = {k: v for k, v in maps.items() if k in ("th", "th0", "th1", "th2", "tht", "k2")}
-    ht = radial.build_radial_hamiltonian(reg, "IV", 3, Fraction(2), maps["kappa_choices"][0], **thetas)
+    ht = radial.build_radial_hamiltonian(*diffop.symbols(reg, 3), "IV", Fraction(2), maps["kappa_choices"][0], **thetas)
     conj = diffop.conjugate_by_vandermonde(ht, maps["R"])
     c = conj.C
     assert (len(c.num.terms), len(c.den.terms), c.den.total_degree()) == (1998, 972, 53)

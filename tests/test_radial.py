@@ -1,13 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpverify import families, radial
-from cpverify.diffop import apply_op, operator_equal, power_sum, zvars
+from cpverify.diffop import apply_op, operator_equal, power_sum, symbols, zvars
 from cpverify.errors import DegeneratePointError, UsageError
 from cpverify.exact import RatFun, session_registry
 from cpverify.radial import (
@@ -222,6 +223,66 @@ def test_radial_vi_printed_fails_and_resolves(N):
         assert corr["scalar"] == (0, 0) and corr["sum_z"] == (0, 0)
 
 
+def coefficients(op):
+    return [*op.A, *op.B, op.C]
+
+
+def at_point(build, reg, Z, t):
+    """(the symbolic operator's coefficients evaluated at (Z, t), the operator built at (Z, t))."""
+    point = {**dict(zip(zvars(reg), Z)), "t": t}
+    return [c.eval(point) for c in coefficients(build(*symbols(reg, len(Z))))], coefficients(build(Z, t))
+
+
+# every correction slot nonzero, so each reaches the operator
+ANY_CORRECTION = {
+    "first_order": [(Fraction(1, 3), 0), (Fraction(-1, 4),) * 2, (0, Fraction(2)), (Fraction(5), Fraction(-1, 6))],
+    "scalar": (Fraction(1, 5), Fraction(-2)),
+    "sum_z": (Fraction(3), Fraction(1, 7)),
+}
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_the_operator_built_at_a_point_equals_the_symbolic_one_there(N):
+    # the radial checks build the printed operators at the rational point
+    # (Z, t); the same builder over RatFuns, evaluated there, is the oracle
+    rng = random.Random(60 + N)
+    reg = session_registry(N)
+    builds = []
+    for hbar in (Fraction(1, 2), Fraction(2)):
+        fitted = resolve_radial_corrections("VI", N, hbar, seed=9)[0]
+        for kappa in (0, Fraction(2, 5)):
+            for J in (*families.NAMES, "II_pre"):
+                params = families.family("II" if J == "II_pre" else J).random_thetas(rng)
+                for corr in (None, fitted, ANY_CORRECTION) if J == "VI" else (None,):
+                    kw = dict(J=J, hbar=hbar, kappa=kappa, corrections=corr, **params)
+                    builds.append(partial(build_radial_hamiltonian, **kw))
+            # the worked reduction has no t
+            for k in range(4):
+                builds.append(partial(lambda zs, t, **kw: qkp2_radial_op(zs, **kw), k=k, hbar=hbar, kappa=kappa))
+    assert len(builds) == 52
+    for build in builds:
+        Z = RationalMatrixPoint.random(N, rng).Z
+        t = Fraction(rng.randint(1, 9), rng.randint(1, 4)) + 1
+        symbolic, point = at_point(build, reg, Z, t)
+        assert symbolic == point, build
+        # the negative control: a constant off by one is seen
+        assert symbolic != point[:-1] + [point[-1] + 1]
+
+
+def test_the_radial_value_reads_the_jet():
+    # apply the operator built at the point to f through the jet, and
+    # the symbolic operator to f(power sums), then evaluate
+    rng = random.Random(70)
+    reg = session_registry(2)
+    params = families.family("V").random_thetas(rng)
+    Z, t = [Fraction(1, 3), Fraction(-2)], Fraction(5, 2)
+    point = {"z1": Z[0], "z2": Z[1], "t": t}
+    f = random_trace_polynomial(rng)
+    op = build_radial_hamiltonian(*symbols(reg, 2), "V", Fraction(1, 2), 0, **params)
+    expect = apply_op(op, power_sums_into(f, reg, 2)).eval(point)
+    assert radial_value(build_radial_hamiltonian(Z, t, "V", Fraction(1, 2), 0, **params), radial.z_jet(Z, f)) == expect
+
+
 @pytest.mark.parametrize("J", ["I", "III", "IV", "V"])
 def test_resolve_reports_printed_exact(J):
     corr, report = resolve_radial_corrections(J, 2, Fraction(1, 2), seed=3)
@@ -235,13 +296,13 @@ def test_gauge_recovers_printed_gauged_form():
     hbar = Fraction(1, 3)
     kappa = Fraction(2, 5)
     th = Fraction(-3, 7)
-    pre = build_radial_hamiltonian(reg, "II_pre", N, hbar, kappa, th=th)
+    pre = build_radial_hamiltonian(*symbols(reg, N), "II_pre", hbar, kappa, th=th)
     s = reg.zero()
     for zn in ("z1", "z2"):
         z = reg.var(zn)
         s = s + z**3 * Fraction(1, 3) + reg.var("t") * z * Fraction(1, 2)
     gauged = gauge_scalar_conjugate(pre, s, hbar)
-    target = build_radial_hamiltonian(reg, "II", N, hbar, kappa, th=th)
+    target = build_radial_hamiltonian(*symbols(reg, N), "II", hbar, kappa, th=th)
     assert operator_equal(gauged, target)
     # first-order coefficient is -hbar (z^2 + t/2) plus the divided difference part
     z1, z2, t = (RatFun.var(reg, n) for n in ("z1", "z2", "t"))
@@ -251,15 +312,15 @@ def test_gauge_recovers_printed_gauged_form():
 
 def test_gauge_zero_is_identity():
     reg = session_registry(2)
-    op = build_radial_hamiltonian(reg, "IV", 2, Fraction(1, 2), 0, th0=1, th1=2)
+    op = build_radial_hamiltonian(*symbols(reg, 2), "IV", Fraction(1, 2), 0, th0=1, th1=2)
     assert operator_equal(gauge_scalar_conjugate(op, reg.zero(), 1), op)
 
 
 def test_vi_depends_on_k2_only():
     reg = session_registry(2)
     kw = dict(th0=Fraction(1, 2), th1=Fraction(1, 3), tht=Fraction(1, 5), k2=Fraction(4, 9))
-    op1 = build_radial_hamiltonian(reg, "VI", 2, 1, 0, **kw)
-    op2 = build_radial_hamiltonian(reg, "VI", 2, 1, 0, **kw)
+    op1 = build_radial_hamiltonian(*symbols(reg, 2), "VI", 1, 0, **kw)
+    op2 = build_radial_hamiltonian(*symbols(reg, 2), "VI", 1, 0, **kw)
     assert operator_equal(op1, op2)
 
 
