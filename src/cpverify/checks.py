@@ -440,7 +440,10 @@ def run_n1(m: int = 2, hbar=Fraction(1, 2)) -> list[CheckRecord]:
 
 
 def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, controls: bool = False) -> list[CheckRecord]:
+    """The symbolic check and, with ``controls``, its m_shift control on the same wave function, each timed."""
+    start = time.perf_counter()
     rep = moments.verify_pde_symbolic(J, N, m, hbar, params)
+    ms = int((time.perf_counter() - start) * 1000)
     # an ok record has tau = N, so the printed hbar d/dt holds exactly at N = 1
     resolved = rep["ok"] and N > 1
     detail = f"time normalization tau = {rep['time_factor']}"
@@ -455,15 +458,18 @@ def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = No
             rep["ok"],
             resolved=resolved,
             detail=detail,
+            ms=ms,
         )
     ]
     if controls:
-        bad = moments.verify_pde_symbolic(J, N, m, hbar, params, mutate="m_shift")
+        start = time.perf_counter()
+        bad = moments.verify_pde_symbolic(J, N, m, hbar, params, mutate="m_shift", wave=rep["wave"])
         out.append(
             _rec(
                 f"negative control {J}, N={N}, m={m}: shifted m hbar coefficient leaves a residual",
                 "solution to the multi-variable version",
                 not bad["ok"],
+                ms=int((time.perf_counter() - start) * 1000),
             )
         )
     return out

@@ -18,14 +18,18 @@ vectors" (CASC 2007):
 
 Arithmetic runs on the ints.  A product multiplies the contents once and the
 integer coefficients per term pair; by Gauss's lemma it stays primitive.  A
-sum brings both contents to a common one by integer factors and divides out
-the integer gcd of the result.  Division is exact over the integers.
-``MPoly.terms`` remains as a read-only ``{exponent tuple: Fraction}`` view,
-built on first use, in the same term order as the arithmetic produced.
+primitive one-term polynomial has coefficient +-1, so a product with one only
+shifts the other's terms.  A sum brings both contents to a common one by
+integer factors and divides out the integer gcd of the result.  Division is
+exact over the integers.  ``MPoly.terms`` remains as a read-only ``{exponent
+tuple: Fraction}`` view, built on first use, in the same term order as the
+arithmetic produced.
 
 Rational functions never normalize by polynomial gcd; equality is decided by
 cross-multiplication.  Only cheap content/monomial cancellation is applied to
-keep intermediate objects small.
+keep intermediate objects small.  A denominator with a constant term has no
+monomial content; one with a single term has no univariate factor left to
+cancel once the shared monomial is divided out.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ class Registry:
         return _new(self, {}, _ONE)
 
     def one(self) -> "MPoly":
-        return self.const(1)
+        return _new(self, {0: 1}, _ONE)
 
     def const(self, c) -> "MPoly":
         c = as_rat(c)
@@ -262,19 +266,29 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        out: dict = {}
-        get = out.get
-        right = list(other._t.items())
-        for e1, c1 in self._t.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                s = get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        ca, cb = self._c, other._c
+        c = Fraction(ca.numerator * cb.numerator) if ca.denominator == 1 == cb.denominator else ca * cb
+        a, b = (other._t, self._t) if len(self._t) == 1 else (self._t, other._t)
+        if len(b) == 1:
+            # a shift by one monomial: no two terms meet, in the order of ``a``
+            ((e2, c2),) = b.items()
+            if e2 == 0 and c2 == 1:
+                return _new(self.reg, a, c)
+            out = {e1 + e2: c1 * c2 for e1, c1 in a.items()}
+        else:
+            out = {}
+            get = out.get
+            right = list(b.items())
+            for e1, c1 in a.items():
+                for e2, c2 in right:
+                    e = e1 + e2
+                    s = get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
         _check_fields(self.reg, out)
-        return _new(self.reg, out, self._c * other._c)
+        return _new(self.reg, out, c)
 
     __rmul__ = __mul__
 
@@ -580,13 +594,14 @@ class RatFun:
         if num.is_zero():
             den = den.reg.one()
         else:
-            shared = _monomial_content(num)
+            shared = 0 if 0 in den._t else _monomial_content(num)
             if shared:
                 shared = _field_min(shared, _monomial_content(den), den.reg._guard)
             if shared:
                 num = _shift_down(num, shared)
                 den = _shift_down(den, shared)
-            num, den = _univariate_cancel(num, den)
+            if len(den._t) > 1:
+                num, den = _univariate_cancel(num, den)
             g = _int_content_gcd(num, den)
             if g != 1:
                 num = num * (1 / g)

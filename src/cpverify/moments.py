@@ -19,6 +19,7 @@ them against actual integrals).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import families
 from .diffop import apply_op, build_cp_hamiltonian, power_sum
@@ -220,7 +221,9 @@ def build_phi(J: str, N: int, m: int, hbar: int, params: dict, reg: Registry | N
 
     Requires a positive integer hbar: only then is the coupling power a
     polynomial and the moment factorization over one common contour valid.
-    Returns (phi, reducer).
+    The integrand's terms are grouped by their sorted u-powers: each group's
+    z-monomials form one polynomial, which multiplies the group's product of
+    reduced moments once.  Returns (phi, reducer).
     """
     if not isinstance(hbar, int) or hbar < 1:
         raise UsageError("symbolic path requires a positive integer hbar (use the numeric path)")
@@ -239,24 +242,18 @@ def build_phi(J: str, N: int, m: int, hbar: int, params: dict, reg: Registry | N
         for i in range(1, m + 1):
             integrand = integrand * (ureg.var(f"z{rho}") - ureg.var(f"u{i}"))
     uidx = [ureg.index[f"u{i}"] for i in range(1, m + 1)]
-    nus: dict = {}  # k -> nu_k as a RatFun in (t, nu0, nu1)
-    cache: dict = {}  # sorted u-powers -> the product of their nu's
-    phi = RatFun.const(reg, 0)
+    groups: dict = {}  # sorted u-powers -> {z-monomial: coefficient}
     for exps, coeff in integrand.terms.items():
-        powers = tuple(sorted(exps[i] for i in uidx))
-        reduced = cache.get(powers)
-        if reduced is None:
-            reduced = RatFun.const(reg, 1)
-            for k in powers:
-                if k not in nus:
-                    nus[k] = _seed_ratfun(reducer.reduce(("nu", k)), reducer)
-                reduced = reduced * nus[k]
-            cache[powers] = reduced
         zmono = [0] * len(reg.names)
         for i, name in enumerate(ureg.names):
             if i not in uidx and exps[i]:
                 zmono[reg.index[name]] = exps[i]
-        phi = phi + RatFun.from_mpoly(MPoly(reg, {tuple(zmono): coeff})) * reduced
+        zterms = groups.setdefault(tuple(sorted(exps[i] for i in uidx)), {})
+        zterms[tuple(zmono)] = zterms.get(tuple(zmono), 0) + coeff
+    nus = {k: _seed_ratfun(reducer.reduce(("nu", k)), reducer) for k in sorted({k for ks in groups for k in ks})}
+    phi = RatFun.const(reg, 0)
+    for powers, zterms in groups.items():
+        phi = phi + RatFun.from_mpoly(MPoly(reg, zterms)) * prod((nus[k] for k in powers), start=RatFun.const(reg, 1))
     return phi, reducer
 
 
@@ -283,7 +280,7 @@ def pde_params(J: str, m: int, hbar, b=None, c=None) -> dict:
     return p
 
 
-def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, mutate: str | None = None):
+def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, mutate: str | None = None, wave=None):
     """Check hbar * tau * dPhi/dt = H_J Phi exactly, solving the time
     normalization tau (free of z and the seeds) with ``fit`` rather than
     assuming it.
@@ -292,19 +289,22 @@ def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None =
     negative control.  Returns a report dict; ``ok`` means the residual is
     identically zero with tau the rational constant N, the value the
     appendix derivations carry.  A wrong family prefactor moves into tau,
-    so any other tau fails.
+    so any other tau fails.  The report's ``wave``, (Phi, hbar dPhi/dt), is
+    not built again when passed back to a check of the same arguments.
     """
     if params is None:
         params = pde_params(J, m, hbar)
-    reg = session_registry(N, seeds=("nu0", "nu1"))
-    phi, reducer = build_phi(J, N, m, hbar, params, reg)
+    if wave is None:
+        phi, reducer = build_phi(J, N, m, hbar, params, session_registry(N, seeds=("nu0", "nu1")))
+        wave = (phi, phi_time_derivative(phi, reducer) * RatFun.const(phi.reg, as_rat(hbar)))
+    phi, dphi = wave
+    reg = phi.reg
     op = build_cp_hamiltonian(reg, J, N, m, hbar, **params)
     if mutate == "m_shift":
         op.C = op.C + power_sum(reg, N, 1)
     elif mutate is not None:
         raise UsageError(f"unknown mutation {mutate!r}")
     hphi = apply_op(op, phi)
-    dphi = phi_time_derivative(phi, reducer) * RatFun.const(reg, as_rat(hbar))
     tau = fit(hphi, [dphi], [n for n in reg.names if n != "t"])
     return {
         "ok": tau is not None and tau[0] == N,
@@ -314,4 +314,5 @@ def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None =
         "hbar": hbar,
         "time_factor": None if tau is None else tau[0].to_str(),
         "params": params,
+        "wave": wave,
     }

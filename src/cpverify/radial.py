@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from . import families
 from .diffop import DiffOp, _cleared, _conjugate, _want, calogero_op, zvars
@@ -45,13 +45,14 @@ def _tables(n: int):
     """(length, product table, derivative table) of the order-2 jets in n variables.
 
     A jet's coefficients sit at [c0, c1[0..n), c2[i<=j]].  The product table
-    maps the positions 1+i, 1+j of two first-order coefficients to the
-    position of c2[min(i,j), max(i,j)]; the derivative table lists, per
-    variable v, the (target, source, factor) moves of d/dx_v.
+    maps the positions of two coefficients of order <= 1 to that of their
+    product: 0 and k to k, 1+i and 1+j to c2[min(i,j), max(i,j)]; the
+    derivative table lists, per variable v, the (target, source, factor)
+    moves of d/dx_v.
     """
     tab = _TABLES.get(n)
     if tab is None:
-        pos = [[0] * (n + 1) for _ in range(n + 1)]
+        pos = [[i + j if i * j == 0 else 0 for j in range(n + 1)] for i in range(n + 1)]
         k = 1 + n
         for i in range(n):
             for j in range(i, n):
@@ -143,9 +144,24 @@ def _jsum(jets):
     return reduce(operator.add, jets)
 
 
-def _jmat_mul(a, b):
-    size = len(a)
-    return [[_jsum([a[i][s] * b[s][j] for s in range(size)]) for j in range(size)] for i in range(size)]
+def _qe_mul(pt, m):
+    """(Q + E) m at the point pt, each column over one denominator: Q scales,
+    and E_is times m_sj moves its coefficients up one order (the jet keeps two)."""
+    N, qn, qd = pt.N, pt.qn, pt.qd
+    pos = _tables(N * N)[1]
+    out = [[None] * N for _ in range(N)]
+    for j in range(N):
+        d = lcm(*(m[s][j].d for s in range(N)))
+        col = [[x * (d // m[s][j].d) for x in m[s][j].v] for s in range(N)]
+        for i in range(N):
+            acc = [0] * len(col[0])
+            for s, (q, w) in enumerate(zip(qn[i], col)):
+                if q:
+                    acc = [a + q * x for a, x in zip(acc, w)]
+                for p, x in zip(pos[1 + i * N + s], w):
+                    acc[p] += qd * x
+            out[i][j] = Jet(N * N, acc, qd * d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +173,15 @@ def _jmat_mul(a, b):
 class RationalMatrixPoint:
     """Q = G Z G^{-1} with rational distinct eigenvalues Z and invertible G.
 
-    ``jets`` is the matrix Q + E of order-2 jets, E_ij the perturbation of
-    entry (i, j), built once per point for every word applied there.
+    ``qn / qd`` is Q over one integer denominator, built once per point for
+    every word applied there.
     """
 
     Z: list
     G: list
     Q: list = field(init=False)
-    jets: list = field(init=False, repr=False, compare=False)
+    qn: list = field(init=False, repr=False, compare=False)
+    qd: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.Z)
@@ -176,9 +193,8 @@ class RationalMatrixPoint:
         self.Q = [
             [sum(gz[i][s] * ginv[j][s] for s in range(n)) for j in range(n)] for i in range(n)
         ]
-        self.jets = [
-            [Jet.const(n * n, self.Q[i][j]) + Jet.var(n * n, i * n + j) for j in range(n)] for i in range(n)
-        ]
+        self.qd = lcm(*(x.denominator for row in self.Q for x in row))
+        self.qn = [[x.numerator * (self.qd // x.denominator) for x in row] for row in self.Q]
 
     @property
     def N(self):
@@ -216,12 +232,12 @@ def random_trace_polynomial(rng: random.Random, max_power=3, max_degree=3, terms
 # ---------------------------------------------------------------------------
 
 
-def _f_jet(f: MPoly, n: int, base, mul, trace) -> Jet:
-    """f(T_1, T_2, ...) as a jet in n variables: T_j = trace(base^j), the powers taken by ``mul``."""
+def _f_jet(f: MPoly, n: int, base, step, trace) -> Jet:
+    """f(T_1, T_2, ...) as a jet in n variables: T_j = trace(base^j), ``step`` multiplying a power by base."""
     top = max((i + 1 for e in f.terms for i, k in enumerate(e) if k), default=0)
     traces, cur = {}, base
     for j in range(1, top + 1):
-        cur = cur if j == 1 else mul(cur, base)
+        cur = cur if j == 1 else step(cur)
         traces[j] = trace(cur)
     psi = Jet(n)
     for e, c in f.terms.items():
@@ -236,14 +252,15 @@ def _f_jet(f: MPoly, n: int, base, mul, trace) -> Jet:
 def _psi_jet(pt: RationalMatrixPoint, f: MPoly) -> Jet:
     """f at Q + E, in the N^2 entries of E: T_j = Tr((Q + E)^j)."""
     N = pt.N
-    return _f_jet(f, N * N, pt.jets, _jmat_mul, lambda m: _jsum([m[i][i] for i in range(N)]))
+    one = [[Jet.const(N * N, int(a == b)) for b in range(N)] for a in range(N)]
+    return _f_jet(f, N * N, _qe_mul(pt, one), lambda cur: _qe_mul(pt, cur), lambda m: _jsum([m[i][i] for i in range(N)]))
 
 
 def z_jet(zs: list, f: MPoly) -> Jet:
     """f at the eigenvalues zs + x, in the N variables x: T_j = sum_rho (z_rho + x_rho)^j."""
     n = len(zs)
     base = [Jet.const(n, z) + Jet.var(n, rho) for rho, z in enumerate(zs)]
-    return _f_jet(f, n, base, lambda a, b: [x * y for x, y in zip(a, b)], _jsum)
+    return _f_jet(f, n, base, lambda cur: [x * y for x, y in zip(cur, base)], _jsum)
 
 
 def apply_trace_word(pt: RationalMatrixPoint, word: str, psi: Jet, hbar, states: dict) -> Jet:
@@ -263,7 +280,7 @@ def apply_trace_word(pt: RationalMatrixPoint, word: str, psi: Jet, hbar, states:
         if word[i:] in states:
             tails = states[word[i:]]
         elif word[i] == "q":
-            tails = states[word[i:]] = _jmat_mul(pt.jets, tails)
+            tails = states[word[i:]] = _qe_mul(pt, tails)
         elif word[i] == "p":
             tails = states[word[i:]] = [
                 [_jsum([tails[c][b].deriv(c * N + a) for c in range(N)]).scale(hb) for b in range(N)]

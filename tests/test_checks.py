@@ -182,6 +182,45 @@ def test_run_pde_symbolic_with_controls():
     assert len(recs) == 2
 
 
+@pytest.mark.parametrize("J", checks.FAMS)
+def test_the_control_shares_the_wave_function(J, monkeypatch):
+    built = []
+    build_phi = checks.moments.build_phi
+
+    def counted(*args):
+        built.append(args[:4])
+        return build_phi(*args)
+
+    monkeypatch.setattr(checks.moments, "build_phi", counted)
+    check, control = checks.run_pde_symbolic(J, 2, 2, 1, controls=True)
+    assert built == [(J, 2, 2, 1)]
+    assert (check.name, check.ok, check.resolved, check.detail) == (
+        f"Schroedinger identity {J}, N=2, m=2, hbar=1: residual exactly zero",
+        True,
+        True,
+        "time normalization tau = 2 (the stated hbar d/dt holds only at N = 1; the derivations carry hbar N d/dt)",
+    )
+    assert (control.name, control.ok, control.resolved, control.detail) == (
+        f"negative control {J}, N=2, m=2: shifted m hbar coefficient leaves a residual",
+        True,
+        False,
+        None,
+    )
+
+
+def test_pde_symbolic_records_time_their_own_work(monkeypatch):
+    # the check's time includes the shared wave function's build, the control's does not
+    build_phi = checks.moments.build_phi
+
+    def slow(*args):
+        time.sleep(0.2)
+        return build_phi(*args)
+
+    monkeypatch.setattr(checks.moments, "build_phi", slow)
+    check, control = checks.run_pde_symbolic("II", 1, 1, 1, controls=True)
+    assert check.ms >= 200 > control.ms
+
+
 def test_expression_grammar():
     alg = WeylAlgebra(2)
     tr = evaluate_expression(alg, "Tr(p*q*p*q)")

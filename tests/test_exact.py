@@ -13,6 +13,13 @@ from cpverify.exact import (
     MPoly,
     RatFun,
     Registry,
+    _check_fields,
+    _field_min,
+    _int_content_gcd,
+    _monomial_content,
+    _new,
+    _shift_down,
+    _univariate_cancel,
     exact_div,
     fit,
     session_registry,
@@ -325,6 +332,133 @@ def test_exponent_overflow_raises():
         (top * z2**MAX_EXPONENT).permute_vars({"z1": "z2"})
     with pytest.raises(UsageError):
         MPoly(REG, {(MAX_EXPONENT + 1, 0, 0, 0, 0): Fraction(1)})
+
+
+# -- the kernel's shortcuts against the general code they skip ------------------
+
+
+def general_mul(a: MPoly, b: MPoly) -> MPoly:
+    """The product as the general loop forms it: every term pair, Fraction contents."""
+    out = {}
+    right = list(b._t.items())
+    for e1, c1 in a._t.items():
+        for e2, c2 in right:
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    _check_fields(a.reg, out)
+    return _new(a.reg, out, a._c * b._c)
+
+
+def general_ratfun(num: MPoly, den: MPoly) -> RatFun:
+    """RatFun(num, den) with every cancellation step run."""
+    if num.is_zero():
+        den = MPoly(den.reg, {(0,) * len(den.reg.names): 1})
+    else:
+        shared = _monomial_content(num)
+        if shared:
+            shared = _field_min(shared, _monomial_content(den), den.reg._guard)
+        if shared:
+            num = _shift_down(num, shared)
+            den = _shift_down(den, shared)
+        num, den = _univariate_cancel(num, den)
+        g = _int_content_gcd(num, den)
+        if g != 1:
+            num = num * (1 / g)
+            den = den * (1 / g)
+    if (den._c < 0) != (den._t[max(den._t)] < 0):
+        num = -num
+        den = -den
+    out = object.__new__(RatFun)
+    out.num, out.den = num, den
+    return out
+
+
+def assert_same_poly(p: MPoly, q: MPoly):
+    assert list(p._t.items()) == list(q._t.items())
+    assert p._c == q._c
+    assert p.to_str() == q.to_str()
+
+
+def assert_same_ratfun(got: RatFun, want: RatFun):
+    assert_same_poly(got.num, want.num)
+    assert_same_poly(got.den, want.den)
+    assert got.to_str() == want.to_str()
+
+
+@st.composite
+def monomials(draw, wide=True):
+    """One-term polynomials: their int part is +-1 at one exponent, the constant among them."""
+    exps = st.integers(0, 3)
+    if wide:
+        exps = st.one_of(exps, st.integers(WIDE - 2, WIDE))
+    exp = draw(st.one_of(st.just((0,) * len(REG.names)), st.tuples(*(exps for _ in REG.names))))
+    coeff = draw(st.one_of(st.sampled_from([1, -1, 2, -3]), rationals().filter(bool)))
+    return MPoly(REG, {exp: coeff})
+
+
+def integral(polys):
+    """The same polynomials scaled to an integer content."""
+    return polys.map(lambda p: p * p._c.denominator)
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(mpolys(), integral(mpolys()), monomials(), integral(monomials())),
+    st.one_of(monomials(), integral(monomials()), mpolys(), integral(mpolys())),
+    st.booleans(),
+)
+def test_mul_shortcuts_match_the_general_loop(a, b, swap):
+    a, b = (b, a) if swap else (a, b)
+    try:
+        want = general_mul(a, b)
+    except UsageError:
+        with pytest.raises(UsageError):
+            a * b
+        return
+    assert_same_poly(a * b, want)
+
+
+def test_a_one_term_product_still_checks_for_overflow():
+    top = v("z1") ** MAX_EXPONENT
+    for one_term in (v("z1"), -v("z1") * 3, v("z1") * v("z2")):
+        with pytest.raises(UsageError):
+            top * one_term
+        with pytest.raises(UsageError):
+            one_term * (top + v("t"))
+
+
+def univariate(draw_poly):
+    """Polynomials in t alone, with or without a constant term."""
+    return draw_poly.map(lambda p: p.subs({"z1": 1, "z2": 1, "nu0": 1, "nu1": 1}))
+
+
+denominators = st.one_of(
+    rationals().filter(bool).map(REG.const),
+    monomials(wide=False),
+    univariate(mpolys(wide=False)),
+    mpolys(wide=False),
+).filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(mpolys(wide=False, max_terms=4), denominators, denominators, denominators)
+def test_ratfun_shortcuts_match_the_general_construction(a, b, shared, extra):
+    # shared factors give each cancellation step something to cancel
+    for num, den in ((a, b), (a * shared, b * shared), (a * shared * extra, shared), (a, shared)):
+        assert_same_ratfun(RatFun(num, den), general_ratfun(num, den))
+
+
+def test_ratfun_constructors_match_the_general_construction():
+    one = MPoly(REG, {(0,) * len(REG.names): 1})
+    for c in (0, 1, -1, 3, Fraction(-2, 3)):
+        assert_same_ratfun(RatFun.const(REG, c), general_ratfun(REG.const(c), one))
+    for p in (v("t"), v("z1") * Fraction(-3, 4) + 2, REG.zero()):
+        assert_same_ratfun(RatFun.from_mpoly(p), general_ratfun(p, one))
+    assert_same_ratfun(RatFun.var(REG, "nu1"), general_ratfun(v("nu1"), one))
 
 
 def test_terms_view_is_read_only():
