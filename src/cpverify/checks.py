@@ -32,7 +32,7 @@ class CheckRecord:
     resolved: bool = False
     residual: str | None = None
     detail: str | None = None
-    ms: int = 0
+    ms: int | None = None  # None until a runner or the CLI times the record
 
 
 def _rec(name, anchor, ok, **kw):

@@ -150,13 +150,13 @@ def _oracle(args):
 
 def _spread(recs: list, block_ms: int) -> None:
     """Time a block's records: a runner that timed its own records keeps those
-    times.  The rest of the block's time is split evenly over the other
-    records, with the integer remainder on the last, so that a block's records
-    add up to the block.
+    times, 0 ms included.  The rest of the block's time is split evenly over
+    the untimed records (``ms`` None), with the integer remainder on the last,
+    so that a block's records add up to the block.
     """
-    untimed = [r for r in recs if not r.ms]
+    untimed = [r for r in recs if r.ms is None]
     if untimed:
-        share, extra = divmod(max(0, block_ms - sum(r.ms for r in recs)), len(untimed))
+        share, extra = divmod(max(0, block_ms - sum(r.ms or 0 for r in recs)), len(untimed))
         for r in untimed:
             r.ms = share
         untimed[-1].ms += extra

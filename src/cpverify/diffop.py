@@ -12,16 +12,19 @@ summed over ordered pairs rho != sigma, Sum_{rho<sigma} forms converted on
 construction, and the second-order terms), then the operator's own first-
 and zeroth-order terms, which the family table states.  One conjugation
 rule, d_rho -> d_rho + g_rho, serves both the Vandermonde gauge Delta^R and
-the scalar gauge e^{S/hbar}.
+the scalar gauge e^{S/hbar}.  It sums each new coefficient once over its
+known denominator (each z_rho - z_sigma to its largest power, times a factor
+in t) instead of cross-multiplying denominators addend by addend.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .errors import DomainError, UsageError
-from .exact import MPoly, RatFun, Registry, as_rat, as_ratfun, fit, session_registry
+from .errors import DomainError, ExactDivisionError, UsageError
+from .exact import MPoly, RatFun, Registry, _univariate_cancel, as_rat, as_ratfun, exact_div, fit, session_registry
 from .families import weighted
 
 
@@ -212,15 +215,36 @@ def _w(reg: Registry, zs, rho: int) -> RatFun:
 
 def _conjugate(op: DiffOp, g: list) -> DiffOp:
     """op after d_rho -> d_rho + g[rho]: the conjugation by a function whose
-    logarithmic z_rho-derivative is g[rho]."""
-    out = DiffOp(op.A, op.B, op.C)
-    for rho, zn in enumerate(zvars(op.reg)[: op.N]):
-        out.B[rho] += op.A[rho] * 2 * g[rho]
-        # two additions into C, not one of a sum: adding the two terms to each
-        # other first forms a larger common denominator and doubles the cost
-        out.C += op.A[rho] * (g[rho] * g[rho] + g[rho].deriv(zn))
-        out.C += op.B[rho] * g[rho]
-    return out
+    logarithmic z_rho-derivative is g[rho].  B_rho gains A_rho 2 g_rho and C
+    gains A_rho (g_rho^2 + g_rho') + B_rho g_rho, each new coefficient as one
+    sum over its known denominator."""
+    zs = zvars(op.reg)[: op.N]
+    pairs = [op.reg.var(a) - op.reg.var(b) for a, b in itertools.combinations(zs, 2)]
+    B = [_known_den_sum(op.reg, pairs, [b, a * 2 * gr]) for a, b, gr in zip(op.A, op.B, g)]
+    C = [op.C] + [x for a, b, gr, zn in zip(op.A, op.B, g, zs) for x in (a * (gr * gr + gr.deriv(zn)), b * gr)]
+    return DiffOp(op.A, B, _known_den_sum(op.reg, pairs, C))
+
+
+def _known_den_sum(reg: Registry, pairs: list, addends: list) -> RatFun:
+    """The sum of RatFuns whose denominators are Prod (z_rho - z_sigma)^k times a factor in t
+    alone, over their lcm: each pair difference to its largest power, times the lcm of the
+    t factors.  A denominator of another shape raises ``ExactDivisionError``."""
+    addends = [x for x in addends if not x.is_zero()]
+    powers, ct = [0] * len(pairs), reg.one()
+    for x in addends:
+        rest = x.den
+        for i, p in enumerate(pairs):
+            k = 0
+            try:
+                while True:
+                    rest, k = exact_div(rest, p), k + 1
+            except ExactDivisionError:
+                powers[i] = max(powers[i], k)
+        if any(e[reg.index["t"]] != sum(e) for e in rest.terms):
+            raise ExactDivisionError(f"denominator factor {rest.to_str()} is neither a pair difference nor in t alone")
+        ct = ct * _univariate_cancel(ct, rest)[1]
+    den = math.prod((p**k for p, k in zip(pairs, powers)), start=ct)
+    return RatFun(sum((x.num * exact_div(den, x.den) for x in addends), reg.zero()), den)
 
 
 def conjugate_by_vandermonde(op: DiffOp, R) -> DiffOp:
@@ -301,6 +325,8 @@ def table_params(J: str, hbar, mode: str, m: int, N: int, **family) -> dict:
         raise UsageError("the ungauged identification requires hbar = 1")
     if hb == 0:
         raise UsageError("hbar must be nonzero")
+    if N > 4:  # the matrix algebra's own bound; the exact identification grows fast past it
+        raise UsageError(f"matrix size N must be at most 4, got {N}")
     out: dict = {"kappa_choices": (Fraction(0),) if mode == "ungauged" else (1 / hb - 1, -1 / hb)}
     if mode == "gauged":
         out["R"] = 1 / hb - 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cpverify import cli, families
+from cpverify import checks, cli, families
 from cpverify.checks import CheckRecord
 from cpverify.cli import TASKS, main
 
@@ -387,6 +387,30 @@ def test_suite_block_time_is_split_over_its_records(monkeypatch):
     out = cli._timed("stub", lambda: recs)
     assert [r.ms for r in out] == [300, 100, 300, 301]
     assert [r.name for r in out] == ["[stub] c0", "[stub] c1", "[stub] c2", "[stub] c3"]
+
+
+def test_a_record_timed_under_a_millisecond_keeps_its_zero(monkeypatch):
+    # a self-timed 0 ms used to count as untimed and take the block's leftover
+    clock = iter([0.0, 0.0012, 1.0, 1.0004])
+    monkeypatch.setattr(checks.time, "perf_counter", lambda: next(clock))
+    recs = checks.run_pde_symbolic("IV", 1, 1, 1, controls=True)
+    assert [r.ms for r in recs] == [1, 0]
+    cli._spread(recs, 2)
+    assert [r.ms for r in recs] == [1, 0]
+
+
+@pytest.mark.parametrize("task", ["table1", "gauge"])
+def test_n_past_the_matrix_algebra_bound_is_a_usage_error(task):
+    # --N 5 (table1) and --N 9 (gauge) ran for minutes with no output
+    proc = run_cli("verify", task, "--N", "5")
+    assert_usage_error(proc)
+    assert proc.stderr == "usage error: matrix size N must be at most 4, got 5\n"
+
+
+def test_n_at_the_matrix_algebra_bound_still_runs():
+    proc = run_cli("verify", "table1", "--family", "IV", "--mode", "gauged", "--hbar", "2", "--N", "4")
+    assert proc.returncode == 0
+    assert [c["name"] for c in json.loads(proc.stdout)["checks"]] == ["parameter table IV gauged, hbar=2, N=4, m=2"]
 
 
 def test_parser_errors_are_one_usage_line():

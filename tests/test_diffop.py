@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from cpverify import radial
 from cpverify.cli import main
 from cpverify.diffop import (
+    _conjugate,
     apply_op,
     build_cp_hamiltonian,
     build_nagoya_single,
@@ -15,8 +17,9 @@ from cpverify.diffop import (
     table_params,
     theorem_gauge_check,
 )
-from cpverify.errors import DomainError, UsageError
-from cpverify.exact import RatFun, session_registry
+from cpverify.errors import DomainError, ExactDivisionError, UsageError
+from cpverify.exact import RatFun, exact_div, session_registry
+from cpverify.families import weighted
 
 R2 = session_registry(2)
 R3 = session_registry(3)
@@ -141,6 +144,48 @@ def test_vandermonde_round_trip():
     out = conjugate_by_vandermonde(conjugate_by_vandermonde(op, Fraction(2, 3)), Fraction(-2, 3))
     assert operator_equal(out, op)
     assert operator_equal(conjugate_by_vandermonde(op, 0), op)
+
+
+RADIAL_PARAMS = {
+    "I": {}, "II": {"th": Fraction(2, 3)}, "III": {"th0": Fraction(1, 2), "th1": Fraction(-2, 3)},
+    "IV": {"th0": Fraction(1, 2), "th1": Fraction(-2, 3)},
+    "V": {"th0": Fraction(1, 2), "th1": Fraction(-2, 3), "th2": Fraction(3, 4)},
+    "VI": {"th0": Fraction(1, 2), "th1": Fraction(-2, 3), "tht": Fraction(3, 4), "k2": Fraction(5, 7)},
+}
+
+
+def _radial_form(J, N, hbar, kappa):
+    return radial.build_radial_hamiltonian(*symbols(session_registry(N), N), J, hbar, kappa, **RADIAL_PARAMS[J])
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("J", sorted(RADIAL_PARAMS))
+@pytest.mark.parametrize("branch", [0, 1])
+def test_vandermonde_conjugation_equals_the_term_by_term_sum(J, N, branch, conjugate_term_by_term):
+    # R runs over both gauged kappa choices, 1/hbar - 1 = 2 and -1/hbar = -3
+    hbar = Fraction(1, 3)
+    R = table_params("IV", hbar, "gauged", 2, N, b=Fraction(-1, 3))["kappa_choices"][branch]
+    op = _radial_form(J, N, hbar, R)
+    assert operator_equal(conjugate_by_vandermonde(op, R), conjugate_term_by_term(op, R))
+
+
+@pytest.mark.parametrize("J", ["III", "IV", "V", "VI"])
+def test_conjugated_denominators_are_pair_powers_times_the_prefactor(J):
+    # IV at N = 3, hbar = 2 is the old 972-term swell; III, V and VI add a prefactor in t
+    op = _radial_form(J, 3, Fraction(2), Fraction(-1, 2))
+    conj = conjugate_by_vandermonde(op, Fraction(-1, 2))
+    z1, z2, z3 = Z3
+    prefactor = R3.one() * weighted(J).prefactor(R3.var("t"))
+    shapes = [(z1 - z2) ** 2 * (z1 - z3) ** 2, (z1 - z2) * (z2 - z3) ** 2, (z1 - z3) ** 2 * (z2 - z3) ** 2]
+    for coeff, shape in zip([*conj.B, conj.C], [*shapes, ((z1 - z2) * (z1 - z3) * (z2 - z3)) ** 4]):
+        assert exact_div(coeff.den, shape * prefactor).is_constant()
+
+
+def test_a_denominator_of_another_shape_raises():
+    op = build_cp_hamiltonian(R2, "IV", 2, 2, Fraction(1, 2), b=Fraction(1, 2))
+    z1, z2 = (RatFun.var(R2, n) for n in ("z1", "z2"))
+    with pytest.raises(ExactDivisionError, match="neither a pair difference nor in t alone"):
+        _conjugate(op, [1 / (z1 + z2), 1 / (z1 - z2)])
 
 
 @pytest.mark.parametrize("N", [2, 3])
