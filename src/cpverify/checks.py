@@ -39,16 +39,23 @@ def _rec(name, anchor, ok, **kw):
     return CheckRecord(name=name, anchor=anchor, ok=bool(ok), **kw)
 
 
+def _ms_since(start: float) -> int:
+    return int((time.perf_counter() - start) * 1000)
+
+
 # ---------------------------------------------------------------------------
 # Weyl-algebra tasks
 # ---------------------------------------------------------------------------
 
 
 def run_weyl(N: int, expr: str | None = None) -> list[CheckRecord]:
+    """Each record times its own work: an identity its difference, the worked example each side."""
     out = []
+    start = time.perf_counter()
     for name, diffp in weyl.trace_identity_residuals(N):
-        out.append(_rec(f"trace identity N={N}: {name}", "is not equal to", diffp.is_zero()))
-    rep = weyl.check_worked_commutator(N)
+        out.append(_rec(f"trace identity N={N}: {name}", "is not equal to", diffp.is_zero(), ms=_ms_since(start)))
+        start = time.perf_counter()
+    rep = weyl.worked_commutator(N)
     out.append(
         _rec(
             f"worked commutator N={N}: [p, Tr(pqpq)] = 2 hbar pqp + hbar^2 N p",
@@ -61,16 +68,20 @@ def run_weyl(N: int, expr: str | None = None) -> list[CheckRecord]:
                 if N == 1
                 else "printed remainder hbar^2 p is the N=1 value; the matrix relation pq-qp = hbar N Id gives hbar^2 N p"
             ),
+            ms=_ms_since(start),
         )
     )
+    start = time.perf_counter()
     out.append(
         _rec(
             f"classical bracket N={N}: {{p, Tr(pqpq)}} = 2 pqp",
             "the cyclicity of the trace",
-            rep["classical_ok"],
+            weyl.worked_bracket(N),
+            ms=_ms_since(start),
         )
     )
     if expr:
+        start = time.perf_counter()
         value = weyl.evaluate_expression(weyl.WeylAlgebra(N), expr)
         out.append(
             _rec(
@@ -78,12 +89,14 @@ def run_weyl(N: int, expr: str | None = None) -> list[CheckRecord]:
                 "using the commutation relation",
                 True,
                 detail=value.to_str(),
+                ms=_ms_since(start),
             )
         )
     return out
 
 
 def run_eom(N: int) -> list[CheckRecord]:
+    start = time.perf_counter()
     rep = weyl.verify_eom_vi(N)
     detail = rep["convention"] if rep["ok"] else f"first difference: {rep['failures'][:1]}"
     return [
@@ -92,6 +105,7 @@ def run_eom(N: int) -> list[CheckRecord]:
             "non-commutative polynomials A, B are given",
             rep["ok"],
             detail=detail,
+            ms=_ms_since(start),
         )
     ]
 
@@ -368,7 +382,7 @@ def run_table1(
                 for N in N_values:
                     start = time.perf_counter()
                     rep = table1_resolve(J, mode, hb, m, N)
-                    ms = int((time.perf_counter() - start) * 1000)
+                    ms = _ms_since(start)
                     # the printed gauged theta of II and k^2 of VI hold only at N = 1 or
                     # hbar = 1; elsewhere they are re-solved, and nothing else ever is
                     resolves = J in ("II", "VI") and mode == "gauged" and N > 1 and hb != 1
@@ -443,7 +457,7 @@ def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = No
     """The symbolic check and, with ``controls``, its m_shift control on the same wave function, each timed."""
     start = time.perf_counter()
     rep = moments.verify_pde_symbolic(J, N, m, hbar, params)
-    ms = int((time.perf_counter() - start) * 1000)
+    ms = _ms_since(start)
     # an ok record has tau = N, so the printed hbar d/dt holds exactly at N = 1
     resolved = rep["ok"] and N > 1
     detail = f"time normalization tau = {rep['time_factor']}"
@@ -469,7 +483,7 @@ def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = No
                 f"negative control {J}, N={N}, m={m}: shifted m hbar coefficient leaves a residual",
                 "solution to the multi-variable version",
                 not bad["ok"],
-                ms=int((time.perf_counter() - start) * 1000),
+                ms=_ms_since(start),
             )
         )
     return out

@@ -11,6 +11,10 @@ coefficient):
 * ``free``      -- no relations at all (abstract letters P, Q); coefficients
                    are rational functions, used by the zero-curvature check.
 
+Every product, a matrix entry's whole sum of products included, adds each
+pair of terms into one dict: the coefficient times the normal form of the
+joined word (a free word is its own), a coefficient 1 without a multiply.
+
 An :class:`NCMatrix` of such elements multiplies and adds an NCPoly on either
 side, the NCPoly taken as that multiple of the identity.
 :func:`evaluate_expression` reads a small operator grammar into an NCPoly or
@@ -29,13 +33,18 @@ from .params import parse_rational
 
 WEYL_REGISTRY = Registry(("hbar", "t", "th", "th0", "th1", "th2", "tht", "k"))
 FREE_REGISTRY = Registry(("zeta", "t", "th0", "th1", "tht", "k"))
+MAX_TRACE_TUPLES = 4**8  # index tuples one trace word may expand to; 16 letters at N <= 2
+_RANK = {"q": 0, "Q": 0, "p": 1, "P": 1}
 
 
 def _letter_key(letter):
     # q-block before p-block, each sorted by (row, col); free letters Q < P
-    kind = letter[0]
-    rank = {"q": 0, "Q": 0, "p": 1, "P": 1}[kind]
-    return (rank,) + tuple(letter[1:])
+    return (_RANK[letter[0]], *letter[1:])
+
+
+def _contracts(p, q) -> bool:
+    """p_ij q_kl = q_kl p_ij + hbar d_il d_jk: whether the swap leaves an hbar term."""
+    return p[1] == q[2] and p[2] == q[1]
 
 
 class WeylAlgebra:
@@ -49,6 +58,7 @@ class WeylAlgebra:
         self.N = N
         self.mode = mode
         self.registry = FREE_REGISTRY if mode == "free" else WEYL_REGISTRY
+        self.unit = self.coeff(1)  # the one coefficient 1 that normal forms share
         self._cache: dict = {}
 
     # -- coefficient ring helpers -----------------------------------------
@@ -91,7 +101,7 @@ class WeylAlgebra:
             if not (1 <= i <= self.N and 1 <= j <= self.N):
                 raise UsageError(f"indices ({i},{j}) outside 1..{self.N}")
             word = ((kind, i, j),)
-        return NCPoly(self, {word: self.coeff(1)}, normalized=True)
+        return NCPoly(self, {word: self.unit}, normalized=True)
 
     def q(self, i, j):
         return self.letter("q", i, j)
@@ -117,8 +127,9 @@ class WeylAlgebra:
             return self.scalar(self.N)
         if any(ch not in "pq" for ch in letters):
             raise UsageError(f"trace word must use letters p,q: {letters!r}")
+        self.check_trace_length(len(letters))
         terms: dict = {}
-        one = self.coeff(1)
+        one = self.unit
         for idx in itertools.product(range(1, self.N + 1), repeat=len(letters)):
             word = tuple(
                 (letters[k], idx[k], idx[(k + 1) % len(letters)]) for k in range(len(letters))
@@ -126,33 +137,38 @@ class WeylAlgebra:
             _accumulate(terms, word, one)
         return NCPoly(self, terms)
 
+    def check_trace_length(self, length: int):
+        """Reject a trace word of more than 16 letters or ``MAX_TRACE_TUPLES`` index tuples (N^length)."""
+        if length > 16 or self.N**length > MAX_TRACE_TUPLES:
+            raise UsageError(f"a trace word of {length} letters at N={self.N} exceeds the bound: 16 letters, 4^8 = {MAX_TRACE_TUPLES} index tuples")
+
     # -- normal ordering ------------------------------------------------------
 
     def normalize_word(self, word: tuple) -> dict:
-        """Normal form of a single word as {word: coefficient}."""
+        """Normal form of a single word as {word: coefficient}.
+
+        The first p left of a q it contracts with moves past its last such q,
+        leaving an hbar term at each; a word with no such p sorts in one step.
+        """
         if self.mode == "free":
-            return {word: self.coeff(1)}
+            return {word: self.unit}
         cached = self._cache.get(word)
         if cached is not None:
             return cached
         result = None
-        for k in range(len(word) - 1):
-            a, b = word[k], word[k + 1]
-            ka, kb = _letter_key(a), _letter_key(b)
-            if ka <= kb:
-                continue
-            swapped = word[:k] + (b, a) + word[k + 2 :]
-            result = dict(self.normalize_word(swapped))
-            if self.mode == "weyl" and a[0] == "p" and b[0] == "q":
-                # p_ij q_kl = q_kl p_ij + hbar d_il d_jk
-                if a[1] == b[2] and a[2] == b[1]:
-                    shorter = word[:k] + word[k + 2 :]
+        if self.mode == "weyl":
+            for i, a in enumerate(word):
+                hits = a[0] == "p" and [m for m in range(i + 1, len(word)) if word[m][0] == "q" and _contracts(a, word[m])]
+                if hits:
+                    j = hits[-1]
+                    result = dict(self.normalize_word(word[:i] + word[i + 1 : j + 1] + (a,) + word[j + 1 :]))
                     hb = self.hbar
-                    for w, c in self.normalize_word(shorter).items():
-                        _accumulate(result, w, hb * c)
-            break
+                    for m in hits:
+                        for w, c in self.normalize_word(word[:i] + word[i + 1 : m] + word[m + 1 :]).items():
+                            _accumulate(result, w, hb * c)
+                    break
         if result is None:
-            result = {word: self.coeff(1)}
+            result = {tuple(sorted(word, key=_letter_key)): self.unit}
         self._cache[word] = result
         return result
 
@@ -164,6 +180,22 @@ def _accumulate(terms: dict, word: tuple, coeff):
         terms.pop(word, None)
     else:
         terms[word] = s
+
+
+def _mul_into(out: dict, x: "NCPoly", y: "NCPoly"):
+    """Add the terms of x*y into ``out``: free words concatenate, others take their normal form."""
+    alg = x.alg
+    unit = alg.unit
+    norm = None if alg.mode == "free" else alg.normalize_word
+    right = list(y.terms.items())
+    for w1, c1 in x.terms.items():
+        for w2, c2 in right:
+            c = c2 if c1 is unit else c1 if c2 is unit else c1 * c2
+            if norm is None:
+                _accumulate(out, w1 + w2, c)
+                continue
+            for w, cw in norm(w1 + w2).items():
+                _accumulate(out, w, c if cw is unit else c * cw)
 
 
 class NCPoly:
@@ -181,7 +213,7 @@ class NCPoly:
                 if c.is_zero():
                     continue
                 for w2, c2 in alg.normalize_word(w).items():
-                    _accumulate(out, w2, c * c2)
+                    _accumulate(out, w2, c if c2 is alg.unit else c * c2)
             self.terms = out
 
     def _check(self, other: "NCPoly"):
@@ -225,11 +257,7 @@ class NCPoly:
             return NotImplemented
         self._check(other)
         out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                for w, cw in self.alg.normalize_word(w1 + w2).items():
-                    _accumulate(out, w, c * cw)
+        _mul_into(out, self, other)
         return NCPoly(self.alg, out, normalized=True)
 
     def __rmul__(self, other):
@@ -322,10 +350,10 @@ class NCMatrix:
             for i in range(n):
                 row = []
                 for j in range(m):
-                    acc = self.alg.zero()
+                    terms: dict = {}
                     for s in range(k):
-                        acc = acc + self.rows[i][s] * other.rows[s][j]
-                    row.append(acc)
+                        _mul_into(terms, self.rows[i][s], other.rows[s][j])
+                    row.append(NCPoly(self.alg, terms, normalized=True))
                 out.append(row)
             return NCMatrix(self.alg, out)
         return self.scale(other)
@@ -424,38 +452,29 @@ def evolution_polynomials(alg: WeylAlgebra):
 # ---------------------------------------------------------------------------
 
 
-def _word_partial(alg: WeylAlgebra, word: tuple, letter) -> dict:
-    out: dict = {}
-    for pos, l in enumerate(word):
-        if l == letter:
-            w = word[:pos] + word[pos + 1 :]
-            _accumulate(out, w, alg.coeff(1))
-    return out
-
-
-def nc_partial(x: NCPoly, letter) -> NCPoly:
-    """Formal partial derivative with respect to one generator (classical mode)."""
+def nc_partials(x: NCPoly) -> dict:
+    """{letter: formal partial derivative} for each generator occurring in x (classical mode)."""
     if x.alg.mode != "classical":
         raise UnsupportedModeError("formal generator derivatives require classical mode")
     out: dict = {}
     for w, c in x.terms.items():
-        for w2, c2 in _word_partial(x.alg, w, letter).items():
-            _accumulate(out, w2, c * c2)
-    return NCPoly(x.alg, out)
+        for pos, letter in enumerate(w):
+            # a sorted word stays sorted with one letter taken out
+            _accumulate(out.setdefault(letter, {}), w[:pos] + w[pos + 1 :], c)
+    return {letter: NCPoly(x.alg, terms, normalized=True) for letter, terms in out.items()}
 
 
 def poisson_bracket(a: NCPoly, b: NCPoly) -> NCPoly:
-    """{a, b} with {p_ab, q_cd} = d_ad d_bc on commutative polynomials."""
-    alg = a.alg
-    if alg.mode != "classical":
+    """{a, b} with {p_ab, q_cd} = d_ad d_bc on commutative polynomials, over the letters that occur."""
+    if a.alg.mode != "classical":
         raise UnsupportedModeError("Poisson bracket requires classical mode")
-    acc = alg.zero()
-    for i in range(1, alg.N + 1):
-        for j in range(1, alg.N + 1):
-            pij = ("p", i, j)
-            qji = ("q", j, i)
-            acc = acc + nc_partial(a, pij) * nc_partial(b, qji) - nc_partial(a, qji) * nc_partial(b, pij)
-    return acc
+    da, db = nc_partials(a), nc_partials(b)
+    out: dict = {}
+    for (kind, i, j), pa in da.items():
+        pb = db.get(("q" if kind == "p" else "p", j, i))
+        if pb is not None:
+            _mul_into(out, pa if kind == "p" else -pa, pb)
+    return NCPoly(a.alg, out, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +491,21 @@ TRACE_IDENTITY_ANCHORS = [
 
 
 def trace_identity_residuals(N: int):
-    """The five printed trace-reordering identities; returns (name, lhs-rhs) pairs."""
+    """The five printed trace-reordering identities; yields (name, lhs-rhs) pairs, each computed when reached."""
     alg = WeylAlgebra(N)
     hb = alg.registry.var("hbar")
     Tr = alg.trace_word
     n = Fraction(N)
     diffs = [
-        Tr("pq") - Tr("qp") - alg.scalar(hb * n * n),
-        Tr("pqp") - Tr("qpp") - Tr("p").scale(hb * n),
-        Tr("qpq") - Tr("qqp") - Tr("q").scale(hb * n),
-        Tr("pqq") - Tr("qqp") - Tr("q").scale(2 * hb * n),
-        Tr("ppqq") - Tr("qqpp") - Tr("qp").scale(2 * hb * n) - Tr("q") * Tr("p") * (2 * hb)
+        lambda: Tr("pq") - Tr("qp") - alg.scalar(hb * n * n),
+        lambda: Tr("pqp") - Tr("qpp") - Tr("p").scale(hb * n),
+        lambda: Tr("qpq") - Tr("qqp") - Tr("q").scale(hb * n),
+        lambda: Tr("pqq") - Tr("qqp") - Tr("q").scale(2 * hb * n),
+        lambda: Tr("ppqq") - Tr("qqpp") - Tr("qp").scale(2 * hb * n) - Tr("q") * Tr("p") * (2 * hb)
         - alg.scalar(hb * hb * n * (1 + n * n)),
     ]
-    return list(zip(TRACE_IDENTITY_ANCHORS, diffs))
+    for anchor, diff in zip(TRACE_IDENTITY_ANCHORS, diffs):
+        yield anchor, diff()
 
 
 def check_worked_commutator(N: int):
@@ -496,6 +516,11 @@ def check_worked_commutator(N: int):
     relation pq - qp = hbar was used in print).  Both comparisons are
     reported; ``derived_ok`` is the mathematical truth.
     """
+    return {**worked_commutator(N), "classical_ok": worked_bracket(N)}
+
+
+def worked_commutator(N: int) -> dict:
+    """The quantum side of :func:`check_worked_commutator`: ``printed_ok`` and ``derived_ok``."""
     alg = WeylAlgebra(N)
     hb = alg.registry.var("hbar")
     trace = alg.trace_word("pqpq")
@@ -507,17 +532,16 @@ def check_worked_commutator(N: int):
     lhs = [[commutator(P.rows[i][j], trace) for j in range(N)] for i in range(N)]
     printed_ok = all((lhs[i][j] - rhs_printed.rows[i][j]).is_zero() for i in range(N) for j in range(N))
     derived_ok = all((lhs[i][j] - rhs_derived.rows[i][j]).is_zero() for i in range(N) for j in range(N))
+    return {"printed_ok": printed_ok, "derived_ok": derived_ok}
 
+
+def worked_bracket(N: int) -> bool:
+    """The classical side: {p, Tr(pqpq)} = 2 pqp entrywise."""
     cl = WeylAlgebra(N, mode="classical")
     tr_cl = cl.trace_word("pqpq")
     Pc, Qc = cl.matrix("p"), cl.matrix("q")
     rhs_cl = (Pc * Qc * Pc).scale(2)
-    classical_ok = all(
-        (poisson_bracket(Pc.rows[i][j], tr_cl) - rhs_cl.rows[i][j]).is_zero()
-        for i in range(N)
-        for j in range(N)
-    )
-    return {"printed_ok": printed_ok, "derived_ok": derived_ok, "classical_ok": classical_ok}
+    return all((poisson_bracket(Pc.rows[i][j], tr_cl) - rhs_cl.rows[i][j]).is_zero() for i in range(N) for j in range(N))
 
 
 def verify_eom_vi(N: int):
@@ -592,8 +616,8 @@ def evaluate_expression(alg: WeylAlgebra, text: str):
 
     def take_int():
         tok = take()
-        if tok is None or not tok.isdigit():
-            raise UsageError(f"expected an integer, found {tok!r}")
+        if tok is None or not tok.isdigit() or len(tok) > 99:  # int() refuses very long digit strings
+            raise UsageError(f"expected an integer of at most 99 digits, found {tok!r:.40}")
         return int(tok)
 
     def parse_trace():
@@ -607,6 +631,7 @@ def evaluate_expression(alg: WeylAlgebra, text: str):
             if peek() == "^":
                 take()
                 power = take_int()
+            alg.check_trace_length(len(word) + power)
             word += tok * power
             if peek() == "*":
                 take()
@@ -733,17 +758,14 @@ def lax_pair(alg: WeylAlgebra):
 
 
 def d_dt_free(x: NCPoly, adot: NCPoly, bdot: NCPoly) -> NCPoly:
-    """Total t-derivative in the free algebra: coefficients plus Qdot = adot, Pdot = bdot."""
-    alg = x.alg
-    out = alg.zero()
+    """Total t-derivative in the free algebra: coefficients plus Qdot = adot, Pdot = bdot, letter by letter."""
+    out: dict = {}
     for w, c in x.terms.items():
-        out = out + NCPoly(alg, {w: c.deriv("t")}, normalized=True)
+        _accumulate(out, w, c.deriv("t"))
         for pos, letter in enumerate(w):
-            left = NCPoly(alg, {w[:pos]: alg.coeff(1)}, normalized=True)
-            right = NCPoly(alg, {w[pos + 1 :]: alg.coeff(1)}, normalized=True)
-            repl = adot if letter == "Q" else bdot
-            out = out + (left * repl * right).scale(c)
-    return out
+            for wr, cr in (adot if letter == "Q" else bdot).terms.items():
+                _accumulate(out, w[:pos] + wr + w[pos + 1 :], c * cr)
+    return NCPoly(x.alg, out, normalized=True)
 
 
 def d_dzeta(x: NCPoly) -> NCPoly:

@@ -28,6 +28,13 @@ def test_run_weyl_and_eom():
     assert ok_all(checks.run_eom(1))
 
 
+def test_run_weyl_and_eom_time_their_own_records():
+    # no record's ms is left for the CLI to split out of its block
+    for N in (1, 2):
+        recs = checks.run_weyl(N, expr="[Tr(p*p), q]") + checks.run_eom(N)
+        assert len(recs) == 9 and all(r.ms is not None for r in recs)
+
+
 def test_run_radial_families():
     assert ok_all(checks.run_radial("III", 2, trials=2, seed=3))
     recs = checks.run_radial("VI", 2, trials=2, seed=3)

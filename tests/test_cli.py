@@ -120,6 +120,17 @@ def test_malformed_weyl_index_is_a_usage_error():
     assert_usage_error(run_cli("verify", "weyl", "--expr", "1/0*p"))
 
 
+def test_a_trace_word_past_the_bound_exits_2():
+    # 2^17 index tuples at N = 2 is past 4^8: rejected before any expansion
+    proc = run_cli("verify", "weyl", "--N", "2", "--expr", "Tr(p^17)")
+    assert_usage_error(proc)
+    assert "4^8 = 65536 index tuples" in proc.stderr
+    assert run_cli("verify", "weyl", "--N", "4", "--expr", "Tr(p^4)").returncode == 0
+    # an index or power past what int() converts is a usage error, not a traceback
+    for expr in ("Tr(p^" + "9" * 5000 + ")", "p[" + "1" * 5000 + "][1]"):
+        assert_usage_error(run_cli("verify", "weyl", "--N", "2", "--expr", expr))
+
+
 def test_oracle_kmax_below_two_is_a_usage_error():
     # k = 0..1 holds no recursion: the check would pass with nothing checked
     assert_usage_error(run_cli("oracle", "moments", "--family", "VI", "--kmax", "1"))
