@@ -1,4 +1,5 @@
-"""Verification tasks: each runner returns a list of CheckRecord.
+"""Verification tasks: each runner yields its CheckRecords in report order,
+and ``_records`` hands its callers the list of them, each record timed.
 
 These glue the algebraic engines to the CLI and the acceptance suite.  Every
 record carries a short anchor phrase from the source text of the identity it
@@ -13,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, wraps
 
 import mpmath
 
@@ -32,15 +33,33 @@ class CheckRecord:
     resolved: bool = False
     residual: str | None = None
     detail: str | None = None
-    ms: int | None = None  # None until a runner or the CLI times the record
+    ms: int = 0  # the wall time of this record's own work, set by _records
 
 
 def _rec(name, anchor, ok, **kw):
     return CheckRecord(name=name, anchor=anchor, ok=bool(ok), **kw)
 
 
-def _ms_since(start: float) -> int:
-    return int((time.perf_counter() - start) * 1000)
+def _records(runner):
+    """Run a generator of records to the list of them, each timed.
+
+    A record's ``ms`` is the time from the record before it (for the first,
+    from the call) until it is yielded: the work done for it alone, so a
+    record whose work came from a cache reads about 0.
+    """
+
+    @wraps(runner)
+    def collect(*args, **kwargs) -> list[CheckRecord]:
+        out = []
+        start = time.perf_counter()
+        for rec in runner(*args, **kwargs):
+            now = time.perf_counter()
+            rec.ms = int((now - start) * 1000)
+            out.append(rec)
+            start = now
+        return out
+
+    return collect
 
 
 # ---------------------------------------------------------------------------
@@ -48,83 +67,52 @@ def _ms_since(start: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_weyl(N: int, expr: str | None = None) -> list[CheckRecord]:
-    """Each record times its own work: an identity its difference, the worked example each side."""
-    out = []
-    start = time.perf_counter()
+@_records
+def run_weyl(N: int, expr: str | None = None):
     for name, diffp in weyl.trace_identity_residuals(N):
-        out.append(_rec(f"trace identity N={N}: {name}", "is not equal to", diffp.is_zero(), ms=_ms_since(start)))
-        start = time.perf_counter()
+        yield _rec(f"trace identity N={N}: {name}", "is not equal to", diffp.is_zero())
     rep = weyl.worked_commutator(N)
-    out.append(
-        _rec(
-            f"worked commutator N={N}: [p, Tr(pqpq)] = 2 hbar pqp + hbar^2 N p",
-            "using the commutation relation",
-            # the printed remainder hbar^2 p must fail at N > 1 and hold at N = 1
-            rep["derived_ok"] and rep["printed_ok"] == (N == 1),
-            resolved=N > 1,
-            detail=(
-                None
-                if N == 1
-                else "printed remainder hbar^2 p is the N=1 value; the matrix relation pq-qp = hbar N Id gives hbar^2 N p"
-            ),
-            ms=_ms_since(start),
-        )
+    yield _rec(
+        f"worked commutator N={N}: [p, Tr(pqpq)] = 2 hbar pqp + hbar^2 N p",
+        "using the commutation relation",
+        # the printed remainder hbar^2 p must fail at N > 1 and hold at N = 1
+        rep["derived_ok"] and rep["printed_ok"] == (N == 1),
+        resolved=N > 1,
+        detail=(
+            None
+            if N == 1
+            else "printed remainder hbar^2 p is the N=1 value; the matrix relation pq-qp = hbar N Id gives hbar^2 N p"
+        ),
     )
-    start = time.perf_counter()
-    out.append(
-        _rec(
-            f"classical bracket N={N}: {{p, Tr(pqpq)}} = 2 pqp",
-            "the cyclicity of the trace",
-            weyl.worked_bracket(N),
-            ms=_ms_since(start),
-        )
-    )
+    yield _rec(f"classical bracket N={N}: {{p, Tr(pqpq)}} = 2 pqp", "the cyclicity of the trace", weyl.worked_bracket(N))
     if expr:
-        start = time.perf_counter()
         value = weyl.evaluate_expression(weyl.WeylAlgebra(N), expr)
-        out.append(
-            _rec(
-                f"expression {expr!r}",
-                "using the commutation relation",
-                True,
-                detail=value.to_str(),
-                ms=_ms_since(start),
-            )
-        )
-    return out
+        yield _rec(f"expression {expr!r}", "using the commutation relation", True, detail=value.to_str())
 
 
-def run_eom(N: int) -> list[CheckRecord]:
-    start = time.perf_counter()
+@_records
+def run_eom(N: int):
     rep = weyl.verify_eom_vi(N)
-    detail = rep["convention"] if rep["ok"] else f"first difference: {rep['failures'][:1]}"
-    return [
-        _rec(
-            f"equations of motion N={N}: [t(t-1)H_VI, q] = hbar t(t-1) A and [.., p] = hbar t(t-1) B",
-            "non-commutative polynomials A, B are given",
-            rep["ok"],
-            detail=detail,
-            ms=_ms_since(start),
-        )
-    ]
-
-
-def run_zero_curvature() -> list[CheckRecord]:
-    rep = weyl.verify_zero_curvature()
-    out = [
-        _rec(f"Lax pair structure: {label}", "where the matrices are explicitly given", ok)
-        for label, ok in rep["residue_checks"]
-    ]
-    out.append(
-        _rec(
-            "zero curvature: dA/dt - dB/dzeta + [A, B] = 0 in the free algebra",
-            "zero-curvature equations for the pair",
-            rep["ok"],
-            detail=None if rep["ok"] else f"offenders: {rep['offenders'][:2]}",
-        )
+    yield _rec(
+        f"equations of motion N={N}: [t(t-1)H_VI, q] = hbar t(t-1) A and [.., p] = hbar t(t-1) B",
+        "non-commutative polynomials A, B are given",
+        rep["ok"],
+        detail=rep["convention"] if rep["ok"] else f"first difference: {rep['failures'][:1]}",
     )
-    return out
+
+
+@_records
+def run_zero_curvature():
+    for label, ok, offenders in weyl.verify_zero_curvature():
+        if label is None:
+            yield _rec(
+                "zero curvature: dA/dt - dB/dzeta + [A, B] = 0 in the free algebra",
+                "zero-curvature equations for the pair",
+                ok,
+                detail=None if ok else f"offenders: {offenders[:2]}",
+            )
+        else:
+            yield _rec(f"Lax pair structure: {label}", "where the matrices are explicitly given", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +141,22 @@ def worked_reduction(N: int, kmax: int, trials: int, seed: int, hbar):
     return _WORKED_REDUCTION_CACHE[key]
 
 
-def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2)) -> list[CheckRecord]:
-    out = []
+@_records
+def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2)):
     if family in ("I", "II", "III", "IV", "V"):
-        rep = radial.verify_radial_match(family, N, trials, seed, hbar=hbar)
-        out.append(
-            _rec(
-                f"radial reduction {family}, N={N}: matrix operator equals printed eigenvalue form ({trials} random points)",
-                "is called the Harish-Chandra map",
-                rep["ok"],
-                detail=None if rep["ok"] else str(rep["mismatches"][:1]),
-            )
+        [rep] = radial.verify_radial_match(family, N, [(None, trials)], seed, hbar=hbar)
+        yield _rec(
+            f"radial reduction {family}, N={N}: matrix operator equals printed eigenvalue form ({trials} random points)",
+            "is called the Harish-Chandra map",
+            rep["ok"],
+            detail=None if rep["ok"] else str(rep["mismatches"][:1]),
         )
     else:
         # corr is None where the printed form is exact or no correction fits; either fails the record
         corr, rep = resolved_radial_corrections("VI", N, hbar)
         # one matrix side: the printed form at the first trials // 2 points, the corrected one at all
         forms = [(None, max(1, trials // 2)), (corr, trials)]
-        printed, check = radial.verify_radial_match("VI", N, trials, seed, hbar=hbar, forms=forms)
+        printed, check = radial.verify_radial_match("VI", N, forms, seed, hbar=hbar)
         # the printed form needs first_order[1]; every other fitted unknown must vanish
         fitted = {}
         if corr:
@@ -183,28 +169,24 @@ def run_radial(family: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2))
             "printed first-order z-coefficient -hbar(1+t) must read -2 hbar(1+t): "
             f"fitted additive correction ({a10} + {a11} t) sum_rho z_rho d_rho inside t(t-1)"
         )
-        out.append(
-            _rec(
-                f"radial reduction VI, N={N}: exact after solved first-order correction",
-                "is called the Harish-Chandra map",
-                (not printed["ok"]) and check["ok"] and rep["verified"] and (a10, a11) == (shift, shift) and not stray,
-                resolved=True,
-                detail=rep["reason"] or detail + (f"; also fitted {', '.join(stray)}" if stray else ""),
-            )
+        yield _rec(
+            f"radial reduction VI, N={N}: exact after solved first-order correction",
+            "is called the Harish-Chandra map",
+            (not printed["ok"]) and check["ok"] and rep["verified"] and (a10, a11) == (shift, shift) and not stray,
+            resolved=True,
+            detail=rep["reason"] or detail + (f"; also fitted {', '.join(stray)}" if stray else ""),
         )
     qk = worked_reduction(N, 3, 2, seed + 1, hbar)
-    out.append(
-        _rec(
-            f"worked reduction Tr(q^k p^2), k <= 3, N={N}",
-            "quantum radial reduction of the",
-            qk["ok"],
-            detail=None if qk["ok"] else str(qk["mismatches"][:1]),
-        )
+    yield _rec(
+        f"worked reduction Tr(q^k p^2), k <= 3, N={N}",
+        "quantum radial reduction of the",
+        qk["ok"],
+        detail=None if qk["ok"] else str(qk["mismatches"][:1]),
     )
-    return out
 
 
-def run_gauge_transformation(N: int = 2) -> list[CheckRecord]:
+@_records
+def run_gauge_transformation(N: int = 2):
     """The scalar gauge e^{S/hbar} carrying the pre-gauge form to the printed one."""
     reg = session_registry(N)
     hbar = Fraction(1, 3)
@@ -217,13 +199,11 @@ def run_gauge_transformation(N: int = 2) -> list[CheckRecord]:
         s = s + z**3 * Fraction(1, 3) + t * z * Fraction(1, 2)
     gauged = radial.gauge_scalar_conjugate(pre, s, hbar)
     target = radial.build_radial_hamiltonian(zs, t, "II", hbar, kappa, th=th)
-    return [
-        _rec(
-            f"scalar gauge N={N}: exp(S/hbar) conjugation recovers the printed gauged form",
-            "a gauge transformation of the form",
-            diffop.operator_equal(gauged, target),
-        )
-    ]
+    yield _rec(
+        f"scalar gauge N={N}: exp(S/hbar) conjugation recovers the printed gauged form",
+        "a gauge transformation of the form",
+        diffop.operator_equal(gauged, target),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,55 +224,51 @@ def _one_coupling(maps: dict) -> bool:
     return all(k * (k + 1) == R * (R + 1) for k in maps["kappa_choices"])
 
 
-def run_gauge(N_values=GAUGE_N, hbar_values=GAUGE_HBAR, m: int = 2) -> list[CheckRecord]:
-    powers, lemmas = [], []
-    for N in N_values:
-        for hb in hbar_values:
-            # family II's gauged row: its kappa choices, and the theta the lemma below reads
-            maps = diffop.table_params("II", hb, "gauged", m, N)
-            lam_seen = []
-            ok_all = _one_coupling(maps)
-            resolved_any = False
-            for a in (0, 1, 2, 3):
-                rep = diffop.theorem_gauge_check(N, a, hb, maps["kappa_choices"][0])
-                resolved = rep["status"] == "resolved-with-correction"
-                # the printed a = 2, 3 corrections carry the factor N - 2 and
-                # need exactly the prefactor hbar^2 - 1; every other power holds as printed
-                if a >= 2 and N >= 3:
-                    ok_all &= resolved and rep["lambda"] == as_rat(hb) ** 2 - 1
-                else:
-                    ok_all &= rep["status"] == "pass"
-                resolved_any |= resolved
-                if a in (2, 3):
-                    lam_seen.append((a, rep.get("lambda")))
-            detail = ", ".join(f"a={a}: lambda={lam}" for a, lam in lam_seen)
-            for branch in KAPPA_BRANCHES:
-                powers.append(
-                    _rec(
-                        f"gauge conjugation powers a=0..3, N={N}, hbar={hb}, {branch}",
-                        "Define the two sequences of differential operators",
-                        ok_all,
-                        resolved=resolved_any,
-                        detail=f"printed corrections need the prefactor hbar^2-1 ({detail})" if resolved_any else detail,
-                    )
-                )
-            # printed lemma for family II: solve theta and compare
-            rep = table1_resolve("II", "gauged", hb, m, N)
-            solved = rep["solved"].get("theta")
-            printed = maps["theta"]
-            theta = printed if solved is None else solved
-            resolved = solved is not None and solved != printed
-            lemmas.append(
-                _rec(
-                    f"gauged identification, family II, N={N}, hbar={hb}, m={m}: theta solved exactly",
-                    "equivalent to the action of",
-                    rep["ok"] and theta == Fraction(3, 2) - N - as_rat(hb) * (1 + m),
-                    resolved=resolved,
-                    detail=f"theta solved = {solved}; printed = {printed}"
-                    + (" (printed value holds only at N = 1 or hbar = 1)" if resolved else ""),
-                )
+@_records
+def run_gauge(N_values=GAUGE_N, hbar_values=GAUGE_HBAR, m: int = 2):
+    """The power records of every (N, hbar), then the printed lemma's records."""
+    # family II's gauged rows: their kappa choices, and the theta the lemma reads
+    rows = [(N, hb, diffop.table_params("II", hb, "gauged", m, N)) for N in N_values for hb in hbar_values]
+    for N, hb, maps in rows:
+        lam_seen = []
+        ok_all = _one_coupling(maps)
+        resolved_any = False
+        for a in (0, 1, 2, 3):
+            rep = diffop.theorem_gauge_check(N, a, hb, maps["kappa_choices"][0])
+            resolved = rep["status"] == "resolved-with-correction"
+            # the printed a = 2, 3 corrections carry the factor N - 2 and
+            # need exactly the prefactor hbar^2 - 1; every other power holds as printed
+            if a >= 2 and N >= 3:
+                ok_all &= resolved and rep["lambda"] == as_rat(hb) ** 2 - 1
+            else:
+                ok_all &= rep["status"] == "pass"
+            resolved_any |= resolved
+            if a in (2, 3):
+                lam_seen.append((a, rep.get("lambda")))
+        detail = ", ".join(f"a={a}: lambda={lam}" for a, lam in lam_seen)
+        for branch in KAPPA_BRANCHES:
+            yield _rec(
+                f"gauge conjugation powers a=0..3, N={N}, hbar={hb}, {branch}",
+                "Define the two sequences of differential operators",
+                ok_all,
+                resolved=resolved_any,
+                detail=f"printed corrections need the prefactor hbar^2-1 ({detail})" if resolved_any else detail,
             )
-    return powers + lemmas
+    for N, hb, maps in rows:
+        # printed lemma for family II: solve theta and compare
+        rep = table1_resolve("II", "gauged", hb, m, N)
+        solved = rep["solved"].get("theta")
+        printed = maps["theta"]
+        theta = printed if solved is None else solved
+        resolved = solved is not None and solved != printed
+        yield _rec(
+            f"gauged identification, family II, N={N}, hbar={hb}, m={m}: theta solved exactly",
+            "equivalent to the action of",
+            rep["ok"] and theta == Fraction(3, 2) - N - as_rat(hb) * (1 + m),
+            resolved=resolved,
+            detail=f"theta solved = {solved}; printed = {printed}"
+            + (" (printed value holds only at N = 1 or hbar = 1)" if resolved else ""),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +343,20 @@ def table1_resolve(J: str, mode: str, hbar, m: int, N: int, family: dict | None 
     return out
 
 
+@_records
 def run_table1(
     families=FAMS,
     modes=TABLE1_MODES,
     hbar_values=None,
     N_values=(2, 3),
     m: int = 2,
-) -> list[CheckRecord]:
+):
     """Every table1 row; each mode runs at ``hbar_values``, by default at its ``TABLE1_HBAR``."""
-    out = []
     for J in families:
         for mode in modes:
             for hb in TABLE1_HBAR[mode] if hbar_values is None else hbar_values:
                 for N in N_values:
-                    start = time.perf_counter()
                     rep = table1_resolve(J, mode, hb, m, N)
-                    ms = _ms_since(start)
                     # the printed gauged theta of II and k^2 of VI hold only at N = 1 or
                     # hbar = 1; elsewhere they are re-solved, and nothing else ever is
                     resolves = J in ("II", "VI") and mode == "gauged" and N > 1 and hb != 1
@@ -399,17 +373,13 @@ def run_table1(
                         bits.append(f"scalar gauge residual {rep['scalar_residual']}")
                     if J == "VI":
                         bits.append(rep["reason"] or "radial VI taken with the solved first-order correction")
-                    out.append(
-                        _rec(
-                            f"parameter table {J} {mode}, hbar={hb}, N={N}, m={m}",
-                            "correspondence of parameters between",
-                            ok,
-                            resolved=resolved,
-                            detail="; ".join(bits) or ("exact as printed" if ok else "the operators differ under the printed map"),
-                            ms=ms,
-                        )
+                    yield _rec(
+                        f"parameter table {J} {mode}, hbar={hb}, N={N}, m={m}",
+                        "correspondence of parameters between",
+                        ok,
+                        resolved=resolved,
+                        detail="; ".join(bits) or ("exact as printed" if ok else "the operators differ under the printed map"),
                     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,35 +387,30 @@ def run_table1(
 # ---------------------------------------------------------------------------
 
 
-def run_n1(m: int = 2, hbar=Fraction(1, 2)) -> list[CheckRecord]:
+@_records
+def run_n1(m: int = 2, hbar=Fraction(1, 2)):
     hb = as_rat(hbar)
     reg = session_registry(1)
-    out = []
     full = moments.pde_params("VI", m, hb)
     for J in FAMS:
         nag = diffop.build_nagoya_single(reg, J, hb, **full)
         cp = diffop.build_cp_hamiltonian(reg, J, 1, m, hb, **full)
         ok = diffop.operator_equal(cp, nag)
         cond = "a = m hbar" + (" and b+c+d = (m-1) hbar" if J == "VI" else "")
-        out.append(
-            _rec(
-                f"N=1 reduction {J}: multi-particle operator equals the single-particle one under {cond}",
-                "reduce to the Hamiltonian operators",
-                ok,
-            )
+        yield _rec(
+            f"N=1 reduction {J}: multi-particle operator equals the single-particle one under {cond}",
+            "reduce to the Hamiltonian operators",
+            ok,
         )
     # negative control: family VI without the extra condition must differ
     skew = dict(full, d=full["b"] + full["c"])
     bad = diffop.build_cp_hamiltonian(reg, "VI", 1, m, hb, **skew)
     nag = diffop.build_nagoya_single(reg, "VI", hb, **skew)
-    out.append(
-        _rec(
-            "N=1 reduction negative control: family VI without b+c+d = (m-1) hbar differs",
-            "reduce to the Hamiltonian operators",
-            not diffop.operator_equal(bad, nag),
-        )
+    yield _rec(
+        "N=1 reduction negative control: family VI without b+c+d = (m-1) hbar differs",
+        "reduce to the Hamiltonian operators",
+        not diffop.operator_equal(bad, nag),
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +418,10 @@ def run_n1(m: int = 2, hbar=Fraction(1, 2)) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
-def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, controls: bool = False) -> list[CheckRecord]:
-    """The symbolic check and, with ``controls``, its m_shift control on the same wave function, each timed."""
-    start = time.perf_counter()
+@_records
+def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, controls: bool = False):
+    """The symbolic check and, with ``controls``, its m_shift control on the same wave function."""
     rep = moments.verify_pde_symbolic(J, N, m, hbar, params)
-    ms = _ms_since(start)
     # an ok record has tau = N, so the printed hbar d/dt holds exactly at N = 1
     resolved = rep["ok"] and N > 1
     detail = f"time normalization tau = {rep['time_factor']}"
@@ -465,28 +429,20 @@ def run_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = No
         detail += " (the stated hbar d/dt holds only at N = 1; the derivations carry hbar N d/dt)"
     elif not rep["ok"] and rep["time_factor"]:
         detail += f" instead of N = {N}"
-    out = [
-        _rec(
-            f"Schroedinger identity {J}, N={N}, m={m}, hbar={hbar}: residual exactly zero",
-            "solution to the multi-variable version",
-            rep["ok"],
-            resolved=resolved,
-            detail=detail,
-            ms=ms,
-        )
-    ]
+    yield _rec(
+        f"Schroedinger identity {J}, N={N}, m={m}, hbar={hbar}: residual exactly zero",
+        "solution to the multi-variable version",
+        rep["ok"],
+        resolved=resolved,
+        detail=detail,
+    )
     if controls:
-        start = time.perf_counter()
         bad = moments.verify_pde_symbolic(J, N, m, hbar, params, mutate="m_shift", wave=rep["wave"])
-        out.append(
-            _rec(
-                f"negative control {J}, N={N}, m={m}: shifted m hbar coefficient leaves a residual",
-                "solution to the multi-variable version",
-                not bad["ok"],
-                ms=_ms_since(start),
-            )
+        yield _rec(
+            f"negative control {J}, N={N}, m={m}: shifted m hbar coefficient leaves a residual",
+            "solution to the multi-variable version",
+            not bad["ok"],
         )
-    return out
 
 
 NUMERIC_POINTS = {
@@ -505,24 +461,24 @@ def numeric_pde_params(J: str, m: int, hbar, base: dict) -> dict:
     return moments.pde_params(J, m, hbar, **base)
 
 
-def run_pde_numeric(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 64, level: int = 4) -> list[CheckRecord]:
+@_records
+def run_pde_numeric(J: str, N: int, m: int, hbar, t, params: dict, prec: int = 64, level: int = 4):
     name = f"numeric Schroedinger residual {J}, N={N}, m={m}, hbar={hbar}, t={t}"
     anchor = "satisfying the Schrodinger equation"
     try:
         rep = quadrature.pde_residual_numeric(J, N, m, hbar, t, params, prec=prec, level=level)
     except QuadratureError as exc:
-        return [_rec(name, anchor, False, detail=f"quadrature failed: {exc}")]
+        yield _rec(name, anchor, False, detail=f"quadrature failed: {exc}")
+        return
     # the two dPhi/dt computations must agree before the residual means anything
     ok = rep["residual"] < mpmath.mpf("1e-6") and rep["dt_agreement"] < mpmath.mpf("1e-8")
-    return [
-        _rec(
-            name,
-            anchor,
-            ok,
-            residual=mpmath.nstr(rep["residual"], 6),
-            detail=f"d/dt cross-check {mpmath.nstr(rep['dt_agreement'], 4)}; grid error {mpmath.nstr(rep['grid_error'], 4)}; tau = {rep['time_factor']}",
-        )
-    ]
+    yield _rec(
+        name,
+        anchor,
+        ok,
+        residual=mpmath.nstr(rep["residual"], 6),
+        detail=f"d/dt cross-check {mpmath.nstr(rep['dt_agreement'], 4)}; grid error {mpmath.nstr(rep['grid_error'], 4)}; tau = {rep['time_factor']}",
+    )
 
 
 def _half_digits(prec: int):
@@ -530,13 +486,13 @@ def _half_digits(prec: int):
     return mpmath.mpf(2) ** (-prec / 2)
 
 
-def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, seed: int = 11) -> list[CheckRecord]:
+@_records
+def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, seed: int = 11):
     """Validate every divergence relation against high-precision quadrature."""
     if kmax < 2:
         raise UsageError(f"kmax must be at least 2: k = 0..{kmax} holds no recursion to check")
     rng = random.Random(seed)
     reg = session_registry(1, seeds=("nu0", "nu1"))
-    out = []
     # the worst residual, and the worst grid error estimate over the largest moment
     worst = grid = mpmath.mpf(0)
     for _ in range(points):
@@ -572,18 +528,16 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
             for rel, with_rho in relations:
                 worst = max(worst, residual(rel, with_rho))
             grid = max(grid, max(err for _, err in found.values()) / max(abs(value) for value in nu.values()))
-    out.append(
-        _rec(
-            f"moment recursions {J}, k = 0..{kmax}, {points} admissible points",
-            "viewed as the divergence of",
-            worst < mpmath.mpf("1e-10") and grid < mpmath.mpf("1e-10") and worst < _half_digits(prec),
-            residual=mpmath.nstr(worst, 4),
-        )
+    yield _rec(
+        f"moment recursions {J}, k = 0..{kmax}, {points} admissible points",
+        "viewed as the divergence of",
+        worst < mpmath.mpf("1e-10") and grid < mpmath.mpf("1e-10") and worst < _half_digits(prec),
+        residual=mpmath.nstr(worst, 4),
     )
-    return out
 
 
-def run_andreief(prec: int = 96) -> list[CheckRecord]:
+@_records
+def run_andreief(prec: int = 96):
     params = {"b": Fraction(-1, 3)}
     t = Fraction(1, 3)
     z = [Fraction(3, 2), Fraction(-2, 3)]
@@ -592,14 +546,12 @@ def run_andreief(prec: int = 96) -> list[CheckRecord]:
         simplex_val = quadrature.phi_value(coeffs, [mpmath.mpf(x.numerator) / x.denominator for x in z], 2)
         det_val = quadrature.andreief_phi("IV", z, t, 2, params, prec=prec)
         rel = abs(2 * simplex_val - det_val) / abs(det_val)
-    return [
-        _rec(
-            "determinant identity: m! det of modified moments equals the m-fold integral (IV, m=2, hbar=1)",
-            "product of characteristic polynomials",
-            rel < mpmath.mpf("1e-8") and rel < _half_digits(prec),
-            residual=mpmath.nstr(rel, 4),
-        )
-    ]
+    yield _rec(
+        "determinant identity: m! det of modified moments equals the m-fold integral (IV, m=2, hbar=1)",
+        "product of characteristic polynomials",
+        rel < mpmath.mpf("1e-8") and rel < _half_digits(prec),
+        residual=mpmath.nstr(rel, 4),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -148,34 +148,18 @@ def _oracle(args):
     return checks.run_oracle_moments(args.family, kmax=args.kmax, prec=args.prec, seed=args.seed), echo, args.prec
 
 
-def _spread(recs: list, block_ms: int) -> None:
-    """Time a block's records: a runner that timed its own records keeps those
-    times, 0 ms included.  The rest of the block's time is split evenly over
-    the untimed records (``ms`` None), with the integer remainder on the last,
-    so that a block's records add up to the block.
-    """
-    untimed = [r for r in recs if r.ms is None]
-    if untimed:
-        share, extra = divmod(max(0, block_ms - sum(r.ms or 0 for r in recs)), len(untimed))
-        for r in untimed:
-            r.ms = share
-        untimed[-1].ms += extra
-
-
-def _timed(tag: str, fn) -> list:
-    """One block of the suite: its records, tagged and timed."""
-    start = time.perf_counter()
+def _tagged(tag: str, fn) -> list:
+    """One block of the suite: its records, each name prefixed with the block's tag."""
     recs = fn()
-    _spread(recs, int((time.perf_counter() - start) * 1000))
     for r in recs:
         r.name = f"[{tag}] {r.name}"
     return recs
 
 
 def acceptance_suite(args):
-    """The full acceptance matrix, one timed record block per entry."""
+    """The full acceptance matrix, one tagged record block per entry."""
     level = 3 if args.fast else 4
-    records = [rec for _, tag, fn in checks.acceptance_matrix(args.seed, args.prec, level) for rec in _timed(tag, fn)]
+    records = [rec for _, tag, fn in checks.acceptance_matrix(args.seed, args.prec, level) for rec in _tagged(tag, fn)]
     return records, {"seed": args.seed, "prec": args.prec}, args.prec
 
 
@@ -333,8 +317,6 @@ def run(args) -> int:
     records, echo, precision = task.run(args)
     if not task.report:
         return 0
-    if args.verb != "suite":  # the suite timed each block
-        _spread(records, int((time.time() - start) * 1000))
     report = build_report({"verb": args.verb, "task": args.task, **echo}, records, precision=precision, timings=args.timings)
     if args.verb == "suite":
         report["elapsed_s"] = round(time.time() - start, 1) if args.timings else 0

@@ -367,28 +367,27 @@ def _matrix_form(fam) -> str:
     return f"{fam.name}_pre" if fam.radial_pre else fam.name
 
 
-def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1, 2), corrections=None, forms=None):
+def verify_radial_match(J: str, N: int, forms, seed: int, hbar=Fraction(1, 2)):
     """Exact matrix-vs-radial equality at random rational points (kappa = 0).
 
     For family II the matrix quantization reduces to the pre-gauge radial
     form; the gauged form is reached separately through the scalar gauge.
-    ``forms``, a list of (corrections, trials), compares several corrected
-    forms against one matrix side, each at the first ``trials`` points of
-    the seed, and returns one report per form.
+    ``forms``, a list of (corrections, trials), compares each radial form
+    (``corrections`` None for the printed one) against one matrix side at
+    the first ``trials`` points of the seed; returns one report per form.
     """
     rng = random.Random(seed)
     fam = families.family(J)
     radial_fam = _matrix_form(fam)
-    todo = forms or [(corrections, trials)]
-    reports = [{"ok": True, "trials": n, "mismatches": []} for _, n in todo]
-    for trial in range(max(n for _, n in todo)):
+    reports = [{"ok": True, "trials": n, "mismatches": []} for _, n in forms]
+    for trial in range(max(n for _, n in forms)):
         params = fam.random_thetas(rng)
         t_point = Fraction(rng.randint(1, 9), rng.randint(1, 4)) + 1  # keep t, t-1 nonzero
         pt = RationalMatrixPoint.random(N, rng)
         f = random_trace_polynomial(rng)
         lhs = apply_matrix_operator(pt, hamiltonian_trace_spec(J, N, t_point, **params), f, hbar)
         jet = z_jet(pt.Z, f)
-        for (corr, n), rep in zip(todo, reports):
+        for (corr, n), rep in zip(forms, reports):
             if trial >= n:
                 continue
             op = build_radial_hamiltonian(pt.Z, t_point, radial_fam, hbar, 0, corrections=corr, **params)
@@ -398,7 +397,7 @@ def verify_radial_match(J: str, N: int, trials: int, seed: int, hbar=Fraction(1,
                 rep["mismatches"].append(
                     {"trial": trial, "params": params, "t": t_point, "Z": pt.Z, "matrix": lhs, "radial": rhs}
                 )
-    return reports if forms else reports[0]
+    return reports
 
 
 def qkp2_radial_op(zs, k: int, hbar, kappa) -> DiffOp:
@@ -483,7 +482,7 @@ def resolve_radial_corrections(J: str, N: int, hbar, seed: int = 7):
         "sum_z": (sol[2 * nalpha + 2], sol[2 * nalpha + 3]),
     }
     is_zero = all(x == 0 for x in sol)
-    check = verify_radial_match(J, N, 6, seed + 1, hbar=hb, corrections=None if is_zero else corr)
+    [check] = verify_radial_match(J, N, [(None if is_zero else corr, 6)], seed + 1, hbar=hb)
     reason = None if check["ok"] else "the fitted correction fails at fresh points"
     return corr, {"printed_exact": is_zero, "verified": check["ok"], "family": J, "N": N, "reason": reason}
 

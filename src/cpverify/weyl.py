@@ -34,6 +34,7 @@ from .params import parse_rational
 WEYL_REGISTRY = Registry(("hbar", "t", "th", "th0", "th1", "th2", "tht", "k"))
 FREE_REGISTRY = Registry(("zeta", "t", "th0", "th1", "tht", "k"))
 MAX_TRACE_TUPLES = 4**8  # index tuples one trace word may expand to; 16 letters at N <= 2
+MAX_NORMAL_TERMS = 2**18  # normal-form terms one algebra may cache; run_eom(4) caches 120 547
 _RANK = {"q": 0, "Q": 0, "p": 1, "P": 1}
 
 
@@ -60,6 +61,7 @@ class WeylAlgebra:
         self.registry = FREE_REGISTRY if mode == "free" else WEYL_REGISTRY
         self.unit = self.coeff(1)  # the one coefficient 1 that normal forms share
         self._cache: dict = {}
+        self._cached_terms = 0
 
     # -- coefficient ring helpers -----------------------------------------
 
@@ -149,6 +151,7 @@ class WeylAlgebra:
 
         The first p left of a q it contracts with moves past its last such q,
         leaving an hbar term at each; a word with no such p sorts in one step.
+        Caching more than ``MAX_NORMAL_TERMS`` terms in all is a usage error.
         """
         if self.mode == "free":
             return {word: self.unit}
@@ -170,6 +173,9 @@ class WeylAlgebra:
         if result is None:
             result = {tuple(sorted(word, key=_letter_key)): self.unit}
         self._cache[word] = result
+        self._cached_terms += len(result)
+        if self._cached_terms > MAX_NORMAL_TERMS:
+            raise UsageError(f"normal ordering at N={self.N} exceeds the bound of {MAX_NORMAL_TERMS} cached terms")
         return result
 
 
@@ -746,12 +752,12 @@ def lax_blocks(alg: WeylAlgebra):
     return a0, a1, at, bmat
 
 
-def lax_pair(alg: WeylAlgebra):
-    """Assembled A(zeta), B(zeta) with poles at 0,1,t and t respectively."""
-    reg = alg.registry
+def lax_pair(blocks):
+    """Assembled A(zeta), B(zeta) with poles at 0,1,t and t respectively, from the :func:`lax_blocks`."""
+    a0, a1, at, bmat = blocks
+    reg = a0.alg.registry
     zeta = RatFun.from_mpoly(reg.var("zeta"))
     t = RatFun.from_mpoly(reg.var("t"))
-    a0, a1, at, bmat = lax_blocks(alg)
     amat = a0.scale(1 / zeta) + a1.scale(1 / (zeta - 1)) + at.scale(1 / (zeta - t))
     bfull = -(at.scale(1 / (zeta - t))) - bmat
     return amat, bfull
@@ -773,17 +779,20 @@ def d_dzeta(x: NCPoly) -> NCPoly:
 
 
 def verify_zero_curvature():
-    """dA/dt - dB/dzeta + [A, B] = 0 identically in the free algebra.
+    """The Lax pair's checks, each computed when reached and yielded as (label, ok, offenders).
 
-    Also checks the residue structure: zeta A -> A0 at 0 etc., and that B has
-    its only pole at zeta = t.
+    First the residue structure: zeta A -> A0 at 0 etc., and B with its only
+    pole at zeta = t.  Last, labelled None, dA/dt - dB/dzeta + [A, B] = 0
+    identically in the free algebra: its offenders are the residual's nonzero
+    ((row, col), word, coefficient) terms, and its ok needs every check.
     """
     alg = WeylAlgebra(1, mode="free")
     reg = alg.registry
     t = RatFun.from_mpoly(reg.var("t"))
     zeta = RatFun.from_mpoly(reg.var("zeta"))
-    a0, a1, at, bblock = lax_blocks(alg)
-    amat, bmat = lax_pair(alg)
+    blocks = lax_blocks(alg)
+    a0, a1, at, bblock = blocks
+    amat, bmat = lax_pair(blocks)
 
     tt1 = t * (t - 1)
     avec, bvec = evolution_polynomials(alg)
@@ -796,13 +805,16 @@ def verify_zero_curvature():
     def mat_eq(x, y):
         return all((x.rows[i][j] - y.rows[i][j]).is_zero() for i in range(2) for j in range(2))
 
-    residue_checks = []
+    held = []  # the structure checks' verdicts
+
+    def check(label, ok):
+        held.append(ok)
+        return label, ok, []
+
     # zeta(zeta-1)(zeta-t) A(zeta) equals the explicitly polynomial combination
     # of the residue blocks: simple poles at 0, 1, t only.
     pa = a0.scale((zeta - 1) * (zeta - t)) + a1.scale(zeta * (zeta - t)) + at.scale(zeta * (zeta - 1))
-    residue_checks.append(
-        ("A has simple poles at 0,1,t only", mat_eq(amat.scale(zeta * (zeta - 1) * (zeta - t)), pa))
-    )
+    yield check("A has simple poles at 0,1,t only", mat_eq(amat.scale(zeta * (zeta - 1) * (zeta - t)), pa))
     tvar = t.num
     for loc, block, factor, label in (
         (reg.const(0), a0, tvar, "A residue at zeta=0"),
@@ -813,12 +825,10 @@ def verify_zero_curvature():
             pa.map_entries(lambda e: subs_entry(e, "zeta", loc)),
             block.map_entries(lambda e: e.scale(RatFun.from_mpoly(factor))),
         )
-        residue_checks.append((label, ok))
+        yield check(label, ok)
     pb = -at - bblock.scale(zeta - t)
-    residue_checks.append(("B has a simple pole at zeta=t only", mat_eq(bmat.scale(zeta - t), pb)))
-    residue_checks.append(
-        ("B residue at zeta=t", mat_eq(pb.map_entries(lambda e: subs_entry(e, "zeta", tvar)), -at))
-    )
+    yield check("B has a simple pole at zeta=t only", mat_eq(bmat.scale(zeta - t), pb))
+    yield check("B residue at zeta=t", mat_eq(pb.map_entries(lambda e: subs_entry(e, "zeta", tvar)), -at))
 
     dadt = amat.map_entries(lambda e: d_dt_free(e, adot, bdot))
     dbdz = bmat.map_entries(d_dzeta)
@@ -829,8 +839,4 @@ def verify_zero_curvature():
             for w, c in residual.rows[i][j].terms.items():
                 if not c.is_zero():
                     offenders.append(((i + 1, j + 1), w, c.to_str()))
-    return {
-        "ok": not offenders and all(ok for _, ok in residue_checks),
-        "residue_checks": residue_checks,
-        "offenders": offenders,
-    }
+    yield None, all(held) and not offenders, offenders

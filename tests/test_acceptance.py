@@ -115,6 +115,9 @@ def test_criterion(criterion):
     failed = [(rec.name, rec.detail) for _, rec in records if not rec.ok]
     assert not failed, failed
     assert records_digest([rec for _, rec in records]) == DIGESTS[criterion], f"criterion {criterion}: records changed"
+    # each record carries the time of its own work, which the blocks' time bounds
+    assert all(type(rec.ms) is int for _, rec in records)
+    assert sum(rec.ms for _, rec in records) <= elapsed * 1000
     assert elapsed < budget, f"criterion {criterion}: {elapsed:.1f}s exceeds {budget}s budget"
     if criterion in WORST_OF:
         worst = max(mpmath.mpf(rec.residual) for tag, rec in records if tag == WORST_OF[criterion])

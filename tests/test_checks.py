@@ -28,11 +28,49 @@ def test_run_weyl_and_eom():
     assert ok_all(checks.run_eom(1))
 
 
-def test_run_weyl_and_eom_time_their_own_records():
-    # no record's ms is left for the CLI to split out of its block
-    for N in (1, 2):
-        recs = checks.run_weyl(N, expr="[Tr(p*p), q]") + checks.run_eom(N)
-        assert len(recs) == 9 and all(r.ms is not None for r in recs)
+def test_run_weyl_charges_each_record_its_own_work(monkeypatch):
+    # the classical bracket's time is its record's alone, not its neighbours'
+    bracket = checks.weyl.worked_bracket
+
+    def slow(N):
+        time.sleep(0.2)
+        return bracket(N)
+
+    monkeypatch.setattr(checks.weyl, "worked_bracket", slow)
+    recs = checks.run_weyl(1, expr="[Tr(p*p), q]")
+    assert len(recs) == 8 and ok_all(recs)
+    assert [r.ms >= 200 for r in recs] == [False] * 6 + [True, False]
+
+
+def test_a_cached_worked_reduction_reads_near_zero(monkeypatch):
+    # the reduction runs once per N; the radial block's record used to read half of the block
+    qkp2 = radial.verify_qkp2
+
+    def slow(*args):
+        time.sleep(0.2)
+        return qkp2(*args)
+
+    monkeypatch.setattr(radial, "verify_qkp2", slow)
+    monkeypatch.setattr(checks, "_WORKED_REDUCTION_CACHE", {})
+    first = checks.run_radial("I", 2, trials=1, seed=3)
+    second = checks.run_radial("III", 2, trials=1, seed=3)
+    assert ok_all(first + second)
+    assert first[0].ms < 200 <= first[1].ms
+    assert second[0].ms < 200 and second[1].ms < 100
+
+
+def test_the_curvature_record_carries_the_residual(monkeypatch):
+    # the structure checks are computed before the residual, each as its record is due
+    d_dt_free = checks.weyl.d_dt_free
+
+    def slow(*args):
+        time.sleep(0.05)  # once per entry of the 2x2 A
+        return d_dt_free(*args)
+
+    monkeypatch.setattr(checks.weyl, "d_dt_free", slow)
+    *structure, curvature = checks.run_zero_curvature()
+    assert len(structure) == 6 and ok_all(structure + [curvature])
+    assert curvature.ms >= 200 and all(r.ms < 200 for r in structure)
 
 
 def test_run_radial_families():

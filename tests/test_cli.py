@@ -389,25 +389,21 @@ def test_negative_looking_expressions_parse_like_the_equals_form():
     assert_usage_error(run_cli("verify", "weyl", "--json", "-p"))
 
 
-def test_suite_block_time_is_split_over_its_records(monkeypatch):
-    # every record without a time of its own used to carry the whole block's time
-    clock = iter([5.0, 6.0015])
-    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
-    recs = [CheckRecord(f"c{i}", "anchor", True) for i in range(4)]
-    recs[1].ms = 100  # timed by its runner
-    out = cli._timed("stub", lambda: recs)
-    assert [r.ms for r in out] == [300, 100, 300, 301]
+def test_a_suite_block_is_tagged_and_keeps_its_records_times():
+    # the suite used to split a block's time over the records its runner had not timed
+    recs = [CheckRecord(f"c{i}", "anchor", True, ms=ms) for i, ms in enumerate((0, 100, 0, 7))]
+    out = cli._tagged("stub", lambda: recs)
+    assert [r.ms for r in out] == [0, 100, 0, 7]
     assert [r.name for r in out] == ["[stub] c0", "[stub] c1", "[stub] c2", "[stub] c3"]
 
 
-def test_a_record_timed_under_a_millisecond_keeps_its_zero(monkeypatch):
-    # a self-timed 0 ms used to count as untimed and take the block's leftover
-    clock = iter([0.0, 0.0012, 1.0, 1.0004])
+def test_a_record_timed_under_a_millisecond_reports_its_zero(monkeypatch, capsys):
+    # a record's ms is the time since the record before it; the CLI reports it as is
+    clock = iter([0.0, 0.0012, 0.0016])
     monkeypatch.setattr(checks.time, "perf_counter", lambda: next(clock))
-    recs = checks.run_pde_symbolic("IV", 1, 1, 1, controls=True)
-    assert [r.ms for r in recs] == [1, 0]
-    cli._spread(recs, 2)
-    assert [r.ms for r in recs] == [1, 0]
+    code = main(["verify", "pde", "--family", "IV", "--N", "1", "--m", "1", "--controls", "--timings", "--json"])
+    assert code == 0
+    assert [c["ms"] for c in json.loads(capsys.readouterr().out)["checks"]] == [1, 0]
 
 
 @pytest.mark.parametrize("task", ["table1", "gauge"])

@@ -145,11 +145,11 @@ def test_a_wrong_sigma_fails_the_matrix_side_and_the_ansatz(J, monkeypatch):
     # cannot see a wrong one; the trace words and the beta-integral ansatz can
     fam = families.weighted(J)
     corrections = VI_CORRECTION if J == "VI" else None
-    assert radial.verify_radial_match(J, 2, 3, 5, corrections=corrections)["ok"]
+    assert radial.verify_radial_match(J, 2, [(corrections, 3)], 5)[0]["ok"]
     assert moments.verify_pde_symbolic(J, 2, 1, 1)["ok"]
     wrong = dataclasses.replace(fam, sigma=lambda t: tuple(2 * c for c in fam.sigma(t)))
     monkeypatch.setitem(families._BY_NAME, J, wrong)
-    assert not radial.verify_radial_match(J, 2, 3, 5, corrections=corrections)["ok"]
+    assert not radial.verify_radial_match(J, 2, [(corrections, 3)], 5)[0]["ok"]
     assert not moments.verify_pde_symbolic(J, 2, 1, 1)["ok"]
 
 

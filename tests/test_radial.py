@@ -201,7 +201,7 @@ def test_qkp2_worked_example(N):
 @pytest.mark.parametrize("J", ["I", "II", "III", "IV", "V"])
 @pytest.mark.parametrize("N", [2, 3])
 def test_radial_match_printed(J, N):
-    rep = verify_radial_match(J, N, trials=3, seed=101)
+    [rep] = verify_radial_match(J, N, [(None, 3)], seed=101)
     assert rep["ok"], rep["mismatches"][:1]
 
 
@@ -211,7 +211,7 @@ def test_radial_vi_printed_fails_and_resolves(N):
     # hbar(...); the matrix side demands -2 hbar (1+t).  As an additive
     # correction to the cleared operator that is -hbar^2 (1+t) sum_rho z d_rho,
     # and the resolver must find exactly that for every hbar.
-    rep = verify_radial_match("VI", N, trials=2, seed=31)
+    [rep] = verify_radial_match("VI", N, [(None, 2)], seed=31)
     assert not rep["ok"], "printed VI unexpectedly matches the matrix operator"
     for hbar in (Fraction(1, 2), Fraction(2)):
         corr, report = resolve_radial_corrections("VI", N, hbar, seed=9)

@@ -20,6 +20,7 @@ from cpverify.weyl import (
     d_dt_free,
     evaluate_expression,
     evolution_polynomials,
+    lax_blocks,
     lax_pair,
     poisson_bracket,
     trace_identity_residuals,
@@ -140,9 +141,9 @@ def test_eom_vi_classical_limit_n1():
 
 
 def test_zero_curvature():
-    rep = verify_zero_curvature()
-    assert all(ok for _, ok in rep["residue_checks"]), rep["residue_checks"]
-    assert rep["ok"], rep["offenders"][:3]
+    *structure, (label, ok, offenders) = verify_zero_curvature()
+    assert len(structure) == 6 and all(ok for _, ok, _ in structure), structure
+    assert label is None and ok, offenders[:3]
 
 
 def test_schrodinger_representation_oracle():
@@ -352,7 +353,7 @@ def test_d_dt_free_equals_the_product_rule(x, adot, bdot):
 
 
 def test_d_dt_free_of_the_lax_pair_equals_the_product_rule():
-    amat, _ = lax_pair(FREE)
+    amat, _ = lax_pair(lax_blocks(FREE))
     avec, bvec = evolution_polynomials(FREE)
     adot, bdot = avec.rows[0][0], bvec.rows[0][0]
     for row in amat.rows:
@@ -368,6 +369,14 @@ def test_a_trace_word_past_the_bound_is_a_usage_error():
     with pytest.raises(UsageError):
         WeylAlgebra(3).trace_word("pq" * 6)
     assert not WeylAlgebra(4).trace_word("pppp").is_zero()
+
+
+def test_normal_ordering_past_the_bound_is_a_usage_error(monkeypatch):
+    # Tr(p^8*q^8) at N = 2 is inside the trace bound, yet its cached normal forms passed 3 GB
+    assert not evaluate_expression(WeylAlgebra(2), "Tr(p^4*q^4)").is_zero()  # caches 5719 terms
+    monkeypatch.setattr(weyl, "MAX_NORMAL_TERMS", 1000)
+    with pytest.raises(UsageError, match="1000 cached terms"):
+        evaluate_expression(WeylAlgebra(2), "Tr(p^4*q^4)")
 
 
 # ---------------------------------------------------------------------------
