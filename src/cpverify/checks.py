@@ -23,6 +23,7 @@ from .errors import QuadratureError, UsageError
 from .exact import RatFun, as_rat, fit, session_registry
 
 FAMS = families.WEIGHTED
+MAX_ORACLE_KMAX = 64  # the oracle's largest kmax; --kmax 60 takes 10-15 s for V
 
 
 @dataclass
@@ -491,6 +492,8 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
     """Validate every divergence relation against high-precision quadrature."""
     if kmax < 2:
         raise UsageError(f"kmax must be at least 2: k = 0..{kmax} holds no recursion to check")
+    if kmax > MAX_ORACLE_KMAX:
+        raise UsageError(f"kmax must be at most {MAX_ORACLE_KMAX}, the oracle's bound, got {kmax}")
     rng = random.Random(seed)
     reg = session_registry(1, seeds=("nu0", "nu1"))
     # the worst residual, and the worst grid error estimate over the largest moment

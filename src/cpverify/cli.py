@@ -32,8 +32,6 @@ REPORT = (
     ("timings", dict(action="store_true", default=False, help="include wall-clock timings (breaks byte-identical reports)")),
 )
 PARAMS = ("params", dict(default="", help="rational parameters, e.g. b=-1/3,c=-1/5"))
-CP_KEYS = tuple(dict.fromkeys(k for fam in families.TABLE for k in fam.cp_keys))
-THETA_KEYS = tuple(dict.fromkeys(k for fam in families.TABLE for k in fam.radial_keys))
 # the smallest size, precision, grid level, trial count and seed any task accepts;
 # random.Random(-s) draws the stream of s, so a negative seed is no seed of its own
 LOWER = (("N", 1), ("m", 1), ("prec", 53), ("level", 0), ("trials", 1), ("seed", 0))
@@ -44,15 +42,16 @@ class Task:
     """One task: the flags and ``--params`` keys it reads, and its runner.
 
     ``run(args)`` returns (records, echo, precision_bits), with the parsed
-    ``--params`` in ``args.params``.  Where a flag's value decides what else
-    is read, ``by`` names that flag and ``only`` maps each flag or key read
-    under some of its values to those values.  A task with ``report`` false
-    prints instead of reporting.
+    ``--params`` in ``args.params``.  ``keys(args)`` is the one rule for the
+    ``--params`` keys the task reads, taken from the family table.  Where a
+    flag's value decides which other flags are read, ``by`` names that flag
+    and ``only`` maps each flag read under some of its values to those
+    values.  A task with ``report`` false prints instead of reporting.
     """
 
     run: Callable
     flags: tuple
-    keys: tuple = ()
+    keys: Callable = lambda args: ()
     by: str | None = None
     only: dict = field(default_factory=dict)
     report: bool = True
@@ -88,16 +87,13 @@ def _table1(args):
     return checks.run_table1(fams, modes, hb, (args.N,), args.m), echo, None
 
 
-def _family_reads(args, keys):
-    """Reject a --params key that the family never reads."""
-    for key in args.params:
-        if key not in keys:
-            raise UsageError(f"{key} is not a parameter of family {args.family}")
+def _pde_keys(args) -> tuple:
+    # the solvability conditions fix a, and d for VI (``moments.pde_params``)
+    return tuple(k for k in ("b", "c") if k in families.weighted(args.family).cp_keys)
 
 
 def _pde(args):
     J, hbar = args.family, parse_hbar(args.hbar)
-    _family_reads(args, families.weighted(J).cp_keys)
     if args.mode == "symbolic" and hbar.denominator != 1:
         raise UsageError("the symbolic path needs a positive integer hbar; use --mode numeric")
     if args.mode == "numeric":
@@ -121,12 +117,14 @@ def _pde(args):
     return checks.run_pde_numeric(J, args.N, args.m, hbar, t, params, prec=prec, level=args.level), echo, prec
 
 
+def _hamiltonian_keys(args) -> tuple:
+    if args.kind == "radial":
+        return families.family("II" if args.family == "II_pre" else args.family).radial_keys
+    return ("a",) * (args.kind == "nagoya") + families.weighted(args.family).cp_keys
+
+
 def _print_hamiltonian(args):
     hbar = parse_hbar(args.hbar)
-    if args.kind == "radial":
-        _family_reads(args, families.family("II" if args.family == "II_pre" else args.family).radial_keys)
-    else:
-        _family_reads(args, ("a",) * (args.kind == "nagoya") + families.weighted(args.family).cp_keys)
     if args.kind == "cp":
         op = diffop.build_cp_hamiltonian(session_registry(args.N), args.family, args.N, args.m, hbar, **args.params)
     elif args.kind == "nagoya":
@@ -189,7 +187,7 @@ TASKS = {
             ("level", dict(type=int, default=4)),
             ("controls", dict(action="store_true", default=False, help="also run the negative control")), PREC,
         ),
-        keys=("b", "c"),
+        keys=_pde_keys,
         by="mode",
         only={"controls": ("symbolic",), "t": ("numeric",), "level": ("numeric",), "prec": ("numeric",)},
     ),
@@ -199,11 +197,9 @@ TASKS = {
             ("family", dict(required=True)), ("kind", dict(default="cp", choices=("cp", "radial", "nagoya"))), N, M,
             ("hbar", dict(default="1/2")), ("kappa", dict(default="0")),
         ),
-        keys=CP_KEYS + THETA_KEYS,
+        keys=_hamiltonian_keys,
         by="kind",
-        only={"N": ("cp", "radial"), "m": ("cp",), "kappa": ("radial",)}
-        | dict.fromkeys(CP_KEYS, ("cp", "nagoya"))
-        | dict.fromkeys(THETA_KEYS, ("radial",)),
+        only={"N": ("cp", "radial"), "m": ("cp",), "kappa": ("radial",)},
         report=False,
     ),
     ("oracle", "moments"): Task(
@@ -286,23 +282,22 @@ def main(argv=None) -> int:
 
 def _read(task: Task, args) -> dict:
     """Fill in the defaults, reject what the task does not read, return the parsed --params."""
-    where = f"{args.verb} {args.task}"
     given = set(vars(args))
     for name, spec in task.argspecs:
         if name not in given:
             setattr(args, name, spec.get("default"))
-    where_by = f"{where} --{task.by} {getattr(args, task.by)}" if task.by else where
+    # the task as typed, with the flags that decide what it reads
+    flags = [f for f in ("family", task.by) if f and getattr(args, f, None) is not None]
+    where = " ".join([args.verb, args.task] + [f"--{f} {getattr(args, f)}" for f in flags])
     for name, _ in task.argspecs:
         if name in given and not task.reads(args, name):
-            raise UsageError(f"--{name} is not read by {where_by}")
+            raise UsageError(f"--{name} is not read by {where}")
     params = parse_params(args.params)
     for key in params:
         if hasattr(args, key):
             raise UsageError(f"{key} is set by --{key}, not by --params")
-        if key not in task.keys:
+        if key not in task.keys(args):
             raise UsageError(f"{key} is not a parameter of {where}")
-        if not task.reads(args, key):
-            raise UsageError(f"{key} is not a parameter of {where_by}")
     return params
 
 

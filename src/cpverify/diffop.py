@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ExactDivisionError, UsageError
 from .exact import MPoly, RatFun, Registry, _univariate_cancel, as_rat, as_ratfun, exact_div, fit, session_registry
-from .families import weighted
+from .families import read_params, weighted
 
 
 def zvars(reg: Registry):
@@ -164,14 +164,6 @@ def calogero_op(zs, f, second, dd, pot=0, first=(), zeroth=(), const=0) -> DiffO
     return DiffOp(A, B, C + _lift(own))
 
 
-def _want(params: dict, names) -> dict:
-    """The named parameters as rationals; a missing one is a usage error."""
-    missing = [n for n in names if params.get(n) is None]
-    if missing:
-        raise UsageError(f"missing parameters: {', '.join(missing)}")
-    return {n: as_rat(params[n]) for n in names}
-
-
 def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) -> DiffOp:
     """The multi-particle Hamiltonians solved by the beta-integral ansatz.
 
@@ -180,7 +172,7 @@ def build_cp_hamiltonian(reg: Registry, J: str, N: int, m: int, hbar, **params) 
     fam = weighted(J)
     hb = as_rat(hbar)
     zs, t = symbols(reg, N)
-    first, zeroth, const = fam.cp(t, hb, N, m, _want(params, fam.cp_keys))
+    first, zeroth, const = fam.cp(t, hb, N, m, read_params(params, fam.cp_keys))
     return _cleared(calogero_op(zs, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
 
 
@@ -189,7 +181,7 @@ def build_nagoya_single(reg: Registry, J: str, hbar, **params) -> DiffOp:
     fam = weighted(J)
     hb = as_rat(hbar)
     zs, t = symbols(reg, 1)
-    first, zeroth, const = fam.nagoya(t, hb, _want(params, dict.fromkeys(("a", *fam.cp_keys))))
+    first, zeroth, const = fam.nagoya(t, hb, read_params(params, dict.fromkeys(("a", *fam.cp_keys))))
     return _cleared(calogero_op(zs, fam.sigma(t), hb * hb, hb, 0, first, zeroth, const), fam, t)
 
 
@@ -330,5 +322,5 @@ def table_params(J: str, hbar, mode: str, m: int, N: int, **family) -> dict:
     out: dict = {"kappa_choices": (Fraction(0),) if mode == "ungauged" else (1 / hb - 1, -1 / hb)}
     if mode == "gauged":
         out["R"] = 1 / hb - 1
-    out.update(fam.table(hb, m, N, mode == "gauged", _want(family, fam.cp_keys)))
+    out.update(fam.table(hb, m, N, mode == "gauged", read_params(family, fam.cp_keys)))
     return out

@@ -54,12 +54,10 @@ _ONE = Fraction(1)
 
 
 def as_rat(x) -> Rat:
-    """Coerce ints, strings like ``-1/3`` and Fractions to Fraction."""
+    """Coerce ints and Fractions to Fraction; text goes through ``params.parse_rational``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise UsageError(f"cannot interpret {x!r} as an exact rational")
 
@@ -323,7 +321,7 @@ class MPoly:
         poly_vals: dict = {}
         for name, v in values.items():
             i = self._vidx(name)
-            if isinstance(v, (int, Fraction, str)):
+            if isinstance(v, (int, Fraction)):
                 rat_vals[i] = as_rat(v)
             else:
                 poly_vals[i] = v

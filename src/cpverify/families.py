@@ -14,6 +14,7 @@ from typing import Callable
 import mpmath
 
 from .errors import UsageError
+from .exact import as_rat
 
 HALF = Fraction(1, 2)
 
@@ -414,3 +415,11 @@ def weighted(name: str) -> Family:
     if fam.contour is None:
         raise UsageError(f"family {name!r} has no beta-integral weight")
     return fam
+
+
+def read_params(params: dict, names) -> dict:
+    """The named parameters as Fractions, a missing one a usage error; every engine reads a family's parameters here."""
+    missing = [n for n in names if params.get(n) is None]
+    if missing:
+        raise UsageError(f"missing parameters: {', '.join(missing)}")
+    return {n: as_rat(params[n]) for n in names}

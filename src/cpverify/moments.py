@@ -40,7 +40,7 @@ class MasterFunction:
         fam = families.weighted(family)
         self.family = family
         self.reg = reg
-        self.params = {k: as_rat(v) for k, v in params.items() if v is not None}
+        self.params = families.read_params(params, fam.cp_keys)
         clearing, logd_num = fam.log_derivative(RatFun.var(reg, "t"), self.params)
         self.clearing = {j: as_ratfun(c, reg) for j, c in clearing.items()}
         self.logd_num = {j: as_ratfun(c, reg) for j, c in logd_num.items()}
@@ -265,19 +265,12 @@ def phi_time_derivative(phi: RatFun, reducer: MomentReducer) -> RatFun:
     return out
 
 
-def pde_params(J: str, m: int, hbar, b=None, c=None) -> dict:
+def pde_params(J: str, m: int, hbar, b=Fraction(-1, 3), c=Fraction(-1, 5)) -> dict:
     """Parameters satisfying the printed solvability conditions: a = m hbar,
-    and additionally b + c + d = (m-1) hbar for family VI."""
-    hb = as_rat(hbar)
-    keys = families.weighted(J).cp_keys
-    p: dict = {"a": m * hb}
-    if "b" in keys:
-        p["b"] = as_rat(b) if b is not None else Fraction(-1, 3)
-    if "c" in keys:
-        p["c"] = as_rat(c) if c is not None else Fraction(-1, 5)
-    if "d" in keys:
-        p["d"] = (m - 1) * hb - p["b"] - p["c"]
-    return p
+    and additionally b + c + d = (m-1) hbar for family VI: a and the family's own keys."""
+    hb, b, c = as_rat(hbar), as_rat(b), as_rat(c)
+    p = {"a": m * hb, "b": b, "c": c, "d": (m - 1) * hb - b - c}
+    return {k: v for k, v in p.items() if k == "a" or k in families.weighted(J).cp_keys}
 
 
 def verify_pde_symbolic(J: str, N: int, m: int, hbar: int, params: dict | None = None, mutate: str | None = None, wave=None):

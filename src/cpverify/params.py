@@ -1,15 +1,10 @@
-"""The key=value parser behind ``--params``."""
+"""The one text parser of rationals: flag values and ``--params`` pairs."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .errors import UsageError
-from .families import TABLE
-
-# hbar, kappa and t, and every family's radial and multi-particle keys
-RATIONAL_KEYS = ("hbar", "kappa", *dict.fromkeys(k for fam in TABLE for k in fam.radial_keys + fam.cp_keys), "t")
-INT_KEYS = ("N", "m")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,10 +23,10 @@ def parse_hbar(text: str) -> Fraction:
 
 
 def parse_params(text: str) -> dict:
-    """Parse ``b=-1/3,c=-1/5`` style parameter lists into a dict.
+    """Parse ``b=-1/3,c=-1/5`` style parameter lists into {key: Fraction}.
 
-    Rejects unknown and repeated keys and hbar = 0 (the quantization
-    parameter never vanishes in any verified identity).
+    A pair without ``=``, a repeated key or a malformed rational is a usage
+    error; which keys a task reads is the task's own rule (``cli.Task.keys``).
     """
     ps = {}
     for item in text.split(","):
@@ -44,15 +39,5 @@ def parse_params(text: str) -> dict:
             raise UsageError(f"expected key=value, got {item!r}")
         if key in ps:
             raise UsageError(f"{key} is given twice")
-        if key in INT_KEYS:
-            try:
-                ps[key] = int(value)
-            except ValueError as exc:
-                raise UsageError(f"{key} must be an integer, got {value!r}") from exc
-        elif key in RATIONAL_KEYS:
-            ps[key] = parse_hbar(value) if key == "hbar" else parse_rational(value)
-        elif key == "family":
-            ps[key] = value.strip()
-        else:
-            raise UsageError(f"unknown parameter key {key!r}")
+        ps[key] = parse_rational(value)
     return ps

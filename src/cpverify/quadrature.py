@@ -28,8 +28,8 @@ theta(u omega), evaluated once per node.  The hbar = 1 determinant
 cross-path takes its modified moments from one such pass.
 
 Entry points: ``check_domain`` (admissibility; it returns the family, the
-exact parameters and theta's endpoint exponents, the one parse every path
-below reads), ``theta`` (the weight at one point), ``moments_numeric`` (the
+weight's parameters and theta's endpoint exponents, the one read every path
+below makes), ``theta`` (the weight at one point), ``moments_numeric`` (the
 1-D moments; ``moment_numeric`` for one key), ``simplex_phi_coeffs`` (the
 m-fold coefficients at one t; ``phi_value`` sums them at z),
 ``pde_residual_numeric`` (the Schroedinger residual), ``andreief_phi`` (the
@@ -52,11 +52,15 @@ from mpmath.libmp import fzero, mpf_add as add, mpf_div, mpf_mul as mul, mpf_pow
 from .diffop import apply_op, build_cp_hamiltonian, zvars
 from .errors import DomainError, QuadratureError, UsageError
 from .exact import RatFun, Registry, as_rat, exact_div
-from .families import POLYLINE, UNIT, weighted
+from .families import POLYLINE, UNIT, read_params, weighted
 
 mp = mpmath.mp
 
 DEFAULT_PREC = 192
+# the work one numeric request may start, checked before it starts: grid
+# points^m for a simplex sweep, grid points x keys for a 1-D moment pass
+MAX_SWEEP_POINTS = 2**21
+MAX_LINE_TERMS = 2**22
 
 
 def _to_mpf(x):
@@ -65,16 +69,17 @@ def _to_mpf(x):
     return mpmath.mpf(x)
 
 
-def check_domain(J: str, t, params: dict):
-    """(family, params as rationals without the None ones, theta's exponents (b0, b1)), or ``DomainError``.
+def check_domain(J: str, t, params: dict, more_ts=()):
+    """(family, the weight's parameters read once, theta's exponents (b0, b1)), or ``DomainError``.
 
-    An exponent is None for an absent factor (``Family.exponents``).
+    t and each of ``more_ts`` must be admissible.  An exponent is None for an
+    absent factor (``Family.exponents``).
     """
     fam = weighted(J)
-    t = as_rat(t) if isinstance(t, (int, Fraction, str)) else t
-    p = {k: as_rat(v) for k, v in params.items() if v is not None}
-    if not fam.admissible(t, p):
-        raise DomainError(f"family {J} {fam.requirement}")
+    p = read_params(params, fam.cp_keys)
+    for tv in (t, *more_ts):
+        if not fam.admissible(as_rat(tv), p):
+            raise DomainError(f"family {J} {fam.requirement}")
     return fam, p, fam.exponents(p)
 
 
@@ -94,16 +99,25 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
     s = 1 is the rho-moment and is meaningful for family VI only.  The half
     line is cut to the window (0, L(t)) the simplex sweep cuts, so III's
     moments carry its e^{-L} cut: near 1e-57 for k <= 7, far below the
-    oracle's 1e-10 threshold.  On a real contour the sums run on raw mpf
-    tuples and skip the nodes that cannot change them (``_line_sums``),
-    with the bits of the mpf expression w * u**k * theta summed node by
-    node; the error is |fine - 2 coarse|.
+    oracle's 1e-10 threshold.  The returned error leaves that cut out, so
+    above about 190 bits the cut can exceed it: III at t = -1, b = -1,
+    k = 7 and 256 bits is off from 2 K_8(2) by 2^-195.8, against an error
+    of 2^-251.4.  On a real contour the sums run on raw mpf tuples and skip
+    the nodes that cannot change them (``_line_sums``), with the bits of
+    the mpf expression w * u**k * theta summed node by node; the error is
+    |fine - 2 coarse|.  The pass is refused before it starts past
+    ``MAX_LINE_TERMS`` grid points times keys.
     """
     if any(s not in (0, 1) for _, s in keys):
         raise UsageError("s must be 0 or 1")
     if J != "VI" and any(s for _, s in keys):
         raise UsageError("(t-u)^{-1} moments are defined for family VI only")
     fam, p, bs = check_domain(J, t, params)
+    keys = list(dict.fromkeys(keys))
+    level = max(6, (prec // 32) + 3)
+    if fam.contour != POLYLINE:
+        what = f"a pass over {len(keys)} moments at level {level} and {prec} bits"
+        _check_work(_log2_points(level, prec, bs) + math.log2(len(keys)), MAX_LINE_TERMS, what, "terms")
     with mp.workprec(prec):
         tv = _to_mpf(as_rat(t))
         p = {k: _to_mpf(v) for k, v in p.items()}
@@ -129,9 +143,8 @@ def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> 
         # a node v sits at x = L v with weight w L.  The coarser grid is the even
         # fine nodes at twice the weight, plus the tail past the fine list, so
         # its sum is twice the sum of their terms.
-        pts, tail = _grid(max(6, (prec // 32) + 3), prec, _tail_power(bs))
+        pts, tail = _grid(level, prec, _tail_power(bs))
         nodes = [pt + (True,) for pt in pts] + [pt + (True, False) for pt in tail]
-        keys = list(dict.fromkeys(keys))
         sums = _line_sums(fam, keys, tv, p, bs, nodes, None if fam.contour == UNIT else _to_mpf(fam.window(tv)), prec)
         raw = mp.make_mpf
         return {key: (raw(f), abs(raw(f) - 2 * raw(c))) for key, (f, c) in zip(keys, sums)}
@@ -284,6 +297,25 @@ def _tail_power(bs) -> float:
     return float(1 / (1 + beta)) + 1.0
 
 
+def _log2_points(level: int, prec: int, bs) -> float:
+    """log2 of the number of points ``_grid`` builds for theta's exponents ``bs``, before building any.
+
+    ``ts_nodes`` keeps node j until 1 - u_j < 2^-K, K = int((prec + 10)
+    tail_power), and 1 - u_j is about exp(-pi sinh(j 2^-level)), so the
+    grid holds 2 ceil(2^level asinh(K ln 2 / pi)) + 1 points.  Past level 64
+    the ceiling is dropped: 2^level overflows a float at --prec 100000's
+    level 3128.
+    """
+    a = math.asinh(int((prec + 10) * _tail_power(bs)) * math.log(2) / math.pi)
+    return math.log2(2 * math.ceil(a * 2**level) + 1) if level <= 64 else level + math.log2(2 * a)
+
+
+def _check_work(log2_work: float, bound: int, what: str, unit: str):
+    """Raise ``UsageError`` before ``what`` starts when it would take more than ``bound`` ``unit``."""
+    if log2_work > math.log2(bound):
+        raise UsageError(f"{what} takes about 2^{log2_work:.1f} {unit}, past the bound of 2^{math.log2(bound):g} {unit}")
+
+
 def _check_convergent(J: str, m: int, hbar, bs):
     """Selberg's condition on the m-fold integral: hbar > -min(1/m, (b + 1)/(m - 1)) over theta's endpoint exponents ``bs``."""
     if m < 2:
@@ -303,7 +335,6 @@ def simplex_phi_coeffs(J: str, N: int, m: int, hbar, t, params: dict, prec: int 
     coefficients when the integrand is symmetric (integer hbar).  A divergent
     integral raises ``DomainError``.
     """
-    _check_convergent(J, m, hbar, check_domain(J, t, params)[2])
     accs, acc_dt, err = _simplex_sweep(J, N, m, hbar, [t], params, prec, level, with_dt)
     return accs[0], acc_dt, err
 
@@ -602,12 +633,15 @@ def _simplex_sweep(J: str, N: int, m: int, hbar, ts, params: dict, prec: int, le
     before its theta, coupling or elementary products are computed.  Nothing
     that is skipped would have been added, so no returned bit moves.
 
-    Selberg's condition is checked by the callers (``_check_convergent``):
-    the bounds here hold for any finite sum, convergent or not.
+    The bounds here hold for any finite sum, convergent or not; an integral
+    that fails Selberg's condition (``_check_convergent``), or whose grid
+    points^m pass ``MAX_SWEEP_POINTS``, is rejected first.
     """
     _simplex_family(J, m)
-    for t in ts:  # each t must be admissible; the parse of the params is the same for every t
-        fam, p, (b0, b1) = check_domain(J, t, params)
+    fam, p, (b0, b1) = check_domain(J, ts[0], params, ts[1:])
+    _check_convergent(J, m, hbar, (b0, b1))
+    what = f"a {m}-fold sweep at level {level} and {prec} bits"
+    _check_work(m * _log2_points(level, prec, (b0, b1)), MAX_SWEEP_POINTS, what, "grid points")
     # (1 - x_k)^b1 bounds theta's (1 - x)^b1 below a node only where the node
     # has an x_k < 1 and b1 < 0 makes the choice matter
     both = b1 is not None and b1 < 0
@@ -691,8 +725,14 @@ def pde_residual_numeric(
     # H_J is the printed operator divided by its prefactor
     if weighted(J).prefactor(t) == 0:
         raise DomainError(f"family {J} has no Hamiltonian at t = {t}, where its printed prefactor vanishes")
-    _check_convergent(J, m, hb, check_domain(J, t, params)[2])
     tau = Fraction(N)
+    # numeric coefficient data: t and its four shifts from one sweep, which
+    # raises every domain error before any exact work below
+    mults = (1, -1, Fraction(1, 2), Fraction(-1, 2))
+    ts = [t] + [t + Fraction(mult) * Fraction(1, 512) for mult in mults]
+    accs, dt_exact, err_grid = _simplex_sweep(J, N, m, hb, ts, params, prec, level, True)
+    coeffs, shifts = accs[0], dict(zip(mults, accs[1:]))
+
     # exact operator application on the formal coefficient polynomial; after
     # fixing t the rational function is a polynomial in z and the placeholders
     terms = _phi_terms(N, m)
@@ -701,12 +741,6 @@ def pde_residual_numeric(
     op = build_cp_hamiltonian(reg, J, N, m, hb, **params)
     hphi = apply_op(op, _formal_phi(reg, terms))
     hpoly = exact_div(hphi.num.subs({"t": t}), hphi.den.subs({"t": t}))
-
-    # numeric coefficient data: t and its four shifts from one sweep
-    mults = (1, -1, Fraction(1, 2), Fraction(-1, 2))
-    ts = [t] + [t + Fraction(mult) * Fraction(1, 512) for mult in mults]
-    accs, dt_exact, err_grid = _simplex_sweep(J, N, m, hb, ts, params, prec, level, True)
-    coeffs, shifts = accs[0], dict(zip(mults, accs[1:]))
     with mp.workprec(prec):
         hstep = mpmath.mpf(1) / 512
         dt_fd = {}

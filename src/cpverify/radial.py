@@ -28,7 +28,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from . import families
-from .diffop import DiffOp, _cleared, _conjugate, _want, calogero_op, zvars
+from .diffop import DiffOp, _cleared, _conjugate, calogero_op, zvars
 from .errors import DegeneratePointError, UsageError
 from .exact import MPoly, RatFun, Registry, as_rat, solve_linear
 
@@ -313,7 +313,7 @@ def hamiltonian_trace_spec(J: str, N: int, t, **params) -> list:
     word '' carries Tr(Id) = N.
     """
     fam = families.family(J)
-    p = _want(params, fam.radial_keys)
+    p = families.read_params(params, fam.radial_keys)
     return [(Fraction(c) * N if not word else Fraction(c), word) for c, word in fam.hamiltonian(as_rat(t), p)]
 
 
@@ -336,7 +336,7 @@ def build_radial_hamiltonian(zs, t, J: str, hbar, kappa, corrections=None, **par
     form = fam.radial_pre if J == "II_pre" else fam.radial
     hb = as_rat(hbar)
     kk = as_rat(kappa) * (as_rat(kappa) + 1)
-    first, zeroth, const = form(t, hb, len(zs), kk, _want(params, fam.radial_keys))
+    first, zeroth, const = form(t, hb, len(zs), kk, families.read_params(params, fam.radial_keys))
     if corrections is not None:
         fitted = [a0 + t * a1 for a0, a1 in corrections["first_order"]]
         first = [x + y for x, y in itertools.zip_longest(first, fitted, fillvalue=0)]

@@ -3,12 +3,13 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cpverify import checks, cli, families
+from cpverify import checks, cli, families, quadrature
 from cpverify.checks import CheckRecord
 from cpverify.cli import TASKS, main
 
@@ -318,6 +319,100 @@ def test_params_key_without_a_flag_is_a_usage_error():
     assert proc.stderr.strip() == "usage error: kappa is not a parameter of verify weyl"
 
 
+def run_main(*argv):
+    """main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# (a task's argv, the --params keys it reads, keys it rejects): one rule per
+# task, from the family table and --mode / --kind; the argv names every flag
+# the rule reads, as the usage line does
+KEY_RULE = [
+    (("verify", "pde", "--family", "II", "--mode", "symbolic"), "", "a b c d th"),
+    (("verify", "pde", "--family", "III", "--mode", "symbolic"), "b", "a c d th0"),
+    (("verify", "pde", "--family", "IV", "--mode", "numeric"), "b", "a c th1"),
+    (("verify", "pde", "--family", "V", "--mode", "symbolic"), "b c", "a d th2"),
+    (("verify", "pde", "--family", "V", "--mode", "numeric"), "b c", "a d"),
+    (("verify", "pde", "--family", "VI", "--mode", "numeric"), "b c", "a d k2"),
+    (("print", "hamiltonian", "--family", "II", "--kind", "cp"), "", "a b th"),
+    (("print", "hamiltonian", "--family", "II", "--kind", "nagoya"), "a", "b th"),
+    (("print", "hamiltonian", "--family", "II_pre", "--kind", "radial"), "th", "a th0"),
+    (("print", "hamiltonian", "--family", "I", "--kind", "radial"), "", "a th"),
+    (("print", "hamiltonian", "--family", "IV", "--kind", "cp"), "b", "a c th0"),
+    (("print", "hamiltonian", "--family", "V", "--kind", "nagoya"), "a b c", "d th0"),
+    (("print", "hamiltonian", "--family", "V", "--kind", "radial"), "th0 th1 th2", "a b"),
+    (("print", "hamiltonian", "--family", "VI", "--kind", "cp"), "a b c d", "th0 k2"),
+    (("print", "hamiltonian", "--family", "VI", "--kind", "radial"), "th0 th1 tht k2", "a theta"),
+    (("verify", "weyl"), "", "kappa b"),
+    (("verify", "radial", "--family", "VI"), "", "th0 b"),
+    (("verify", "table1", "--family", "V"), "", "a b c"),
+    (("verify", "n1"), "", "b"),
+    (("oracle", "moments", "--family", "V"), "", "b c"),
+    (("suite", "acceptance"), "", "b"),
+]
+
+
+@pytest.mark.parametrize("argv, reads, rejects", KEY_RULE, ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
+def test_each_task_reads_the_keys_of_its_rule(argv, reads, rejects):
+    args = cli.build_parser().parse_args([*argv, "--params", ",".join(f"{k}=-1/3" for k in reads.split())])
+    assert cli._read(TASKS[argv[:2]], args) == {k: Fraction(-1, 3) for k in reads.split()}
+    for key in rejects.split():
+        code, out, err = run_main(*argv, "--params", f"{key}=-1/3")
+        assert (code, out, err) == (2, "", f"usage error: {key} is not a parameter of {' '.join(argv)}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, params, message",
+    [
+        (("print", "hamiltonian", "--family", "V"), "hbar=0", "hbar is set by --hbar, not by --params"),
+        (("verify", "pde", "--family", "V"), "N=2", "N is set by --N, not by --params"),
+        (("verify", "pde", "--family", "V"), "zz=1", "zz is not a parameter of verify pde --family V --mode symbolic"),
+        (("verify", "pde", "--family", "V"), "b=1/x", "malformed rational '1/x' (expected p/q or integer)"),
+        (("verify", "pde", "--family", "V"), "b=-1/3,b=-1/5", "b is given twice"),
+        (("verify", "pde", "--family", "V"), "b", "expected key=value, got 'b'"),
+    ],
+)
+def test_a_bad_params_pair_is_one_usage_line(argv, params, message):
+    assert run_main(*argv, "--params", params) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, bound, unit",
+    [
+        (("verify", "pde", "--family", "V", "--N", "1", "--m", "2", "--hbar", "1/2", "--mode", "numeric", "--level", "2"), "MAX_SWEEP_POINTS", "grid points"),
+        (("oracle", "moments", "--family", "V", "--kmax", "2", "--prec", "64"), "MAX_LINE_TERMS", "terms"),
+    ],
+)
+def test_numeric_work_past_its_bound_is_a_usage_error(monkeypatch, argv, bound, unit):
+    monkeypatch.setattr(quadrature, bound, 16)
+    code, out, err = run_main(*argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith(f", past the bound of 2^4 {unit}\n")
+
+
+def test_oracle_kmax_past_its_bound_is_a_usage_error(monkeypatch):
+    monkeypatch.setattr(checks, "MAX_ORACLE_KMAX", 3)
+    assert run_main("oracle", "moments", "--family", "V", "--kmax", "4") == (2, "", "usage error: kmax must be at most 3, the oracle's bound, got 4\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "pde", "--family", "V", "--N", "2", "--m", "2", "--hbar", "1/2", "--mode", "numeric", "--level", "9"),
+        ("oracle", "moments", "--family", "III", "--prec", "100000"),
+        ("verify", "pde", "--family", "V", "--N", "2", "--m", "3", "--hbar", "1/2", "--mode", "numeric", "--level", "4"),
+    ],
+)
+def test_runs_past_the_work_bound_exit_before_any_work(argv):
+    # each of these ran past 25 s with no output before the bound
+    proc = subprocess.run([sys.executable, "-m", "cpverify.cli", *argv], capture_output=True, text=True, timeout=10)
+    assert_usage_error(proc)
+    assert "past the bound of 2^" in proc.stderr
+
+
 def test_config_without_a_path_is_a_usage_error():
     # was an IndexError traceback
     assert_usage_error(run_cli("verify", "eom", "--config"))
@@ -440,6 +535,8 @@ CAPPED = {
     "prec": st.sampled_from((52, 64, 96)),
 }
 RATIONAL = st.sampled_from(("0", "1", "2", "1/2", "-1/3", "-1/5", "5/4", "1/0", "x"))
+# every key some family reads, whichever task and flags it reads them under
+KEYS = tuple(dict.fromkeys(k for fam in families.TABLE for k in ("a", *fam.cp_keys, *fam.radial_keys)))
 TEXT = RATIONAL | st.sampled_from(families.NAMES)
 
 
@@ -463,7 +560,7 @@ def task_argv(draw):
         if spec.get("action") == "store_true":
             argv.append(f"--{flag}")
         elif flag == "params":
-            keys = st.sampled_from(task.keys + ("t", "zz"))
+            keys = st.sampled_from(KEYS + ("t", "zz"))
             pairs = draw(st.lists(st.tuples(keys, RATIONAL), max_size=3))
             argv += ["--params", ",".join(f"{k}={v}" for k, v in pairs)]
         else:

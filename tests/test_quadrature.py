@@ -65,6 +65,38 @@ def test_domain_constraints():
         moment_numeric("V", 0, 1, Fraction(3, 2), ADMISSIBLE["V"][1])
 
 
+@pytest.mark.parametrize("J", ["III", "V"])
+@pytest.mark.parametrize("level, prec", [(3, 64), (5, 96), (9, 192), (11, 256)])
+def test_the_work_bound_counts_the_grid_points_exactly(J, level, prec):
+    bs = families.weighted(J).exponents(ADMISSIBLE[J][1])
+    points, _ = quadrature._grid(level, prec, quadrature._tail_power(bs))
+    assert 2 ** quadrature._log2_points(level, prec, bs) == pytest.approx(len(points), abs=1e-6)
+
+
+@pytest.mark.parametrize("params", [{"b": Fraction(-1, 3)}, {"b": Fraction(-1, 3), "c": None}])
+def test_a_missing_weight_parameter_is_a_usage_error(params):
+    # each of these raised KeyError: 'c' from inside the weight
+    t = Fraction(3, 2)
+    for read in (
+        lambda: check_domain("V", t, params),
+        lambda: moments_numeric("V", [(0, 0)], t, params, prec=64),
+        lambda: MasterFunction("V", REG, params),
+    ):
+        with pytest.raises(UsageError, match="^missing parameters: c$"):
+            read()
+
+
+def test_a_numeric_request_reads_its_parameters_once(monkeypatch):
+    # a PDE residual read them six times: once itself, once per t of its sweep
+    reads = []
+    monkeypatch.setattr(quadrature, "read_params", lambda params, names: reads.append(names) or families.read_params(params, names))
+    t, params = ADMISSIBLE["V"]
+    pde_residual_numeric("V", 1, 1, Fraction(1, 2), t, moments.pde_params("V", 1, Fraction(1, 2), **params), prec=64, level=2)
+    assert reads == [("b", "c")]
+    moments_numeric("V", [(0, 0), (1, 0)], t, params, prec=64)
+    assert reads == [("b", "c")] * 2
+
+
 def test_airy_type_moment_finite_and_stable():
     v1, e1 = moment_numeric("II", 0, 0, 0, {}, prec=128)
     v2, _ = moment_numeric("II", 0, 0, 0, {}, prec=192)
@@ -438,6 +470,9 @@ def audit_sweep(J, seed, N, m, hbar, level, with_dt, scale=1):
         patch.setattr(quadrature._Sweep, "needs", record_needs)
         patch.setattr(quadrature._Sweep, "leaf", record_leaf)
         patch.setattr(quadrature._Sweep, "room", lambda self, reqs, isc: -math.inf)
+        # the bounds hold for any finite sum, so the audit also sweeps the
+        # divergent integrals (hbar = -1/4) that the sweep itself rejects
+        patch.setattr(quadrature, "_check_convergent", lambda *args: None)
         quadrature._simplex_sweep(J, N, m, hbar, ts, params, 64, level, with_dt)
     rnd = round_nearest
     for sweep, chain, bases, es, dt, isc in leaves:
