@@ -495,41 +495,37 @@ def run_oracle_moments(J: str, kmax: int = 6, prec: int = 192, points: int = 3, 
     if kmax > MAX_ORACLE_KMAX:
         raise UsageError(f"kmax must be at most {MAX_ORACLE_KMAX}, the oracle's bound, got {kmax}")
     rng = random.Random(seed)
-    reg = session_registry(1, seeds=("nu0", "nu1"))
+    reg = session_registry(1)
     # the worst residual, and the worst grid error estimate over the largest moment
     worst = grid = mpmath.mpf(0)
     for _ in range(points):
         t, params = families.weighted(J).sample(rng)
         mf = moments.MasterFunction(J, reg, params)
-        relations = [(moments.ibp_relation(mf, n), False) for n in range(0, kmax - 1)]
-        if J == "VI":
-            relations += [(moments.ibp_relation_partial_vi(mf, n), True) for n in range(0, kmax - 1)]
-
-        def moment_key(kind, k, with_rho):
-            return k, 1 if (with_rho and kind == "rho") else 0
-
-        # every moment the relations reference, evaluated in one pass
-        keys = sorted({moment_key(kind, k, with_rho) for rel, with_rho in relations for (kind, k) in rel})
+        relations = [moments.ibp_relation(mf, n) for n in range(0, kmax - 1)]
+        if mf.dt_log[2]:
+            relations += [moments.ibp_relation_partial(mf, n) for n in range(0, kmax - 1)]
+        # every moment the relations reference, evaluated in one pass: (k, s), s = 1 for rho_k
+        keys = sorted({(k, int(kind == "rho")) for rel in relations for (kind, k) in rel})
         found = quadrature.moments_numeric(J, keys, t, params, prec=prec)
         nu = {key: value for key, (value, _) in found.items()}
 
-        def residual(rel, with_rho):
+        def residual(rel):
             # normalized by sum|c_k| * max|moment|: degenerate relations whose
             # only surviving term itself vanishes then score ~0, as they should
             total = mpmath.mpf(0)
             coeff_sum = mpmath.mpf(0)
             mom_max = mpmath.mpf(0)
             for (kind, k), coeff in rel.items():
-                cv = coeff.eval({"t": t, "nu0": 0, "nu1": 0})
-                mom = nu[moment_key(kind, k, with_rho)]
+                cv = coeff.eval({"t": t})
+                mom = nu[(k, int(kind == "rho"))]
                 total += (mpmath.mpf(cv.numerator) / cv.denominator) * mom
                 coeff_sum += abs(mpmath.mpf(cv.numerator) / cv.denominator)
                 mom_max = max(mom_max, abs(mom))
             return abs(total) / (coeff_sum * mom_max)
 
         with mpmath.mp.workprec(prec):
-            for rel, with_rho in relations:
-                worst = max(worst, residual(rel, with_rho))
+            for rel in relations:
+                worst = max(worst, residual(rel))
             grid = max(grid, max(err for _, err in found.values()) / max(abs(value) for value in nu.values()))
     yield _rec(
         f"moment recursions {J}, k = 0..{kmax}, {points} admissible points",

@@ -3,17 +3,18 @@
 For positive integer hbar the coupling factor in the ansatz is a polynomial,
 the multi-fold integrals factorize over a common contour, and every
 expectation value is a polynomial in the 1-D moments nu_k = int u^k Theta du
-(family VI also meets rho_k = int u^k (t-u)^{-1} Theta du).  Total-derivative
-(divergence) identities generate linear relations among the moments; this
-module derives those relations from the master-function data itself, reduces
-each moment to the seed moments nu_0, nu_1 as a linear form, and checks the
-Schroedinger equation as an exact polynomial identity in z and the seeds with
-rational functions of t as coefficients.  The only product of moments is the
-m-fold one that ``build_phi`` forms.
+(a weight with (t-u)^{-1} in d/dt log Theta also meets rho_k = int u^k
+(t-u)^{-1} Theta du).  Total-derivative (divergence) identities generate
+linear relations among the moments; this module derives those relations from
+the master-function data itself, reduces each moment to the seed moments
+nu_0, nu_1 as a linear form, and checks the Schroedinger equation as an exact
+polynomial identity in z and the seeds with rational functions of t as
+coefficients.  The only product of moments is the m-fold one that
+``build_phi`` forms.
 
-No recursion coefficient is hard-coded: every reduction rule is solved out of
-a generated divergence relation (the numeric quadrature module cross-checks
-them against actual integrals).
+No recursion coefficient is hard-coded: every reduction rule, rho_k and the
+resonance are solved out of generated divergence relations (the numeric
+quadrature module cross-checks them against actual integrals).
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ class MasterFunction:
 
     def __init__(self, family: str, reg: Registry, params: dict):
         fam = families.weighted(family)
-        self.family = family
         self.reg = reg
-        self.params = families.read_params(params, fam.cp_keys)
-        clearing, logd_num = fam.log_derivative(RatFun.var(reg, "t"), self.params)
+        p = families.read_params(params, fam.cp_keys)
+        clearing, logd_num = fam.log_derivative(RatFun.var(reg, "t"), p)
         self.clearing = {j: as_ratfun(c, reg) for j, c in clearing.items()}
         self.logd_num = {j: as_ratfun(c, reg) for j, c in logd_num.items()}
         self.min_n = fam.min_n
-        self.dt_log = fam.dt_log(self.params)
+        self.dt_log = fam.dt_log(p)
 
 
 # A linear form is a dict {("nu" | "rho", k): RatFun(t)}: the sum of coefficient
@@ -66,20 +66,28 @@ def _nonzero(form: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def ibp_relation(mf: MasterFunction, n: int) -> dict:
-    """0 = int d/du [u^n clearing(u) Theta(u)] du as a linear form in nu symbols.
+def _divergence(mf: MasterFunction, n: int, clearing: dict, num: dict, rho=None) -> dict:
+    """0 = int d/du [u^n clearing(u) Theta(u)] du as a linear form, where
+    clearing Theta'/Theta = num(u) + rho/(t-u) (rho None for no such term).
 
-    d/du [u^n c Theta] = (sum_j (n+j) c_j u^{n+j-1} + u^n logd_num) Theta.
+    d/du [u^n c Theta] = (sum_j (n+j) c_j u^{n+j-1} + u^n num + rho u^n/(t-u)) Theta.
     """
     if n < mf.min_n:
         raise UsageError(f"relation index {n} below the admissible minimum {mf.min_n}")
     rel: dict = {}
-    for j, cj in mf.clearing.items():
+    for j, cj in clearing.items():
         if n + j != 0:
             _bump(rel, ("nu", n + j - 1), cj * Fraction(n + j))
-    for j, gj in mf.logd_num.items():
+    for j, gj in num.items():
         _bump(rel, ("nu", n + j), gj)
+    if rho is not None:
+        _bump(rel, ("rho", n), rho)
     return _nonzero(rel)
+
+
+def ibp_relation(mf: MasterFunction, n: int) -> dict:
+    """Relation n with the full clearing, as a linear form in nu symbols."""
+    return _divergence(mf, n, mf.clearing, mf.logd_num)
 
 
 def _div_by_t_minus_u(p: dict, t: RatFun, reg: Registry):
@@ -94,32 +102,19 @@ def _div_by_t_minus_u(p: dict, t: RatFun, reg: Registry):
     return {i: c for i, c in enumerate(q) if not c.is_zero()}, r
 
 
-def ibp_relation_partial_vi(mf: MasterFunction, n: int) -> dict:
-    """Family VI divergence with the partial clearing u(1-u): brings in rho_n.
+def ibp_relation_partial(mf: MasterFunction, n: int) -> dict:
+    """Relation n with the partial clearing clearing/(t-u): brings in rho_n.
 
-    u(1-u) Theta'/Theta = logd_num(u)/(t-u) = q(u) + r/(t-u) by division.
+    Only a weight whose d/dt log Theta has (t-u)^{-1} has rho moments, and
+    its clearing has the root t.  With logd_num = (t-u) q(u) + r by
+    division, the partial clearing times Theta'/Theta is q(u) + r/(t-u).
     """
-    if mf.family != "VI":
-        raise UsageError("partial clearing applies to family VI only")
-    if n < 0:
-        raise UsageError("relation index must be nonnegative")
-    reg = mf.reg
-    q, r = _div_by_t_minus_u(mf.logd_num, RatFun.var(reg, "t"), reg)
-    rel: dict = {}
-    # d/du [u^{n+1}(1-u)] = (n+1) u^n - (n+2) u^{n+1}
-    _bump(rel, ("nu", n), RatFun.const(reg, n + 1))
-    _bump(rel, ("nu", n + 1), RatFun.const(reg, -(n + 2)))
-    for j, gj in q.items():
-        _bump(rel, ("nu", n + j), gj)
-    rel[("rho", n)] = r
-    return _nonzero(rel)
-
-
-def rho_reduction(mf: MasterFunction, k: int) -> dict:
-    """rho_k through rho_0 and nu's via u^k = (t-u) q(u) + t^k (division identity)."""
-    reg = mf.reg
-    q, r = _div_by_t_minus_u({k: RatFun.const(reg, 1)}, RatFun.var(reg, "t"), reg)
-    return {("rho", 0): r, **{("nu", j): c for j, c in q.items()}}
+    if not mf.dt_log[2]:
+        raise UsageError("a partial clearing needs a weight whose d/dt log Theta has (t-u)^{-1}")
+    t = RatFun.var(mf.reg, "t")
+    partial, _ = _div_by_t_minus_u(mf.clearing, t, mf.reg)
+    q, r = _div_by_t_minus_u(mf.logd_num, t, mf.reg)
+    return _divergence(mf, n, partial, q, r)
 
 
 def _solve_for(rel: dict, sym) -> dict:
@@ -135,28 +130,27 @@ class MomentReducer:
     """Deterministic elimination to a two-moment seed basis.
 
     Each nu_k with k >= 2 is solved out of the divergence relation whose top
-    index is k; rho symbols collapse to rho_0 by the division identity and
-    then to seeds via the partial-clearing relation; family III's nu_{-1}
-    (from d/dt) is solved downward, dividing by t.
+    index is k, each rho_k out of partial-clearing relation k; family III's
+    nu_{-1} (from d/dt) is solved downward, dividing by t.
 
-    Seeds are (nu_0, nu_1) except at a family-VI resonance: when
-    a + b + c + d is a positive integer S (which the solvability conditions
-    force, S = (2m-1) hbar), the relation that would produce nu_{S+1}
-    degenerates into a constraint among lower moments.  The reducer then
-    eliminates nu_1 through that constraint and keeps (nu_0, nu_{S+1}) as the
-    basis; ``seed_map`` records which symbol each registry seed variable
-    denotes.
+    Seeds are (nu_0, nu_1) except at a resonance: relation n gives nu_{n+2}
+    the coefficient (n+3) c_3 + g_2 (the top coefficients of clearing and
+    logd_num), and where that vanishes at an admissible integer n (for family
+    VI, where a + b + c + d = n + 1, which the solvability conditions force
+    to be (2m-1) hbar), relation n degenerates into a constraint among lower
+    moments.  The reducer then eliminates nu_1 through that constraint and
+    keeps (nu_0, nu_{n+2}) as the basis; ``seed_map`` records which symbol
+    each registry seed variable denotes.
     """
 
     def __init__(self, mf: MasterFunction):
         self.mf = mf
-        self.resonant_n = None
-        second = ("nu", 1)
-        if mf.family == "VI":
-            total = sum(mf.params[k] for k in ("a", "b", "c", "d"))
-            if total.denominator == 1 and total >= 1:
-                self.resonant_n = int(total) - 1
-                second = ("nu", self.resonant_n + 2)
+        root = -mf.logd_num[2] / mf.clearing[3] - 3 if 3 in mf.clearing else None  # (n+3) c_3 + g_2 = 0
+        n = None
+        if root is not None and root.num.is_constant() and root.den.is_constant():
+            n = root.num.constant_value() / root.den.constant_value()
+        self.resonant_n = int(n) if n is not None and n.denominator == 1 and n >= mf.min_n else None
+        second = ("nu", 1 if self.resonant_n is None else self.resonant_n + 2)
         self.seed_map = {("nu", 0): "nu0", second: "nu1"}
         one = RatFun.const(mf.reg, 1)
         self._forms = {sym: {sym: one} for sym in self.seed_map}
@@ -168,7 +162,7 @@ class MomentReducer:
         kind, k = sym
         mf = self.mf
         if kind == "rho":
-            return rho_reduction(mf, k) if k >= 1 else _solve_for(ibp_relation_partial_vi(mf, 0), sym)
+            return _solve_for(ibp_relation_partial(mf, k), sym)
         if k == 1 and self.resonant_n is not None:
             # the resonant relation, reduced to {nu_0, nu_1}, pins nu_1 to nu_0
             return _solve_for(self._reduced(ibp_relation(mf, self.resonant_n), self._free), sym)

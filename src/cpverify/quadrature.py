@@ -61,6 +61,13 @@ DEFAULT_PREC = 192
 # points^m for a simplex sweep, grid points x keys for a 1-D moment pass
 MAX_SWEEP_POINTS = 2**21
 MAX_LINE_TERMS = 2**22
+# family II's polyline runs one mpmath.quad per key at maxdegree 10, whose
+# node count and cost per node each grow about linearly with the precision:
+# a pass costs about (keys + 4) x prec^2, both legs' weights (shared by every
+# key) costing about four keys at 384 bits.  The bound also keeps a pass
+# under 580 bits, past which mpmath's exp of a far node's weight turns into
+# an integer power of e and takes milliseconds a node
+MAX_POLYLINE_WORK = 2**20
 
 
 def _to_mpf(x):
@@ -96,26 +103,30 @@ def moment_numeric(J: str, k: int, s: int, t, params: dict, prec: int = DEFAULT_
 def moments_numeric(J: str, keys, t, params: dict, prec: int = DEFAULT_PREC) -> dict:
     """{(k, s): (value, error)} for int u^k (t-u)^{-s} Theta_J(u) du, all keys in one pass.
 
-    s = 1 is the rho-moment and is meaningful for family VI only.  The half
-    line is cut to the window (0, L(t)) the simplex sweep cuts, so III's
-    moments carry its e^{-L} cut: near 1e-57 for k <= 7, far below the
-    oracle's 1e-10 threshold.  The returned error leaves that cut out, so
-    above about 190 bits the cut can exceed it: III at t = -1, b = -1,
-    k = 7 and 256 bits is off from 2 K_8(2) by 2^-195.8, against an error
-    of 2^-251.4.  On a real contour the sums run on raw mpf tuples and skip
-    the nodes that cannot change them (``_line_sums``), with the bits of
-    the mpf expression w * u**k * theta summed node by node; the error is
-    |fine - 2 coarse|.  The pass is refused before it starts past
-    ``MAX_LINE_TERMS`` grid points times keys.
+    s = 1 is the rho-moment, meaningful for a weight whose dt rule has
+    (t-u)^{-1} (family VI's).  The half line is cut to the window (0, L(t))
+    the simplex sweep cuts, so III's moments carry its e^{-L} cut: near
+    1e-57 for k <= 7, far below the oracle's 1e-10 threshold.  The returned
+    error leaves that cut out, so above about 190 bits the cut can exceed
+    it: III at t = -1, b = -1, k = 7 and 256 bits is off from 2 K_8(2) by
+    2^-195.8, against an error of 2^-251.4.  On a real contour the sums run
+    on raw mpf tuples and skip the nodes that cannot change them
+    (``_line_sums``), with the bits of the mpf expression w * u**k * theta
+    summed node by node; the error is |fine - 2 coarse|.  The pass is
+    refused before it starts past ``MAX_LINE_TERMS`` grid points times keys
+    (``MAX_POLYLINE_WORK`` on family II's polyline).
     """
     if any(s not in (0, 1) for _, s in keys):
         raise UsageError("s must be 0 or 1")
-    if J != "VI" and any(s for _, s in keys):
-        raise UsageError("(t-u)^{-1} moments are defined for family VI only")
     fam, p, bs = check_domain(J, t, params)
+    if any(s for _, s in keys) and not fam.dt_log(p)[2]:
+        raise UsageError(f"(t-u)^{{-1}} moments need a weight whose d/dt log Theta has (t-u)^{{-1}}, and family {J}'s has none")
     keys = list(dict.fromkeys(keys))
     level = max(6, (prec // 32) + 3)
-    if fam.contour != POLYLINE:
+    if fam.contour == POLYLINE:
+        what = f"a polyline pass over {len(keys)} moments at {prec} bits"
+        _check_work(math.log2(len(keys) + 4) + 2 * math.log2(prec), MAX_POLYLINE_WORK, what, "key-bits^2")
+    else:
         what = f"a pass over {len(keys)} moments at level {level} and {prec} bits"
         _check_work(_log2_points(level, prec, bs) + math.log2(len(keys)), MAX_LINE_TERMS, what, "terms")
     with mp.workprec(prec):

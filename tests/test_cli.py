@@ -384,6 +384,7 @@ def test_a_bad_params_pair_is_one_usage_line(argv, params, message):
     [
         (("verify", "pde", "--family", "V", "--N", "1", "--m", "2", "--hbar", "1/2", "--mode", "numeric", "--level", "2"), "MAX_SWEEP_POINTS", "grid points"),
         (("oracle", "moments", "--family", "V", "--kmax", "2", "--prec", "64"), "MAX_LINE_TERMS", "terms"),
+        (("oracle", "moments", "--family", "II", "--kmax", "2", "--prec", "64"), "MAX_POLYLINE_WORK", "key-bits^2"),
     ],
 )
 def test_numeric_work_past_its_bound_is_a_usage_error(monkeypatch, argv, bound, unit):
@@ -404,10 +405,13 @@ def test_oracle_kmax_past_its_bound_is_a_usage_error(monkeypatch):
         ("verify", "pde", "--family", "V", "--N", "2", "--m", "2", "--hbar", "1/2", "--mode", "numeric", "--level", "9"),
         ("oracle", "moments", "--family", "III", "--prec", "100000"),
         ("verify", "pde", "--family", "V", "--N", "2", "--m", "3", "--hbar", "1/2", "--mode", "numeric", "--level", "4"),
+        ("oracle", "moments", "--family", "II", "--kmax", "60"),
+        ("oracle", "moments", "--family", "II", "--kmax", "2", "--prec", "640"),
     ],
 )
 def test_runs_past_the_work_bound_exit_before_any_work(argv):
-    # each of these ran past 25 s with no output before the bound
+    # each of these ran past 25 s with no output before the bound (II's two
+    # past 40 s: 61 mpmath.quad calls, and the weight's exp at 640 bits)
     proc = subprocess.run([sys.executable, "-m", "cpverify.cli", *argv], capture_output=True, text=True, timeout=10)
     assert_usage_error(proc)
     assert "past the bound of 2^" in proc.stderr

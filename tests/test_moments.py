@@ -13,10 +13,9 @@ from cpverify.moments import (
     build_phi,
     d_dt,
     ibp_relation,
-    ibp_relation_partial_vi,
+    ibp_relation_partial,
     pde_params,
     phi_time_derivative,
-    rho_reduction,
     verify_pde_symbolic,
 )
 
@@ -85,16 +84,62 @@ def test_reduce_examples():
 def test_rho_reduction_and_partial_relation():
     mf = MasterFunction("VI", REG, PARAMS)
     red = MomentReducer(mf)
-    # rho_1 = t rho_0 - nu_0 (division identity)
-    r1 = rho_reduction(mf, 1)
+    # rho_1 = t rho_0 - nu_0 (division identity), both sides reduced
     expect = {("rho", 0): RatFun.var(REG, "t"), ("nu", 0): RatFun.const(REG, -1)}
-    assert same_form(r1, expect)
+    assert same_form(red.reduce(("rho", 1)), reduce_form(red, expect))
     # rho_0 reduces to seeds through the partial-clearing relation
     rho0 = red.reduce(("rho", 0))
     assert all(sym[0] == "nu" and sym[1] in (0, 1) for sym in rho0)
     # and the partial relation itself is annihilated by the reduction
-    rel = ibp_relation_partial_vi(mf, 2)
+    rel = ibp_relation_partial(mf, 2)
     assert not reduce_form(red, rel)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rho_k_is_the_reduced_division_identity(k):
+    # u^k = t^k - (t-u) sum_j t^(k-1-j) u^j, so rho_k = t^k rho_0 - sum_j t^(k-1-j) nu_j
+    red = MomentReducer(MasterFunction("VI", REG, PARAMS))
+    t = RatFun.var(REG, "t")
+    identity = {("rho", 0): t**k, **{("nu", j): -(t ** (k - 1 - j)) for j in range(k)}}
+    assert same_form(red.reduce(("rho", k)), reduce_form(red, identity))
+
+
+def test_vi_partial_relation_is_the_hard_coded_form():
+    # the form written for family VI alone before the partial clearing was derived:
+    # d/du [u^(n+1) (1-u) Theta] = ((n+1) nu_n - (n+2) nu_(n+1) + sum_j q_j nu_(n+j) + r rho_n),
+    # with logd_num = (t-u)(q_0 + q_1 u) + r
+    mf = MasterFunction("VI", REG, PARAMS)
+    t = RatFun.var(REG, "t")
+    g0, g1, g2 = (mf.logd_num[j] for j in range(3))
+    q, r = {0: -g2 * t - g1, 1: -g2}, g0 + g1 * t + g2 * t * t
+    for n in range(4):
+        old = combine(
+            [(RatFun.const(REG, n + 1), {("nu", n): RatFun.const(REG, 1)}), (RatFun.const(REG, -(n + 2)), {("nu", n + 1): RatFun.const(REG, 1)})]
+            + [(qj, {("nu", n + j): RatFun.const(REG, 1)}) for j, qj in q.items()]
+            + [(r, {("rho", n): RatFun.const(REG, 1)})]
+        )
+        assert same_form(ibp_relation_partial(mf, n), old), n
+
+
+def test_only_a_t_minus_u_dt_rule_has_a_partial_relation():
+    for J in ("II", "III", "IV", "V"):
+        with pytest.raises(UsageError, match=r"\(t-u\)\^\{-1\}"):
+            ibp_relation_partial(MasterFunction(J, REG, PARAMS), 0)
+
+
+@pytest.mark.parametrize("total, resonant_n", [(1, 0), (3, 2), (Fraction(5, 2), None), (0, None), (-1, None)])
+def test_resonance_is_where_the_top_coefficient_vanishes(total, resonant_n):
+    # a VI point with a + b + c + d = total; 3 lies off the solvability conditions at m = 1, hbar = 1
+    params = dict(PARAMS, d=total - PARAMS["a"] - PARAMS["b"] - PARAMS["c"])
+    red = MomentReducer(MasterFunction("VI", REG, params))
+    assert red.resonant_n == resonant_n
+    assert ("nu", 1 if resonant_n is None else resonant_n + 2) in red.seed_map
+
+
+@pytest.mark.parametrize("J", ["II", "III", "IV", "V"])
+def test_families_ii_to_v_never_resonate(J):
+    red = MomentReducer(MasterFunction(J, REG, PARAMS))
+    assert red.resonant_n is None and ("nu", 1) in red.seed_map
 
 
 def test_vi_full_relation_consistent_with_partial():

@@ -14,7 +14,7 @@ from cpverify import checks, families, moments
 from cpverify.errors import DomainError, QuadratureError, UsageError
 from cpverify.exact import session_registry
 from cpverify import quadrature
-from cpverify.moments import MasterFunction, ibp_relation, ibp_relation_partial_vi
+from cpverify.moments import MasterFunction, ibp_relation, ibp_relation_partial
 from cpverify.quadrature import (
     andreief_phi,
     check_domain,
@@ -61,8 +61,17 @@ def test_domain_constraints():
     with pytest.raises(DomainError):
         check_domain("VI", Fraction(1, 2), ADMISSIBLE["VI"][1])  # t must exceed 1
     check_domain("II", Fraction(0), {})
-    with pytest.raises(UsageError):
-        moment_numeric("V", 0, 1, Fraction(3, 2), ADMISSIBLE["V"][1])
+
+
+@pytest.mark.parametrize("J", ["II", "III", "IV", "V", "VI"])
+def test_rho_moments_need_a_t_minus_u_dt_rule(J):
+    # s = 1 is read from the table's dt rule: only VI's has (t-u)^{-1}
+    t, params = ADMISSIBLE[J]
+    if J == "VI":
+        assert moment_numeric(J, 0, 1, t, params, prec=64)[0] > 0
+    else:
+        with pytest.raises(UsageError, match=f"^\\(t-u\\)\\^\\{{-1\\}} moments need .* family {J}'s has none$"):
+            moment_numeric(J, 0, 1, t, params, prec=64)
 
 
 @pytest.mark.parametrize("J", ["III", "V"])
@@ -120,7 +129,7 @@ def test_moment_recursions_numeric(J):
 def test_vi_partial_relation_with_rho():
     t, params = ADMISSIBLE["VI"]
     mf = MasterFunction("VI", REG, params)
-    rel = ibp_relation_partial_vi(mf, 1)
+    rel = ibp_relation_partial(mf, 1)
     nu = moments_numeric("VI", sorted({(k, int(kind == "rho")) for (kind, k) in rel}), t, params, prec=192)
     with mpmath.mp.workprec(192):
         total = mpmath.mpf(0)
